@@ -12,6 +12,7 @@ from .polynomials import (
     Poly,
     TwistedPoly,
     bernoulli,
+    least_positive_integer_root,
     nabla,
     nabla_inverse,
     twisted_identity_check,
@@ -36,6 +37,7 @@ from .modules import (
     guaranteed_classes,
     lambda_tilde_member,
     nu_vector,
+    select_cohomology,
     tensor_with_spin,
 )
 from .enveloping import (
@@ -63,13 +65,13 @@ from .clifford import (
 from .rank_one import RankOneModule, build_module, dirac_matrix, oracle_cohomology
 
 __all__ = [
-    "Poly", "TwistedPoly", "bernoulli", "nabla", "nabla_inverse",
+    "Poly", "TwistedPoly", "bernoulli", "least_positive_integer_root", "nabla", "nabla_inverse",
     "twisted_identity_check", "xi_to_density", "xi_to_density_sum", "xi_to_w",
     "CentralCharPoly", "Weight", "complete_homogeneous", "is_dominant", "rho",
     "weyl_dim", "weyl_dim_formal",
     "L_decomposition", "ModuleDecomposition", "NotInClassificationError",
     "dirac_cohomology", "guaranteed_classes", "lambda_tilde_member",
-    "nu_vector", "tensor_with_spin",
+    "nu_vector", "select_cohomology", "tensor_with_spin",
     "KappaMap", "UEAElement", "act_on_v", "coproduct", "h_linearity_check",
     "higher_jacobi_checks", "jacobi_check", "kappa_of", "r_matrix",
     "uea_multiply",

@@ -5,7 +5,8 @@ Subcommands: transform (deformation polynomial ladder), classify (membership,
 nu, and the gl_n decomposition of L(lambda)), dirac (full pipeline through
 the Dirac cohomology), tables (the mu+rho / P-value / multiplicity grids),
 verify (the certificate suites). Deformations are given by exactly one of
---xi, --w, --P-h as comma-separated exact rationals; weights by exactly one
+--xi, --w, --P-h as comma-separated exact rationals (a list starting with a
+minus sign may be its own token, as in --xi -3,0,1); weights by exactly one
 of --lambda / --lambda-plus-rho. Output is aligned text or, with --json, a
 single JSON document with sorted keys and deterministic entry order; every
 rational is serialized as "p/q" (or "p"), never as a float.
@@ -17,17 +18,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from math import prod
+from typing import Callable
 
 from .modules import (
     L_decomposition,
     ModuleDecomposition,
-    dirac_cohomology,
     guaranteed_classes,
     membership_detail,
     nu_vector,
+    select_cohomology,
     tensor_with_spin,
 )
 from .polynomials import Poly, xi_to_density, xi_to_density_sum, xi_to_w
@@ -95,8 +100,9 @@ def _decomp_json(d: ModuleDecomposition) -> dict:
     }
 
 
-def _decomp_text(lines: list[str], title: str, d: ModuleDecomposition, decimal: bool) -> None:
-    lines.append(f"{title}  (dimension {d.total_dimension()})")
+def _decomp_text(lines: list[str], title: str, d: ModuleDecomposition, dimension: int,
+                 decimal: bool) -> None:
+    lines.append(f"{title}  (dimension {dimension})")
     for w, m in d.sorted_items():
         lines.append(f"  {m} x {_weight_text(w, decimal)}")
 
@@ -127,9 +133,14 @@ class Deformation:
             p_h = _parse_rational_list(args.P_h)
         return Deformation(args.n, xi, w, p_h)
 
+    @cached_property
+    def xi_w(self) -> Poly:
+        """xi_to_w of the --xi variant, computed once per request."""
+        return xi_to_w(self.xi, self.n)
+
     def central_char(self) -> CentralCharPoly:
         if self.xi is not None:
-            return CentralCharPoly.from_xi(self.xi, self.n)
+            return CentralCharPoly.from_w(self.xi_w, self.n)
         if self.w is not None:
             return CentralCharPoly.from_w(self.w, self.n)
         return CentralCharPoly.from_h_coeffs(self.p_h, self.n)
@@ -147,7 +158,7 @@ class Deformation:
     def derived_json(self) -> dict | None:
         if self.xi is None:
             return None
-        w = xi_to_w(self.xi, self.n)
+        w = self.xi_w
         return {
             "density": [str(c) for c in xi_to_density(self.xi, self.n).coeffs],
             "density_sum": [str(c) for c in xi_to_density_sum(self.xi, self.n).coeffs],
@@ -167,11 +178,12 @@ def _parse_weight(args, n: int) -> Weight:
     return w if args.lam is not None else w - rho(n)
 
 
-def _emit(args, doc: dict, text_lines: list[str]) -> None:
+def _emit(args, doc: dict, text_lines: Callable[[], list[str]]) -> None:
+    """Print the JSON document, or the text lines, built only when printed."""
     if args.json:
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        print("\n".join(text_lines))
+        print("\n".join(text_lines()))
 
 
 def _reject(args, doc: dict, message: str) -> int:
@@ -194,20 +206,25 @@ def cmd_transform(args) -> int:
         "derived": deformation.derived_json(),
     }
     d = doc["derived"]
-    lines = [f"{key:12} [{', '.join(d[key])}]"
-             for key in ("density", "density_sum", "w", "P_h")]
-    _emit(args, doc, lines)
+    _emit(args, doc, lambda: [f"{key:12} [{', '.join(d[key])}]"
+                              for key in ("density", "density_sum", "w", "P_h")])
     return 0
 
 
-def _membership_block(P: CentralCharPoly, lam: Weight) -> tuple[dict, int | None]:
-    nu_last, degenerate = membership_detail(P, lam)
+def _membership_block(P: CentralCharPoly, lam: Weight) -> tuple[dict, tuple[int | None, bool]]:
+    """The JSON membership block and the membership_detail result it shows."""
+    membership = nu_last, degenerate = membership_detail(P, lam)
     block = {
         "member": nu_last is not None,
         "nu_last": nu_last,
         "degenerate_deformation": degenerate,
     }
-    return block, nu_last
+    return block, membership
+
+
+def _member_line(nu: tuple[int, ...], membership: tuple[int | None, bool]) -> str:
+    return (f"member: yes   nu = {list(nu)}"
+            + ("   (degenerate deformation)" if membership[1] else ""))
 
 
 REJECT_MESSAGE = ("no nonnegative integer v with "
@@ -221,20 +238,22 @@ def cmd_classify(args) -> int:
     lam = _parse_weight(args, deformation.n)
     doc = {"command": "classify", "input": dict(deformation.input_json(),
                                                 **_weight_json_input(lam))}
-    if deformation.derived_json():
+    if deformation.xi is not None:
         doc["derived"] = deformation.derived_json()
-    membership, nu_last = _membership_block(P, lam)
-    doc["membership"] = membership
-    if nu_last is None:
+    doc["membership"], membership = _membership_block(P, lam)
+    if membership[0] is None:
         return _reject(args, doc, REJECT_MESSAGE)
-    nu = nu_vector(P, lam)
+    nu = nu_vector(P, lam, membership)
     L = L_decomposition(lam, nu)
     doc["nu"] = list(nu)
     doc["L"] = _decomp_json(L)
-    lines = [f"member: yes   nu = {list(nu)}"
-             + ("   (degenerate deformation)" if membership["degenerate_deformation"] else "")]
-    _decomp_text(lines, "L(lambda)", L, args.decimal)
-    _emit(args, doc, lines)
+
+    def text() -> list[str]:
+        lines = [_member_line(nu, membership)]
+        _decomp_text(lines, "L(lambda)", L, doc["L"]["dimension"], args.decimal)
+        return lines
+
+    _emit(args, doc, text)
     return 0
 
 
@@ -244,31 +263,35 @@ def cmd_dirac(args) -> int:
     lam = _parse_weight(args, deformation.n)
     doc = {"command": "dirac", "input": dict(deformation.input_json(),
                                              **_weight_json_input(lam))}
-    if deformation.derived_json():
+    if deformation.xi is not None:
         doc["derived"] = deformation.derived_json()
-    membership, nu_last = _membership_block(P, lam)
-    doc["membership"] = membership
-    if nu_last is None:
+    doc["membership"], membership = _membership_block(P, lam)
+    if membership[0] is None:
         return _reject(args, doc, REJECT_MESSAGE)
-    nu = nu_vector(P, lam)
+    nu = nu_vector(P, lam, membership)
     L = L_decomposition(lam, nu)
     LS = tensor_with_spin(L)
-    coh = dirac_cohomology(P, lam)
-    guaranteed = guaranteed_classes(P, lam)
+    coh = select_cohomology(P, lam, LS)
+    guaranteed = guaranteed_classes(P, lam, nu)
     doc["nu"] = list(nu)
     doc["L"] = _decomp_json(L)
     doc["tensor_spin"] = _decomp_json(LS)
     doc["cohomology"] = _decomp_json(coh)
     doc["guaranteed"] = [_weight_json(w) for w in guaranteed]
-    lines = [f"member: yes   nu = {list(nu)}"
-             + ("   (degenerate deformation)" if membership["degenerate_deformation"] else "")]
-    _decomp_text(lines, "L(lambda)", L, args.decimal)
-    _decomp_text(lines, "L(lambda) (x) spin", LS, args.decimal)
-    _decomp_text(lines, "Dirac cohomology", coh, args.decimal)
-    lines.append("guaranteed multiplicity-one classes:")
-    for w in guaranteed:
-        lines.append(f"  {_weight_text(w, args.decimal)}")
-    _emit(args, doc, lines)
+
+    def text() -> list[str]:
+        lines = [_member_line(nu, membership)]
+        _decomp_text(lines, "L(lambda)", L, doc["L"]["dimension"], args.decimal)
+        _decomp_text(lines, "L(lambda) (x) spin", LS, doc["tensor_spin"]["dimension"],
+                     args.decimal)
+        _decomp_text(lines, "Dirac cohomology", coh, doc["cohomology"]["dimension"],
+                     args.decimal)
+        lines.append("guaranteed multiplicity-one classes:")
+        for w in guaranteed:
+            lines.append(f"  {_weight_text(w, args.decimal)}")
+        return lines
+
+    _emit(args, doc, text)
     return 0
 
 
@@ -284,11 +307,10 @@ def cmd_tables(args) -> int:
     n = deformation.n
     doc = {"command": "tables", "input": dict(deformation.input_json(),
                                               **_weight_json_input(lam))}
-    membership, nu_last = _membership_block(P, lam)
-    doc["membership"] = membership
-    if nu_last is None:
+    doc["membership"], membership = _membership_block(P, lam)
+    if membership[0] is None:
         return _reject(args, doc, REJECT_MESSAGE)
-    nu = nu_vector(P, lam)
+    nu = nu_vector(P, lam, membership)
     doc["nu"] = list(nu)
     top = lam.shifted()
 
@@ -296,10 +318,9 @@ def cmd_tables(args) -> int:
         return tuple(c - o for c, o in zip(top, offsets))
 
     def mult(offsets) -> int:
-        return _prod(1 if o in (0, v + 1) else 2 for o, v in zip(offsets, nu))
+        return prod(1 if o in (0, v + 1) else 2 for o, v in zip(offsets, nu))
 
     ranges = [range(v + 2) for v in nu]
-    lines: list[str] = [f"nu = {list(nu)}"]
     if n == 2:
         cols, rows = ranges
         weight_grid = [[grid_point((k1, k2)) for k1 in cols] for k2 in rows]
@@ -317,15 +338,18 @@ def cmd_tables(args) -> int:
             "multiplicity": m_grid,
             "orientation_note": note,
         }
-        lines.append("mu+rho grid:")
-        lines.extend(_render_grid([[f"({_fmt(a, args.decimal)},{_fmt(b, args.decimal)})"
-                                    for a, b in row] for row in weight_grid]))
-        lines.append("P(mu+rho) grid:")
-        lines.extend(_render_grid([[_fmt(v, args.decimal) for v in row] for row in p_grid]))
-        lines.append("multiplicity grid:")
-        lines.extend(_render_grid([[str(v) for v in row] for row in m_grid]))
-        if note:
-            lines.append(f"note: {note}")
+
+        def text() -> list[str]:
+            lines = [f"nu = {list(nu)}", "mu+rho grid:"]
+            lines.extend(_render_grid([[f"({_fmt(a, args.decimal)},{_fmt(b, args.decimal)})"
+                                        for a, b in row] for row in weight_grid]))
+            lines.append("P(mu+rho) grid:")
+            lines.extend(_render_grid([[_fmt(v, args.decimal) for v in row] for row in p_grid]))
+            lines.append("multiplicity grid:")
+            lines.extend(_render_grid([[str(v) for v in row] for row in m_grid]))
+            if note:
+                lines.append(f"note: {note}")
+            return lines
     else:
         points = []
         for offsets in product(*ranges):
@@ -336,18 +360,13 @@ def cmd_tables(args) -> int:
                 "multiplicity": mult(offsets),
             })
         doc["points"] = points
-        for item in points:
-            lines.append(f"mu+rho ({', '.join(item['weight_plus_rho'])})  "
-                         f"P = {item['P']}  multiplicity {item['multiplicity']}")
-    _emit(args, doc, lines)
+
+        def text() -> list[str]:
+            return [f"nu = {list(nu)}"] + [
+                f"mu+rho ({', '.join(item['weight_plus_rho'])})  "
+                f"P = {item['P']}  multiplicity {item['multiplicity']}" for item in points]
+    _emit(args, doc, text)
     return 0
-
-
-def _prod(items) -> int:
-    out = 1
-    for v in items:
-        out *= v
-    return out
 
 
 def _render_grid(cells: list[list[str]]) -> list[str]:
@@ -433,9 +452,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a value such as "-3,0,1" after --xi as an unknown option, so
+# a leading-negative list given as its own token is glued to its flag.
+LIST_FLAGS = ("--xi", "--w", "--P-h", "--lambda", "--lambda-plus-rho")
+NEGATIVE_LIST = re.compile(r"-[0-9./]")
+
+
+def _glue_negative_lists(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in LIST_FLAGS and NEGATIVE_LIST.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_lists(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except UsageError as exc:

@@ -4,15 +4,18 @@ Finite-dimensional module classification and Dirac cohomology selection.
 For a deformation with central character polynomial P and a dominant weight
 ``lam``, the pipeline is:
 
-* membership: ``lam`` heads a finite-dimensional irreducible iff some
-  nonnegative integer v satisfies P(lam) = P(lam - (0,...,0,v+1)); the minimal
-  such v is found exactly by clearing denominators of the difference
-  polynomial q(t) = P(lam) - P(lam - t*e_n) and enumerating positive integer
-  roots with the rational root theorem (q(0) = 0 always, so the factor t is
-  stripped first; q == 0 is the degenerate deformation, giving v = 0).
-* nu vector: per coordinate i < n, the minimal k such that lam - (k+1)e_i
-  either stops being dominant or satisfies the P-equality; for i = n the
-  membership value (lowering the last coordinate never breaks dominance).
+* difference polynomials: q_i(t) = P(lam+rho) - P(lam+rho - t*e_i), one per
+  coordinate; both membership and nu ask for the least positive integer root
+  of one of them, answered exactly by polynomials.least_positive_integer_root
+  (square-free part, Cauchy bound, Sturm-sequence bisection) at a cost
+  polynomial in the bit size of q_i, not in its roots or coefficients.
+* membership: ``lam`` heads a finite-dimensional irreducible iff q_n has a
+  positive integer root; the least one is v+1 (q_n == 0 is the degenerate
+  deformation, giving v = 0).
+* nu vector: per coordinate i < n, nu_i + 1 is the least root of q_i up to
+  the dominance gap lam_i - lam_{i+1} (a zero q_i hits at once), or
+  nu_i = gap when there is none; for i = n the membership value (lowering
+  the last coordinate never breaks dominance).
 * L(lam) = the box of weights lam - nu' for 0 <= nu' <= nu, multiplicity one.
 * tensor with spin: each box weight shifted by every sign vector in
   {+-1/2}^n; candidates are kept when their rho-shift is weakly decreasing,
@@ -28,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd
 
-from .polynomials import Poly
+from .polynomials import Poly, least_positive_integer_root
 from .weights import (
     CentralCharPoly,
     Weight,
@@ -86,52 +88,29 @@ class ModuleDecomposition:
         return f"ModuleDecomposition({parts or '0'})"
 
 
-def _positive_integer_roots(q: Poly) -> list[int]:
-    """All positive integer roots of q, by the rational root theorem on the
-    denominator-cleared polynomial (complete: an integer root divides the
-    constant term once powers of t are stripped)."""
-    if q.is_zero():
-        raise ValueError("zero polynomial has every root")
-    denom_lcm = 1
-    for c in q.coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in q.coeffs]
-    while ints and ints[0] == 0:
-        ints.pop(0)
-    if not ints:
-        return []
-    return sorted(d for d in _divisors(abs(ints[0])) if q(d) == 0)
+def _require_dominant(lam: Weight) -> None:
+    if not is_dominant(lam):
+        raise ValueError(f"weight is not dominant: {lam}")
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
+def _difference_poly(P: CentralCharPoly, shifted: tuple[Fraction, ...], i: int) -> Poly:
+    """q_i(t) = P(s) - P(s - t*e_i) at the rho-shifted point s, as a polynomial
+    in t; q_i(0) = 0 always."""
+    point = [Poly.const(c) for c in shifted]
+    point[i - 1] = Poly.const(shifted[i - 1]) - Poly.x()
+    return Poly.const(P.evaluate(shifted)) - P.evaluate(point)
 
 
 def membership_detail(P: CentralCharPoly, lam: Weight) -> tuple[int | None, bool]:
     """(minimal v, degenerate?) where v >= 0 satisfies the last-coordinate
     P-equality at step v+1; degenerate means P does not depend on that step at
     all (q == 0), in which case v = 0."""
-    if not is_dominant(lam):
-        raise ValueError(f"weight is not dominant: {lam}")
-    n = lam.rank
-    shifted = lam.shifted()
-    point = [Poly.const(c) for c in shifted]
-    point[n - 1] = Poly.const(shifted[n - 1]) - Poly.x()
-    q = Poly.const(P.evaluate(shifted)) - P.evaluate(point)
+    _require_dominant(lam)
+    q = _difference_poly(P, lam.shifted(), lam.rank)
     if q.is_zero():
         return 0, True
-    roots = _positive_integer_roots(q)
-    if not roots:
-        return None, False
-    return min(roots) - 1, False
+    root = least_positive_integer_root(q)
+    return (None if root is None else root - 1), False
 
 
 def lambda_tilde_member(P: CentralCharPoly, lam: Weight) -> int | None:
@@ -140,41 +119,44 @@ def lambda_tilde_member(P: CentralCharPoly, lam: Weight) -> int | None:
     return membership_detail(P, lam)[0]
 
 
-def nu_vector(P: CentralCharPoly, lam: Weight) -> tuple[int, ...]:
+def nu_vector(P: CentralCharPoly, lam: Weight,
+              membership: tuple[int | None, bool] | None = None) -> tuple[int, ...]:
     """
     The box bounds nu: for i < n the minimal k such that lam - (k+1)e_i is
-    non-dominant or P-equal to lam (termination: dominance eventually fails);
-    for i = n the membership value. Rejects non-member weights.
+    non-dominant (k = the gap lam_i - lam_{i+1}) or P-equal to lam (k+1 a root
+    of q_i); for i = n the membership value. ``membership`` is the result of
+    membership_detail(P, lam) when the caller already has it. Rejects
+    non-member weights.
     """
-    n = lam.rank
-    last = lambda_tilde_member(P, lam)
+    _require_dominant(lam)
+    last, _ = membership_detail(P, lam) if membership is None else membership
     if last is None:
         raise NotInClassificationError(
             "no nonnegative integer v with P(lambda) = P(lambda - (0,...,0,v+1)); "
             f"lambda = {lam} heads no finite-dimensional module")
-    p_lam = P.value(lam)
+    shifted = lam.shifted()
     nu = []
-    for i in range(1, n):
-        k = 0
-        while True:
-            lowered = lam - basis_weight(n, i) * (k + 1)
-            if not is_dominant(lowered) or P.value(lowered) == p_lam:
-                nu.append(k)
-                break
-            k += 1
+    for i in range(1, lam.rank):
+        gap = int(lam.coords[i - 1] - lam.coords[i])
+        q = _difference_poly(P, shifted, i)
+        root = 1 if q.is_zero() else least_positive_integer_root(q, cap=gap)
+        nu.append(gap if root is None else root - 1)
     nu.append(last)
     return tuple(nu)
 
 
 def L_decomposition(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
     """The box {lam - nu' : 0 <= nu' <= nu componentwise}, multiplicity one.
-    Every box weight must be dominant (guaranteed by minimality of nu)."""
+    Every box weight is dominant exactly when lam is dominant and
+    nu_i <= lam_i - lam_{i+1} for each i < n (the minimality of nu guarantees
+    it); otherwise ValueError, raised before the box is built."""
+    if not is_dominant(lam) or any(
+            v > lam.coords[i] - lam.coords[i + 1] for i, v in enumerate(nu[:-1])):
+        raise ValueError(f"nu = {nu} takes the box below {lam} out of the dominant chamber")
     n = lam.rank
     out = ModuleDecomposition(rank=n)
     for offsets in product(*(range(v + 1) for v in nu)):
-        w = Weight(tuple(c - o for c, o in zip(lam.coords, offsets)))
-        assert is_dominant(w), f"box weight {w} is not dominant; nu is wrong"
-        out.add(w, 1)
+        out.add(Weight(tuple(c - o for c, o in zip(lam.coords, offsets))), 1)
     return out
 
 
@@ -197,6 +179,19 @@ def tensor_with_spin(L: ModuleDecomposition) -> ModuleDecomposition:
     return out
 
 
+def select_cohomology(P: CentralCharPoly, lam: Weight,
+                      tensor: ModuleDecomposition) -> ModuleDecomposition:
+    """The part of ``tensor`` = L(lam) (x) spin whose weights mu satisfy
+    P(lam) = P(mu - (1/2,...,1/2)), with its multiplicities."""
+    target = P.value(lam)
+    n = lam.rank
+    out = ModuleDecomposition(rank=n)
+    for mu, mult in tensor.entries.items():
+        if P.value(mu - half_vector(n)) == target:
+            out.add(mu, mult)
+    return out
+
+
 def dirac_cohomology(P: CentralCharPoly, lam: Weight) -> ModuleDecomposition:
     """
     The Dirac cohomology of the finite-dimensional module headed by lam, as a
@@ -204,24 +199,20 @@ def dirac_cohomology(P: CentralCharPoly, lam: Weight) -> ModuleDecomposition:
     P(lam) = P(mu - (1/2,...,1/2)).
     """
     nu = nu_vector(P, lam)
-    ls = tensor_with_spin(L_decomposition(lam, nu))
-    target = P.value(lam)
-    n = lam.rank
-    out = ModuleDecomposition(rank=n)
-    for mu, mult in ls.entries.items():
-        if P.value(mu - half_vector(n)) == target:
-            out.add(mu, mult)
-    return out
+    return select_cohomology(P, lam, tensor_with_spin(L_decomposition(lam, nu)))
 
 
-def guaranteed_classes(P: CentralCharPoly, lam: Weight) -> list[Weight]:
+def guaranteed_classes(P: CentralCharPoly, lam: Weight,
+                       nu: tuple[int, ...] | None = None) -> list[Weight]:
     """
     The classes certain to appear with multiplicity one in the Dirac
     cohomology: lam + (1/2,...,1/2) and lam + (1/2,...,1/2,-nu_n-1/2)
     unconditionally, plus lam + (1/2,..,-nu_i-1/2,..,1/2) for each i < n
-    whose companion lam - (nu_i+1)e_i is dominant.
+    whose companion lam - (nu_i+1)e_i is dominant. ``nu`` is
+    nu_vector(P, lam) when the caller already has it.
     """
-    nu = nu_vector(P, lam)
+    if nu is None:
+        nu = nu_vector(P, lam)
     n = lam.rank
     half = Fraction(1, 2)
 

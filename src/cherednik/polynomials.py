@@ -22,6 +22,9 @@ on, together with the discrete calculus used to turn a deformation polynomial
 * ``TwistedPoly``: the quotient ring Q[z,g] mod (g^2 - 1/4), used to certify
   the substitution identity p(z)g = f(z+g) + p(z)/2 - f(z+1/2) that underlies
   the square of the Dirac element.
+* ``least_positive_integer_root``: exact root isolation (square-free part,
+  Cauchy bound, Sturm-sequence bisection over integer intervals), whose cost
+  grows with the bit size of the polynomial, not with the size of its roots.
 
 All coefficients are ``fractions.Fraction``; nothing here ever touches a
 float.
@@ -31,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 Scalar = int | Fraction
 
@@ -127,6 +130,19 @@ class Poly:
             result = result * self
         return result
 
+    def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
+        """Euclidean division over Q: self = quo * other + rem, deg rem < deg other."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        quo = [Fraction(0)] * max(self.degree - other.degree + 1, 0)
+        lead = other.coeffs[-1]
+        for k in range(len(quo) - 1, -1, -1):
+            c = quo[k] = rem[k + other.degree] / lead
+            for j, b in enumerate(other.coeffs):
+                rem[k + j] -= c * b
+        return Poly.of(*quo), Poly.of(*rem[:other.degree])
+
     def derivative(self) -> Poly:
         return Poly.of(*(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
@@ -162,6 +178,88 @@ class Poly:
             num = "" if (mag == 1 and var) else str(mag)
             parts.append(f"{sign}{num}{var}")
         return f"Poly('{''.join(parts)}')"
+
+
+def _integer_coeffs(p: Poly) -> list[int]:
+    """The coefficients of p times the positive rational that makes them
+    coprime integers; signs, and so the sign of p at every point, are kept."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _gcd(a: Poly, b: Poly) -> Poly:
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1]
+    return a
+
+
+def _sturm_sequence(f: Poly) -> list[list[int]]:
+    """f, f', then the negated remainders down to a nonzero constant (f is
+    square-free), each scaled positively to integer coefficients."""
+    seq = [f, f.derivative()]
+    while seq[-1].degree > 0:
+        seq.append(-divmod(seq[-2], seq[-1])[1])
+    return [_integer_coeffs(p) for p in seq]
+
+
+def _sign_changes(seq: list[list[int]], x: int) -> int:
+    signs = [v > 0 for coeffs in seq if (v := _horner(coeffs, x))]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def least_positive_integer_root(q: Poly, cap: int | None = None) -> int | None:
+    """
+    The least integer t with 1 <= t (<= cap, when given) and q(t) = 0, or None.
+
+    Exact, with a cost polynomial in the bit sizes of q and cap: the factor t
+    is stripped, the square-free part f = q / gcd(q, q') is taken, its roots
+    are bounded by Cauchy's bound 1 + max |f_k / f_d| (and by cap), and a
+    leftmost-first bisection over integer intervals (a, b] down to width one
+    keeps only intervals holding a root. Sturm's theorem counts the distinct
+    roots in (a, b] as V(a) - V(b), V the sign changes of the Sturm sequence
+    with zeros dropped; the count stays right when a or b is itself a root.
+
+    >>> least_positive_integer_root(Poly.of(0, 6, -5, 1))   # t(t-2)(t-3)
+    2
+    >>> least_positive_integer_root(Poly.of(0, 6, -5, 1), cap=1) is None
+    True
+    """
+    if q.is_zero():
+        raise ValueError("zero polynomial has every root")
+    low = next(k for k, c in enumerate(q.coeffs) if c)
+    f = Poly(q.coeffs[low:])
+    if f.degree < 1:
+        return None
+    seq = _sturm_sequence(divmod(f, _gcd(f, f.derivative()))[0])
+    f_ints = seq[0]
+    hi = 1 + max(abs(c) for c in f_ints[:-1]) // abs(f_ints[-1])
+    if cap is not None:
+        hi = min(hi, cap)
+    if hi < 1:
+        return None
+    stack = [(0, hi, _sign_changes(seq, 0), _sign_changes(seq, hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            if _horner(f_ints, b) == 0:
+                return b
+            continue
+        mid = (a + b) // 2
+        vmid = _sign_changes(seq, mid)
+        stack.append((mid, b, vmid, vb))
+        stack.append((a, mid, va, vmid))
+    return None
 
 
 def _bernoulli_numbers(up_to: int) -> list[Fraction]:

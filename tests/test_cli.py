@@ -3,6 +3,12 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
+
+import pytest
+
+import cherednik.cli as cli
+import cherednik.modules as modules
 
 EXAMPLE_ARGS = ["--n", "2", "--P-h", "0,18,-9/2,-2,1/2", "--lambda-plus-rho", "3,0"]
 
@@ -200,3 +206,80 @@ def test_verify_oracle_quick():
     res = run_cli("verify", "--suite", "oracle-n1", "--trials", "5")
     assert res.returncode == 0
     assert res.stdout.count("PASS") == 5
+
+
+def test_fault_query_answers_within_bit_size_cost():
+    # q(t) = t (t - 2) (t - R): the least root 2 gives nu = [1]. A divisor
+    # scan of the constant term 2R would run to 1.4e10.
+    R = 10 ** 20 + 7
+    res = subprocess.run([sys.executable, "-m", "cherednik", "classify", "--n", "1",
+                          f"--P-h=0,{2 * R},{R + 2},1", "--lambda=0", "--json"],
+                         capture_output=True, text=True, timeout=10)
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["nu"] == [1]
+
+
+def run_main(capsys, *argv):
+    rc = cli.main(list(argv))
+    return rc, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,negative,rest", [
+    ("--xi", "-3,0,1", ["--n", "2", "--lambda", "2,0"]),
+    ("--w", "-2,1,1", ["--n", "1", "--lambda", "1"]),
+    ("--P-h", "-5,18,-9/2,-2,1/2", ["--n", "2", "--lambda-plus-rho", "3,0"]),
+    ("--lambda", "-1,-3", ["--n", "2", "--xi", "0,1"]),
+    ("--lambda-plus-rho", "-1/2,-5/2", ["--n", "2", "--xi", "0,1"]),
+])
+def test_leading_negative_list_as_its_own_token(capsys, flag, negative, rest):
+    glued = run_main(capsys, "classify", *rest, f"{flag}={negative}", "--json")
+    assert glued[0] in (0, 1) and json.loads(glued[1])["command"] == "classify"
+    assert run_main(capsys, "classify", *rest, flag, negative, "--json") == glued
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap modules-level functions wherever the CLI or modules reach them."""
+    counts = Counter()
+    for name in names:
+        orig = getattr(modules, name)
+
+        def wrapper(*args, _orig=orig, _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in (cli, modules):
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, wrapper)
+    return counts
+
+
+STAGES = ["membership_detail", "nu_vector", "L_decomposition", "tensor_with_spin",
+          "dirac_cohomology", "select_cohomology", "guaranteed_classes"]
+
+
+@pytest.mark.parametrize("cmd,want", [
+    ("classify", {"membership_detail": 1, "nu_vector": 1, "L_decomposition": 1}),
+    ("dirac", {"membership_detail": 1, "nu_vector": 1, "L_decomposition": 1,
+               "tensor_with_spin": 1, "select_cohomology": 1, "guaranteed_classes": 1}),
+    ("tables", {"membership_detail": 1, "nu_vector": 1}),
+])
+def test_each_stage_runs_once_per_request(monkeypatch, capsys, cmd, want):
+    counts = _count_calls(monkeypatch, STAGES)
+    assert run_main(capsys, cmd, *EXAMPLE_ARGS, "--json")[0] == 0
+    assert dict(counts) == want
+
+
+@pytest.mark.parametrize("mode", [["--json"], []])
+def test_dimensions_computed_once_and_text_only_when_printed(monkeypatch, capsys, mode):
+    calls = []
+    orig = modules.weyl_dim_formal
+    monkeypatch.setattr(modules, "weyl_dim_formal", lambda w: calls.append(w) or orig(w))
+    rendered = []
+    orig_text = cli._weight_text
+    monkeypatch.setattr(cli, "_weight_text", lambda *a: rendered.append(a) or orig_text(*a))
+    rc, out = run_main(capsys, "dirac", *EXAMPLE_ARGS, *mode)
+    assert rc == 0
+    # one formal dimension per entry of L (9), L (x) spin (16) and the
+    # cohomology (5); the text lines are built only in text mode
+    assert len(calls) == 9 + 16 + 5
+    assert bool(rendered) == (not mode)

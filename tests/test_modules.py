@@ -1,10 +1,15 @@
 """Classification, decompositions, and the cohomology selection rule."""
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import cherednik.modules as modules
 from cherednik.modules import (
     L_decomposition,
     ModuleDecomposition,
@@ -18,7 +23,14 @@ from cherednik.modules import (
 )
 from cherednik.polynomials import Poly
 from cherednik.verify import random_rank_one_instance
-from cherednik.weights import CentralCharPoly, Weight, weyl_dim_formal
+from cherednik.weights import (
+    CentralCharPoly,
+    Weight,
+    basis_weight,
+    complete_homogeneous,
+    is_dominant,
+    weyl_dim_formal,
+)
 
 F = Fraction
 
@@ -250,3 +262,125 @@ def test_sorted_items_order_is_descending_lex_on_shift():
     coh = dirac_cohomology(EXAMPLE_P, EXAMPLE_LAM)
     shifts = [w.shifted() for w, _ in coh.sorted_items()]
     assert shifts == sorted(shifts, reverse=True)
+
+
+def scan_nu_prefix(P: CentralCharPoly, lam: Weight) -> tuple[int, ...]:
+    """Reference for nu_1..nu_{n-1}: step k up until lam - (k+1)e_i is
+    non-dominant or P-equal to lam (linear in the dominance gap)."""
+    n = lam.rank
+    p_lam = P.value(lam)
+    out = []
+    for i in range(1, n):
+        k = 0
+        while True:
+            lowered = lam - basis_weight(n, i) * (k + 1)
+            if not is_dominant(lowered) or P.value(lowered) == p_lam:
+                break
+            k += 1
+        out.append(k)
+    return tuple(out)
+
+
+def _difference_coeff(k: int, s, i: int, t) -> F:
+    """h_k(s) - h_k(s - t e_i): the coefficient of c_k in q_i(t)."""
+    lowered = [c - (t if j == i - 1 else 0) for j, c in enumerate(s)]
+    return complete_homogeneous(k, s) - complete_homogeneous(k, lowered)
+
+
+def planted_instance(rng: random.Random):
+    """A random P of degree 3-4 and dominant lam at rank 2-3 with gaps up to
+    25, where c_1 and c_2 are solved so that q_i(t0) = 0 for a random i < n
+    and t0 <= gap + 2, and q_n(t1) = 0 for a random t1 (so lam is usually a
+    member and nu_i usually stops at a P-hit, not at the gap)."""
+    n = rng.choice((2, 3))
+    gaps = [rng.randint(0, 25) for _ in range(n - 1)]
+    base = F(rng.randint(-5, 5), rng.choice((1, 2)))
+    coords = [base + sum(gaps[j:]) for j in range(n)]
+    lam = Weight.of(*coords)
+    s = lam.shifted()
+    coeffs = [F(0), F(0), F(0)] + [F(rng.randint(-4, 4)) for _ in range(rng.choice((1, 2)))]
+    if not any(coeffs[3:]):
+        coeffs[3] = F(1)
+    i = rng.randint(1, n - 1)
+    t0 = rng.randint(1, gaps[i - 1] + 2)
+    t1 = rng.randint(1, 12)
+    rows = [(i, t0), (n, t1)]
+    a = [[_difference_coeff(k, s, j, t) for k in (1, 2)] for j, t in rows]
+    b = [-sum(c * _difference_coeff(k, s, j, t) for k, c in enumerate(coeffs) if k > 2)
+         for j, t in rows]
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    if det:
+        coeffs[1] = (b[0] * a[1][1] - b[1] * a[0][1]) / det
+        coeffs[2] = (a[0][0] * b[1] - a[1][0] * b[0]) / det
+    return CentralCharPoly.from_h_coeffs(coeffs, n), lam
+
+
+def test_nu_vector_matches_scan_on_planted_instances():
+    rng = random.Random(20261018)
+    members = hits = 0
+    for _ in range(150):
+        P, lam = planted_instance(rng)
+        last = lambda_tilde_member(P, lam)
+        if last is None:
+            with pytest.raises(NotInClassificationError):
+                nu_vector(P, lam)
+            continue
+        nu = nu_vector(P, lam)
+        assert nu == scan_nu_prefix(P, lam) + (last,)
+        members += 1
+        gaps = [lam.coords[j] - lam.coords[j + 1] for j in range(lam.rank - 1)]
+        hits += any(v < g for v, g in zip(nu, gaps))
+    assert members >= 100 and hits >= 50
+
+
+def test_nu_vector_reuses_given_membership(monkeypatch):
+    membership = membership_detail(EXAMPLE_P, EXAMPLE_LAM)
+    guaranteed = guaranteed_classes(EXAMPLE_P, EXAMPLE_LAM)
+
+    def fail(*args):
+        raise AssertionError("membership recomputed")
+
+    monkeypatch.setattr(modules, "membership_detail", fail)
+    assert nu_vector(EXAMPLE_P, EXAMPLE_LAM, membership) == (2, 2)
+    with pytest.raises(NotInClassificationError):
+        nu_vector(EXAMPLE_P, EXAMPLE_LAM, (None, False))
+    assert guaranteed_classes(EXAMPLE_P, EXAMPLE_LAM, (2, 2)) == guaranteed
+
+
+def test_nu_vector_large_gap_is_not_a_scan():
+    # xi = z at rank 2 gives P = (3/2)h1 + h2, so at lam + rho = (s1, s2)
+    # q_1(t) = t(2 s1 + s2 + 3/2 - t) and q_n(t) = t(s1 + 2 s2 + 3/2 - t).
+    # For lam = (G, 0): q_1's root 2G + 2 lies beyond the gap G, so the scan
+    # answers nu_1 = G, and q_n's root G + 1 gives nu_n = G. The scan takes
+    # about 8 s at G = 1e5 and grows linearly.
+    P = CentralCharPoly.from_xi(Poly.of(0, 1), 2)
+    G = 10 ** 5
+    start = time.perf_counter()
+    assert nu_vector(P, Weight.of(G, 0)) == (G, G)
+    assert time.perf_counter() - start < 1.0
+    small = Weight.of(300, 0)
+    assert nu_vector(P, small) == scan_nu_prefix(P, small) + (300,)
+
+
+def test_L_decomposition_rejects_nu_beyond_the_gap():
+    with pytest.raises(ValueError):
+        L_decomposition(EXAMPLE_LAM, (3, 2))     # gap lam_1 - lam_2 = 2
+    with pytest.raises(ValueError):
+        L_decomposition(Weight.of(0, 1), (0, 0))  # lam itself not dominant
+    assert len(L_decomposition(EXAMPLE_LAM, (2, 5)).entries) == 18
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_L_decomposition_invariant_survives_optimized_python(flags):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys\n"
+            "from cherednik.modules import L_decomposition\n"
+            "from cherednik.weights import Weight\n"
+            "assert sys.flags.optimize == int(sys.argv[1])\n"
+            "try:\n"
+            "    L_decomposition(Weight.of(5, 2, 0), (4, 0, 1))\n"
+            "except ValueError:\n"
+            "    sys.exit(3)\n")
+    res = subprocess.run([sys.executable, *flags, "-c", code, str(len(flags))],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert res.returncode == 3, res.stderr
