@@ -9,6 +9,7 @@ construction rests on (PBW/Jacobi certificates, Clifford and spin lemmas,
 and a rank-one matrix oracle). All arithmetic is exact over Fraction.
 """
 from .polynomials import (
+    InvariantViolation,
     Poly,
     TwistedPoly,
     bernoulli,
@@ -50,12 +51,10 @@ from .enveloping import (
     jacobi_check,
     kappa_of,
     r_matrix,
-    uea_multiply,
 )
 from .clifford import (
     CliffordElement,
     SpinVector,
-    clifford_multiply,
     gamma_e,
     gamma_lie_hom_check,
     gamma_rank_one,
@@ -65,7 +64,7 @@ from .clifford import (
 from .rank_one import RankOneModule, build_module, dirac_matrix, oracle_cohomology
 
 __all__ = [
-    "Poly", "TwistedPoly", "bernoulli", "least_positive_integer_root", "nabla", "nabla_inverse",
+    "InvariantViolation", "Poly", "TwistedPoly", "bernoulli", "least_positive_integer_root", "nabla", "nabla_inverse",
     "twisted_identity_check", "xi_to_density", "xi_to_density_sum", "xi_to_w",
     "CentralCharPoly", "Weight", "complete_homogeneous", "is_dominant", "rho",
     "weyl_dim", "weyl_dim_formal",
@@ -74,8 +73,7 @@ __all__ = [
     "nu_vector", "select_cohomology", "tensor_with_spin",
     "KappaMap", "UEAElement", "act_on_v", "coproduct", "h_linearity_check",
     "higher_jacobi_checks", "jacobi_check", "kappa_of", "r_matrix",
-    "uea_multiply",
-    "CliffordElement", "SpinVector", "clifford_multiply", "gamma_e",
+    "CliffordElement", "SpinVector", "gamma_e",
     "gamma_lie_hom_check", "gamma_rank_one", "spin_action", "spin_weights",
     "RankOneModule", "build_module", "dirac_matrix", "oracle_cohomology",
 ]

@@ -12,7 +12,10 @@ single JSON document with sorted keys and deterministic entry order; every
 rational is serialized as "p/q" (or "p"), never as a float.
 
 Exit codes: 0 success, 1 mathematical rejection (the weight heads no
-finite-dimensional module) or verification failure, 2 usage or parse error.
+finite-dimensional module) or verification failure, 2 usage or parse error,
+3 box too large: the grid over the box of nu, prod(nu_i + 2) points, exceeds
+modules.MAX_GRID; nu, the grid size and the guaranteed classes (which need
+only nu) are reported instead, error code "box-too-large".
 """
 from __future__ import annotations
 
@@ -27,8 +30,11 @@ from math import prod
 from typing import Callable
 
 from .modules import (
+    MAX_GRID,
+    BoxTooLargeError,
     L_decomposition,
     ModuleDecomposition,
+    check_grid_size,
     guaranteed_classes,
     membership_detail,
     nu_vector,
@@ -196,6 +202,24 @@ def _reject(args, doc: dict, message: str) -> int:
     return 1
 
 
+def _too_large(args, doc: dict, P: CentralCharPoly, lam: Weight,
+               exc: BoxTooLargeError) -> int:
+    """The diagnostic for a box over the grid budget: nu, the grid size and
+    the guaranteed classes, none of which needs the box itself."""
+    guaranteed = guaranteed_classes(P, lam, exc.nu)
+    doc = dict(doc, nu=list(exc.nu), guaranteed=[_weight_json(w) for w in guaranteed])
+    doc["error"] = {"code": "box-too-large", "message": str(exc),
+                    "grid_size": exc.grid_size, "max_grid": MAX_GRID}
+    if args.json:
+        print(json.dumps(doc, sort_keys=True, indent=2))
+    else:
+        print(f"box too large: {exc}")
+        print("guaranteed multiplicity-one classes:")
+        for w in guaranteed:
+            print(f"  {_weight_text(w, args.decimal)}")
+    return 3
+
+
 def cmd_transform(args) -> int:
     deformation = Deformation.from_args(args)
     if deformation.xi is None:
@@ -244,7 +268,10 @@ def cmd_classify(args) -> int:
     if membership[0] is None:
         return _reject(args, doc, REJECT_MESSAGE)
     nu = nu_vector(P, lam, membership)
-    L = L_decomposition(lam, nu)
+    try:
+        L = L_decomposition(lam, nu)
+    except BoxTooLargeError as exc:
+        return _too_large(args, doc, P, lam, exc)
     doc["nu"] = list(nu)
     doc["L"] = _decomp_json(L)
 
@@ -269,7 +296,10 @@ def cmd_dirac(args) -> int:
     if membership[0] is None:
         return _reject(args, doc, REJECT_MESSAGE)
     nu = nu_vector(P, lam, membership)
-    L = L_decomposition(lam, nu)
+    try:
+        L = L_decomposition(lam, nu)
+    except BoxTooLargeError as exc:
+        return _too_large(args, doc, P, lam, exc)
     LS = tensor_with_spin(L)
     coh = select_cohomology(P, lam, LS)
     guaranteed = guaranteed_classes(P, lam, nu)
@@ -311,6 +341,10 @@ def cmd_tables(args) -> int:
     if membership[0] is None:
         return _reject(args, doc, REJECT_MESSAGE)
     nu = nu_vector(P, lam, membership)
+    try:
+        check_grid_size(nu)
+    except BoxTooLargeError as exc:
+        return _too_large(args, doc, P, lam, exc)
     doc["nu"] = list(nu)
     top = lam.shifted()
 

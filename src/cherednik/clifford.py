@@ -4,8 +4,9 @@ Exact Clifford algebra of V = h + h* and its spin module.
 Generators are the V-basis vectors ('x', 1) < ... < ('x', n) < ('y', 1) <
 ... < ('y', n); the bilinear form pairs x_i with y_i (value 1) and vanishes
 on same-species pairs, so the rewriting rules are v w = 2<v, w> - w v and
-v v = 0. Elements are combinations of squarefree strictly increasing
-monomials; the span has dimension 2^(2n).
+v v = 0, applied by the shared core lincomb.rewriting. Elements are
+combinations (lincomb.LinComb) of squarefree strictly increasing monomials;
+the span has dimension 2^(2n).
 
 The spin module S is the left ideal generated by u = y_1...y_n, with basis
 x^e u over subsets e of {1..n}; acting on it goes through the full normal
@@ -19,12 +20,12 @@ reproduces the module action on V.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
 from .enveloping import CheckReport, VBasis, act_on_v, UEAElement
-from .polynomials import _as_fraction
+from .lincomb import ONE, LinComb, rewriting
+from .polynomials import InvariantViolation, _as_fraction
 from .weights import Weight
 
 ClMono = tuple[VBasis, ...]           # strictly increasing
@@ -36,38 +37,27 @@ def _pairing(a: VBasis, b: VBasis) -> Fraction:
     return Fraction(0)
 
 
-@lru_cache(maxsize=None)
-def _cl_normalize(word: ClMono) -> tuple[tuple[ClMono, Fraction], ...]:
-    for idx in range(len(word) - 1):
-        a, b = word[idx], word[idx + 1]
-        if a == b:
-            return ()  # v v = <v, v> = 0 for every basis vector
-        if a > b:
-            acc: dict[ClMono, Fraction] = {}
-            pair = _pairing(a, b)
-            if pair:
-                dropped = word[:idx] + word[idx + 2:]
-                for m, c in _cl_normalize(dropped):
-                    acc[m] = acc.get(m, Fraction(0)) + 2 * pair * c
-            swapped = word[:idx] + (b, a) + word[idx + 2:]
-            for m, c in _cl_normalize(swapped):
-                acc[m] = acc.get(m, Fraction(0)) - c
-            return tuple((m, c) for m, c in acc.items() if c)
-    return ((word, Fraction(1)),)
+def _clifford_rule(a: VBasis, b: VBasis) -> list[tuple[ClMono, Fraction]] | None:
+    """v w = 2<v, w> - w v for v > w, and v v = <v, v> = 0 for every basis
+    vector."""
+    if a < b:
+        return None
+    if a == b:
+        return []
+    swapped = ((b, a), -ONE)
+    pair = _pairing(a, b)
+    return [((), 2 * pair), swapped] if pair else [swapped]
 
 
-class CliffordElement:
+_cl_normalize = rewriting(_clifford_rule)
+
+
+class CliffordElement(LinComb):
     """Combination of squarefree ordered monomials with Fraction
     coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[ClMono, Fraction] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def zero() -> CliffordElement:
-        return CliffordElement()
+    __slots__ = ()
+    _reduce = staticmethod(_cl_normalize)
 
     @staticmethod
     def scalar(c) -> CliffordElement:
@@ -79,54 +69,13 @@ class CliffordElement:
 
     @staticmethod
     def vector(v: VBasis) -> CliffordElement:
-        return CliffordElement({(v,): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CliffordElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: CliffordElement) -> CliffordElement:
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return CliffordElement(out)
-
-    def __neg__(self) -> CliffordElement:
-        return CliffordElement({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: CliffordElement) -> CliffordElement:
-        return self + (-other)
-
-    def __mul__(self, other: CliffordElement | int | Fraction) -> CliffordElement:
-        if isinstance(other, (int, Fraction)):
-            return CliffordElement({m: c * other for m, c in self.terms.items()})
-        out: dict[ClMono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                for m, c in _cl_normalize(m1 + m2):
-                    out[m] = out.get(m, Fraction(0)) + c1 * c2 * c
-        return CliffordElement(out)
-
-    def __rmul__(self, other: int | Fraction) -> CliffordElement:
-        return self * other
-
-    def commutator(self, other: CliffordElement) -> CliffordElement:
-        return self * other - other * self
+        return CliffordElement({(v,): ONE})
 
     def __repr__(self) -> str:
         def fmt(m: ClMono) -> str:
             return "1" if not m else "".join(f"{k}{i}" for k, i in m)
         parts = " + ".join(f"{c}*{fmt(m)}" for m, c in sorted(self.terms.items()))
         return f"Clifford({parts or '0'})"
-
-
-def clifford_multiply(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    return a * b
 
 
 def gamma_e(i: int, j: int, n: int) -> CliffordElement:
@@ -138,35 +87,14 @@ def gamma_e(i: int, j: int, n: int) -> CliffordElement:
     return (yx - xy) * Fraction(1, 4)
 
 
-class SpinVector:
-    """Element of the spin module in the subset basis {x^e u}."""
+class SpinVector(LinComb):
+    """Element of the spin module in the subset basis {x^e u}; no product."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, ...], Fraction] | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
+    __slots__ = ()
 
     @staticmethod
     def basis(e: Sequence[int] = ()) -> SpinVector:
-        return SpinVector({tuple(sorted(e)): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SpinVector) and self.terms == other.terms
-
-    def __add__(self, other: SpinVector) -> SpinVector:
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return SpinVector(out)
-
-    def __mul__(self, c) -> SpinVector:
-        c = _as_fraction(c)
-        return SpinVector({e: v * c for e, v in self.terms.items()})
-
-    __rmul__ = __mul__
+        return SpinVector({tuple(sorted(e)): ONE})
 
     def __repr__(self) -> str:
         parts = " + ".join(f"{c}*x{list(e)}u" for e, c in sorted(self.terms.items()))
@@ -182,17 +110,15 @@ def spin_action(c: CliffordElement, s: SpinVector, n: int) -> SpinVector:
     to normal form and re-read in the subset basis; every surviving monomial
     carries the full y-block (anything else would contradict y_i u = 0)."""
     u_block = tuple(("y", i) for i in range(1, n + 1))
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: list[tuple[tuple[int, ...], Fraction]] = []
     for e, ce in s.terms.items():
-        rep = CliffordElement({_ideal_representative(e, n): ce})
-        prod = c * rep
+        prod = c * CliffordElement({_ideal_representative(e, n): ce})
         for mono, coeff in prod.terms.items():
-            assert len(mono) >= n and mono[-n:] == u_block and all(
-                k == "x" for k, _ in mono[:-n]), \
-                f"product left the spin ideal: {mono}"
-            subset = tuple(i for _, i in mono[:-n])
-            out[subset] = out.get(subset, Fraction(0)) + coeff
-    return SpinVector(out)
+            if not (len(mono) >= n and mono[-n:] == u_block
+                    and all(k == "x" for k, _ in mono[:-n])):
+                raise InvariantViolation(f"product left the spin ideal: {mono}")
+            out.append((tuple(i for _, i in mono[:-n]), coeff))
+    return SpinVector.collect(out)
 
 
 def spin_weights(n: int) -> list[tuple[Weight, int]]:
@@ -206,7 +132,8 @@ def spin_weights(n: int) -> list[tuple[Weight, int]]:
             coords = []
             for i in range(n):
                 image = spin_action(diag[i], vec, n)
-                assert set(image.terms) <= {tuple(e)}, "gamma(E_ii) must be diagonal"
+                if not set(image.terms) <= {tuple(e)}:
+                    raise InvariantViolation("gamma(E_ii) must be diagonal")
                 coords.append(image.terms.get(tuple(e), Fraction(0)))
             out.append((Weight(tuple(coords)), 1))
     return out

@@ -1,10 +1,13 @@
 """
 Symbolic U(gl_n) engine and PBW-certificate checks for deformation maps.
 
-Elements of U(gl_n) are kept in PBW normal form: linear combinations of
-monomials in the elementary matrices E_ij, each monomial a non-decreasing
-tuple of (i, j) indices ordered lexicographically. Out-of-order adjacent
-pairs are rewritten with [E_ij, E_kl] = d_jk E_il - d_li E_kj.
+Elements of U(gl_n) are kept in PBW normal form: linear combinations
+(lincomb.LinComb) of monomials in the elementary matrices E_ij, each
+monomial a non-decreasing tuple of (i, j) indices ordered lexicographically.
+The shared rewriting core (lincomb.rewriting) reduces a word with the PBW
+rule: an out-of-order adjacent pair is swapped and the commutator
+[E_ij, E_kl] = d_jk E_il - d_li E_kj added. The same core with the exterior
+rule (swap gives -1, a repeat gives 0) wedges vectors in the certificates.
 
 V = h + h* is the direct sum of the standard module (basis y_1..y_n, with
 E_ij . y_k = d_jk y_i) and its contragredient (basis x_1..x_n, with
@@ -32,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
+from .lincomb import ONE, LinComb, rewriting
 from .polynomials import Poly
 
 Gen = tuple[int, int]                 # (i, j) index pair of E_ij, 1-based
@@ -39,84 +43,35 @@ Monomial = tuple[Gen, ...]            # non-decreasing in lexicographic order
 VBasis = tuple[str, int]              # ('x', i) or ('y', i)
 
 
-@lru_cache(maxsize=None)
-def _normalize(mono: Monomial) -> tuple[tuple[Monomial, Fraction], ...]:
-    """PBW normal form of a (possibly unordered) generator word."""
-    for idx in range(len(mono) - 1):
-        a, b = mono[idx], mono[idx + 1]
-        if a > b:
-            # E_a E_b = E_b E_a + [E_a, E_b]
-            acc: dict[Monomial, Fraction] = {}
-            swapped = mono[:idx] + (b, a) + mono[idx + 2:]
-            for m, c in _normalize(swapped):
-                acc[m] = acc.get(m, Fraction(0)) + c
-            (i, j), (k, l) = a, b
-            if j == k:
-                for m, c in _normalize(mono[:idx] + ((i, l),) + mono[idx + 2:]):
-                    acc[m] = acc.get(m, Fraction(0)) + c
-            if l == i:
-                for m, c in _normalize(mono[:idx] + ((k, j),) + mono[idx + 2:]):
-                    acc[m] = acc.get(m, Fraction(0)) - c
-            return tuple((m, c) for m, c in acc.items() if c)
-    return ((mono, Fraction(1)),)
+def _pbw_rule(a: Gen, b: Gen) -> list[tuple[Monomial, Fraction]] | None:
+    """E_a E_b = E_b E_a + [E_a, E_b] for a > b."""
+    if a <= b:
+        return None
+    (i, j), (k, l) = a, b
+    out = [((b, a), ONE)]
+    if j == k:
+        out.append((((i, l),), ONE))
+    if l == i:
+        out.append((((k, j),), -ONE))
+    return out
 
 
-class UEAElement:
+_normalize = rewriting(_pbw_rule)     # PBW normal form of a generator word
+
+
+class UEAElement(LinComb):
     """Linear combination of PBW monomials with Fraction coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def zero() -> UEAElement:
-        return UEAElement()
+    __slots__ = ()
+    _reduce = staticmethod(_normalize)
 
     @staticmethod
     def one() -> UEAElement:
-        return UEAElement({(): Fraction(1)})
+        return UEAElement({(): ONE})
 
     @staticmethod
     def generator(i: int, j: int) -> UEAElement:
-        return UEAElement({((i, j),): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, UEAElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: UEAElement) -> UEAElement:
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return UEAElement(out)
-
-    def __neg__(self) -> UEAElement:
-        return UEAElement({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: UEAElement) -> UEAElement:
-        return self + (-other)
-
-    def __mul__(self, other: UEAElement | int | Fraction) -> UEAElement:
-        if isinstance(other, (int, Fraction)):
-            return UEAElement({m: c * other for m, c in self.terms.items()})
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                for m, c in _normalize(m1 + m2):
-                    out[m] = out.get(m, Fraction(0)) + c1 * c2 * c
-        return UEAElement(out)
-
-    def __rmul__(self, other: int | Fraction) -> UEAElement:
-        return self * other
-
-    def commutator(self, other: UEAElement) -> UEAElement:
-        return self * other - other * self
+        return UEAElement({((i, j),): ONE})
 
     def __repr__(self) -> str:
         def fmt(m: Monomial) -> str:
@@ -125,20 +80,19 @@ class UEAElement:
         return f"UEA({parts or '0'})"
 
 
-def uea_multiply(a: UEAElement, b: UEAElement) -> UEAElement:
-    return a * b
+def _splits(mono: Monomial):
+    """(left, right) for every subset of positions sent left; subsequences
+    of a sorted monomial stay sorted."""
+    for pick in product((0, 1), repeat=len(mono)):
+        yield (tuple(g for g, p in zip(mono, pick) if p == 0),
+               tuple(g for g, p in zip(mono, pick) if p == 1))
 
 
 def coproduct(a: UEAElement) -> dict[tuple[Monomial, Monomial], Fraction]:
     """Two-fold coproduct; generators are primitive, so a monomial splits as
-    the sum over position subsets (subsequences stay sorted)."""
-    out: dict[tuple[Monomial, Monomial], Fraction] = {}
-    for mono, c in a.terms.items():
-        for pick in product((0, 1), repeat=len(mono)):
-            left = tuple(g for g, p in zip(mono, pick) if p == 0)
-            right = tuple(g for g, p in zip(mono, pick) if p == 1)
-            out[(left, right)] = out.get((left, right), Fraction(0)) + c
-    return {k: v for k, v in out.items() if v}
+    the sum over position subsets."""
+    return LinComb.collect((split, c) for mono, c in a.terms.items()
+                           for split in _splits(mono)).terms
 
 
 def _act_gen(gen: Gen, v: VBasis) -> tuple[VBasis, Fraction] | None:
@@ -150,28 +104,23 @@ def _act_gen(gen: Gen, v: VBasis) -> tuple[VBasis, Fraction] | None:
 
 
 def _act_monomial(mono: Monomial, v: VBasis) -> dict[VBasis, Fraction]:
-    state: dict[VBasis, Fraction] = {v: Fraction(1)}
+    """Each generator sends a basis vector to at most one basis vector, so
+    the image is a single term or zero."""
+    coeff = ONE
     for gen in reversed(mono):
-        new: dict[VBasis, Fraction] = {}
-        for basis, c in state.items():
-            hit = _act_gen(gen, basis)
-            if hit is not None:
-                b2, c2 = hit
-                new[b2] = new.get(b2, Fraction(0)) + c * c2
-        state = new
-        if not state:
-            break
-    return state
+        hit = _act_gen(gen, v)
+        if hit is None:
+            return {}
+        v, c = hit
+        coeff *= c
+    return {v: coeff}
 
 
 def act_on_v(a: UEAElement, v: VBasis) -> dict[VBasis, Fraction]:
     """The module action of U(gl_n) on V = h + h*, as a combination of basis
     vectors."""
-    out: dict[VBasis, Fraction] = {}
-    for mono, c in a.terms.items():
-        for b, c2 in _act_monomial(mono, v).items():
-            out[b] = out.get(b, Fraction(0)) + c * c2
-    return {b: c for b, c in out.items() if c}
+    return LinComb.collect((b, c * c2) for mono, c in a.terms.items()
+                           for b, c2 in _act_monomial(mono, v).items()).terms
 
 
 def v_basis(n: int) -> list[VBasis]:
@@ -183,36 +132,26 @@ def v_basis(n: int) -> list[VBasis]:
 # ---------------------------------------------------------------------------
 
 CMono = tuple[Gen, ...]               # sorted multiset of symbols a_kl
-CPoly = dict[CMono, Fraction]
 
 
-def _cp_add(p: CPoly, q: CPoly, scale: Fraction = Fraction(1)) -> CPoly:
-    out = dict(p)
-    for m, c in q.items():
-        out[m] = out.get(m, Fraction(0)) + scale * c
-    return {m: c for m, c in out.items() if c}
+class CPoly(LinComb):
+    """Commutative polynomial in the symbols a_kl."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _reduce(word: CMono) -> tuple[tuple[CMono, Fraction], ...]:
+        return ((tuple(sorted(word)), ONE),)
 
 
-def _cp_mul(p: CPoly, q: CPoly) -> CPoly:
-    out: CPoly = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(sorted(m1 + m2))
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
-
-def _symmetrize_to_uea(p: CPoly) -> UEAElement:
-    """a_kl -> E_lk on each factor, averaged over all factor orderings."""
+def _symmetrize_to_uea(p: dict[CMono, Fraction]) -> UEAElement:
+    """a_kl -> E_lk on each factor of the terms of a CPoly, averaged over all
+    factor orderings."""
     out = UEAElement.zero()
     for mono, c in p.items():
-        gens = tuple((l, k) for k, l in mono)
-        perms = list(permutations(gens))
-        total: dict[Monomial, Fraction] = {}
-        for perm in perms:
-            for m, cc in _normalize(perm):
-                total[m] = total.get(m, Fraction(0)) + cc
-        out = out + UEAElement(total) * Fraction(c, len(perms))
+        perms = list(permutations((l, k) for k, l in mono))
+        total = UEAElement.collect(t for perm in perms for t in _normalize(perm))
+        out = out + total * Fraction(c, len(perms))
     return out
 
 
@@ -222,47 +161,27 @@ def r_matrix(n: int, m: int) -> tuple[tuple[UEAElement, ...], ...]:
 
     Symmetrization averages over all m! factor orderings, so this is meant
     for desk scale (m <= 4, n <= 3)."""
-    one: CPoly = {(): Fraction(1)}
-    a: list[list[CPoly]] = [[{((k + 1, l + 1),): Fraction(1)} for l in range(n)]
-                            for k in range(n)]
+    one = CPoly({(): ONE})
+    a = [[CPoly({((k + 1, l + 1),): ONE}) for l in range(n)] for k in range(n)]
 
-    powers = [[[one if i == j else {} for j in range(n)] for i in range(n)]]
+    powers = [[[one if i == j else CPoly() for j in range(n)] for i in range(n)]]
     for _ in range(m):
         prev = powers[-1]
-        nxt = [[{} for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc: CPoly = {}
-                for k in range(n):
-                    acc = _cp_add(acc, _cp_mul(prev[i][k], a[k][j]))
-                nxt[i][j] = acc
-        powers.append(nxt)
-
-    traces = []
-    for k in range(m + 1):
-        tr: CPoly = {}
-        for i in range(n):
-            tr = _cp_add(tr, powers[k][i][i])
-        traces.append(tr)
+        powers.append([[sum((prev[i][k] * a[k][j] for k in range(n)), CPoly())
+                        for j in range(n)] for i in range(n)])
+    traces = [sum((pw[i][i] for i in range(n)), CPoly()) for pw in powers]
 
     # det(1 - tau A)^{-1} = exp(sum_k Tr(A^k) tau^k / k): e_m = (1/m) sum tr_k e_{m-k}
     det_inv = [one]
     for mm in range(1, m + 1):
-        acc: CPoly = {}
-        for k in range(1, mm + 1):
-            acc = _cp_add(acc, _cp_mul(traces[k], det_inv[mm - k]))
-        det_inv.append({mo: Fraction(c, mm) for mo, c in acc.items()})
+        acc = sum((traces[k] * det_inv[mm - k] for k in range(1, mm + 1)), CPoly())
+        det_inv.append(acc * Fraction(1, mm))
 
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = {}
-            for k in range(m + 1):
-                acc = _cp_add(acc, _cp_mul(powers[k][i][j], det_inv[m - k]))
-            row.append(_symmetrize_to_uea(acc))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple(_symmetrize_to_uea(sum((powers[k][i][j] * det_inv[m - k]
+                                      for k in range(m + 1)), CPoly()).terms)
+              for j in range(n))
+        for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +229,13 @@ def kappa_of(xi: Poly, n: int) -> KappaMap:
     return kappa_from_r_matrices(xi, rmats, n)
 
 
-VH = dict[tuple[VBasis, Monomial], Fraction]
-
-
-def _bracket_into_vh(h: UEAElement, v: VBasis) -> VH:
-    """[h, v] = (h_(1) > v) h_(2) as an element of the free module V (x) U;
-    the empty left factor contributes nothing since 1 > v = 0."""
-    out: VH = {}
-    for mono, c in h.terms.items():
-        for pick in product((0, 1), repeat=len(mono)):
-            left = tuple(g for g, p in zip(mono, pick) if p == 0)
-            if not left:
-                continue
-            right = tuple(g for g, p in zip(mono, pick) if p == 1)
-            for b, c2 in _act_monomial(left, v).items():
-                key = (b, right)
-                out[key] = out.get(key, Fraction(0)) + c * c2
-    return {k: c for k, c in out.items() if c}
-
-
-def _vh_add(p: VH, q: VH) -> VH:
-    out = dict(p)
-    for k, c in q.items():
-        out[k] = out.get(k, Fraction(0)) + c
-    return {k: c for k, c in out.items() if c}
+def _bracket_into_vh(h: UEAElement, v: VBasis) -> LinComb:
+    """[h, v] = (h_(1) > v) h_(2) as an element of the free module V (x) U,
+    keyed by (basis vector, monomial); the empty left factor contributes
+    nothing since 1 > v = 0."""
+    return LinComb.collect(((b, right), c * c2) for mono, c in h.terms.items()
+                           for left, right in _splits(mono) if left
+                           for b, c2 in _act_monomial(left, v).items())
 
 
 @dataclass
@@ -351,21 +253,31 @@ def jacobi_check(kappa: KappaMap, n: int) -> CheckReport:
     over all ordered basis triples; reports the first offending triple."""
     basis = v_basis(n)
     for u, v, w in product(basis, repeat=3):
-        residual: VH = {}
+        residual = LinComb.zero()
         for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
-            residual = _vh_add(residual, _bracket_into_vh(kappa.pair(a, b), c))
-        if residual:
-            return CheckReport(False, witness=(u, v, w), residual=residual)
+            residual = residual + _bracket_into_vh(kappa.pair(a, b), c)
+        if not residual.is_zero():
+            return CheckReport(False, witness=(u, v, w), residual=residual.terms)
     return CheckReport(True)
 
 
+def _exterior_rule(a: VBasis, b: VBasis) -> list[tuple[tuple, Fraction]] | None:
+    """v w = -w v and v v = 0 in the exterior algebra."""
+    if a < b:
+        return None
+    return [] if a == b else [((b, a), -ONE)]
+
+
+_wedge_normalize = rewriting(_exterior_rule)
+
+
 def _wedge_invariant(kappa: KappaMap, vs: tuple[VBasis, ...],
-                     x: VBasis, y: VBasis) -> dict:
+                     x: VBasis, y: VBasis) -> LinComb:
     """(v_1,..,v_k | x, y): apply the first k coproduct legs of kappa(x, y)
     through > to v_1..v_k, wedge the results, tensor the last leg."""
     k = len(vs)
     h = kappa.pair(x, y)
-    out: dict[tuple[tuple[VBasis, ...], Monomial], Fraction] = {}
+    out: list[tuple[tuple, Fraction]] = []
     for mono, c in h.terms.items():
         for assign in product(range(k + 1), repeat=len(mono)):
             blocks: list[list[Gen]] = [[] for _ in range(k + 1)]
@@ -378,27 +290,12 @@ def _wedge_invariant(kappa: KappaMap, vs: tuple[VBasis, ...],
                 continue
             tail = tuple(blocks[k])
             for combo in product(*(a.items() for a in acted)):
-                vec = [b for b, _ in combo]
-                if len(set(vec)) != k:
-                    continue
-                sign, svec = _sort_sign(vec)
-                coeff = c * sign
-                for _, cc in combo:
-                    coeff *= cc
-                key = (tuple(svec), tail)
-                out[key] = out.get(key, Fraction(0)) + coeff
-    return {key: c for key, c in out.items() if c}
-
-
-def _sort_sign(vec: list) -> tuple[int, list]:
-    vec = list(vec)
-    sign = 1
-    for i in range(len(vec)):
-        for j in range(len(vec) - 1 - i):
-            if vec[j] > vec[j + 1]:
-                vec[j], vec[j + 1] = vec[j + 1], vec[j]
-                sign = -sign
-    return sign, vec
+                for vec, sign in _wedge_normalize(tuple(b for b, _ in combo)):
+                    coeff = c * sign
+                    for _, cc in combo:
+                        coeff *= cc
+                    out.append(((vec, tail), coeff))
+    return LinComb.collect(out)
 
 
 def higher_jacobi_checks(kappa: KappaMap, n: int) -> CheckReport:
@@ -412,7 +309,7 @@ def higher_jacobi_checks(kappa: KappaMap, n: int) -> CheckReport:
             return CheckReport(False, witness=("square", z, u, x, y))
     for x, y in product(basis, repeat=2):
         for z, u, v in product(basis, repeat=3):
-            if _wedge_invariant(kappa, (z, u, v), x, y):
+            if not _wedge_invariant(kappa, (z, u, v), x, y).is_zero():
                 return CheckReport(False, witness=("cube", z, u, v, x, y))
     return CheckReport(True)
 

@@ -1,0 +1,110 @@
+"""
+Sparse linear combinations with exact coefficients, and one rewriting core.
+
+``LinComb`` is a finite sum of hashable keys with Fraction coefficients,
+stored as a zero-free ``terms`` dict. Its arithmetic (sum, difference,
+negation, scalar multiple, equality, hash) is defined here once. When the
+keys are words (tuples), two combinations multiply by concatenating keys
+and reducing each concatenation through the class's ``_reduce`` hook, which
+maps a word to its normal form as (word, coefficient) pairs; a class without
+the hook has no product.
+
+``rewriting(rule)`` builds such a hook from a rule on adjacent letters.
+``rule(a, b)`` returns None when the pair is in order; otherwise the
+(subword, coefficient) terms that replace the pair, an empty list meaning
+the word is 0. The leftmost out-of-order pair is rewritten and every
+resulting word is reduced again through the cache, so each replacement must
+be closer to normal form (fewer inversions or a shorter word).
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from typing import Callable, Hashable, Iterable
+
+Word = tuple
+NormalForm = tuple[tuple[Word, Fraction], ...]
+Rule = Callable[[Hashable, Hashable], "list[tuple[Word, Fraction]] | None"]
+
+ONE = Fraction(1)
+
+
+def add_terms(acc: dict, pairs: Iterable[tuple[Hashable, Fraction]]) -> dict:
+    """Add (key, coefficient) pairs into ``acc`` in place; zeros stay."""
+    for k, c in pairs:
+        acc[k] = acc[k] + c if k in acc else c
+    return acc
+
+
+def rewriting(rule: Rule) -> Callable[[Word], NormalForm]:
+    """The cached normal-form function of words under ``rule``."""
+
+    @lru_cache(maxsize=None)
+    def normal_form(word: Word) -> NormalForm:
+        for idx in range(len(word) - 1):
+            replacement = rule(word[idx], word[idx + 1])
+            if replacement is None:
+                continue
+            head, tail = word[:idx], word[idx + 2:]
+            acc = add_terms({}, ((m, coeff * c) for sub, coeff in replacement
+                                 for m, c in normal_form(head + sub + tail)))
+            return tuple((m, c) for m, c in acc.items() if c)
+        return ((word, ONE),)
+
+    return normal_form
+
+
+class LinComb:
+    """Zero-free combination of hashable keys with Fraction coefficients."""
+
+    __slots__ = ("terms",)
+    _reduce: Callable[[Word], Iterable[tuple[Word, Fraction]]] | None = None
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def collect(cls, pairs: Iterable[tuple[Hashable, Fraction]]):
+        """The sum of the given (key, coefficient) pairs."""
+        return cls(add_terms({}, pairs))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        return type(self)(add_terms(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return type(self)(add_terms(dict(self.terms),
+                                    ((k, -c) for k, c in other.terms.items())))
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return type(self)({k: c * other for k, c in self.terms.items()})
+        if not isinstance(other, LinComb):
+            return NotImplemented
+        reduce = self._reduce
+        if reduce is None:
+            raise TypeError(f"{type(self).__name__} has no product")
+        return self.collect((m, c1 * c2 * c)
+                            for m1, c1 in self.terms.items()
+                            for m2, c2 in other.terms.items()
+                            for m, c in reduce(m1 + m2))
+
+    __rmul__ = __mul__
+
+    def commutator(self, other):
+        return self * other - other * self

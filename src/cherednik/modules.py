@@ -17,6 +17,9 @@ For a deformation with central character polynomial P and a dominant weight
   nu_i = gap when there is none; for i = n the membership value (lowering
   the last coordinate never breaks dominance).
 * L(lam) = the box of weights lam - nu' for 0 <= nu' <= nu, multiplicity one.
+  Nothing is built over a box whose grid, prod(nu_i + 2) points, exceeds
+  MAX_GRID; BoxTooLargeError is raised instead. The grid is L (x) spin's
+  class set and the tables' P grid, the largest structure any request walks.
 * tensor with spin: each box weight shifted by every sign vector in
   {+-1/2}^n; candidates are kept when their rho-shift is weakly decreasing,
   which on these candidates is automatic. Boundary candidates (repeated
@@ -31,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .polynomials import Poly, least_positive_integer_root
 from .weights import (
@@ -44,8 +48,33 @@ from .weights import (
 )
 
 
+# Budget on prod(nu_i + 2), the number of points of the largest grid built
+# over the box of nu (the L (x) spin classes, the tables' P grid).
+MAX_GRID = 10 ** 6
+
+
 class NotInClassificationError(ValueError):
     """Raised when a weight does not head a finite-dimensional module."""
+
+
+class BoxTooLargeError(ValueError):
+    """Raised, before anything is built, when the grid over the box of nu
+    would exceed MAX_GRID points."""
+
+    def __init__(self, nu: tuple[int, ...], grid_size: int):
+        super().__init__(f"nu = {list(nu)} gives a grid of {grid_size} points, "
+                         f"over the budget of {MAX_GRID}")
+        self.nu = nu
+        self.grid_size = grid_size
+
+
+def check_grid_size(nu: tuple[int, ...]) -> int:
+    """prod(nu_i + 2), the size of the grid over the box of nu; raises
+    BoxTooLargeError when it exceeds MAX_GRID."""
+    grid_size = prod(v + 2 for v in nu)
+    if grid_size > MAX_GRID:
+        raise BoxTooLargeError(nu, grid_size)
+    return grid_size
 
 
 @dataclass
@@ -149,10 +178,12 @@ def L_decomposition(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
     """The box {lam - nu' : 0 <= nu' <= nu componentwise}, multiplicity one.
     Every box weight is dominant exactly when lam is dominant and
     nu_i <= lam_i - lam_{i+1} for each i < n (the minimality of nu guarantees
-    it); otherwise ValueError, raised before the box is built."""
+    it); otherwise ValueError, raised before the box is built. A box whose
+    grid exceeds MAX_GRID raises BoxTooLargeError."""
     if not is_dominant(lam) or any(
             v > lam.coords[i] - lam.coords[i + 1] for i, v in enumerate(nu[:-1])):
         raise ValueError(f"nu = {nu} takes the box below {lam} out of the dominant chamber")
+    check_grid_size(nu)
     n = lam.rank
     out = ModuleDecomposition(rank=n)
     for offsets in product(*(range(v + 1) for v in nu)):

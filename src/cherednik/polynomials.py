@@ -39,6 +39,11 @@ from math import comb, gcd, lcm
 Scalar = int | Fraction
 
 
+class InvariantViolation(Exception):
+    """An internal law of a computation failed to hold. This signals a bug,
+    not bad input, and is raised whatever flags Python runs with."""
+
+
 def _as_fraction(c: Scalar) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -354,11 +359,13 @@ def xi_to_w(xi: Poly, n: int) -> Poly:
     coeffs: dict[int, Fraction] = {}
     for k in range(rhs.degree + 1, 0, -1):
         image = half_step_transform(Poly.of(*([0] * k + [1])), n)
-        assert image.degree == k - 1
+        if image.degree != k - 1:
+            raise InvariantViolation(f"half-step image of z^{k} has degree {image.degree}")
         c = rhs.coeff(k - 1) / image.coeff(k - 1)
         coeffs[k] = c
         rhs = rhs - image * c
-    assert rhs.is_zero(), "half-step system must close exactly"
+    if not rhs.is_zero():
+        raise InvariantViolation("half-step system must close exactly")
     out = [Fraction(0)] * (max(coeffs, default=0) + 1)
     for k, c in coeffs.items():
         out[k] = c

@@ -25,10 +25,15 @@ from fractions import Fraction
 
 from .clifford import CliffordElement, SpinVector, gamma_e, spin_action
 from .modules import ModuleDecomposition, nu_vector
-from .polynomials import Poly, xi_to_density
+from .polynomials import InvariantViolation, Poly, xi_to_density
 from .weights import CentralCharPoly, Weight
 
 Matrix = list[list[Fraction]]
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvariantViolation(message)
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -86,7 +91,7 @@ class RankOneModule:
 
 def build_module(xi: Poly, lam) -> RankOneModule:
     """Construct the module headed by lam, rejecting lam outside the
-    classification; asserts the closing condition d_{nu+1} = 0."""
+    classification; checks the closing condition d_{nu+1} = 0."""
     lam = Fraction(lam)
     P = CentralCharPoly.from_xi(xi, 1)
     nu = nu_vector(P, Weight.of(lam))[0]
@@ -96,7 +101,7 @@ def build_module(xi: Poly, lam) -> RankOneModule:
     d = [Fraction(0)]
     for k in range(size):
         d.append(d[k] + p(lam - k))
-    assert d[size] == 0, "membership and the recurrence disagree"
+    _require(d[size] == 0, "membership and the recurrence disagree")
 
     t = zeros(size, size)
     x = zeros(size, size)
@@ -155,7 +160,7 @@ def oracle_cohomology(xi: Poly, lam) -> ModuleDecomposition:
     """
     Dirac cohomology computed from matrices alone: assemble D, check that
     ker D = ker D^2 and ker D meets im D trivially (rank D = rank D^2), and
-    decompose ker D^2 by the weight grading. Asserts that D^2 is
+    decompose ker D^2 by the weight grading. Checks that D^2 is
     block-diagonal across weights and acts on the weight-mu block by the
     scalar 2 P(lam) - 2 P(mu - 1/2).
     """
@@ -165,9 +170,9 @@ def oracle_cohomology(xi: Poly, lam) -> ModuleDecomposition:
 
     rank_d, rank_d2 = mat_rank(d), mat_rank(d2)
     size = len(d)
-    assert rank_d + nullity(d) == size
-    assert nullity(d) == nullity(d2), "D and D^2 must have the same kernel"
-    assert rank_d == rank_d2, "ker D must meet im D trivially"
+    _require(rank_d + nullity(d) == size, "rank + nullity of D is not its size")
+    _require(nullity(d) == nullity(d2), "D and D^2 must have the same kernel")
+    _require(rank_d == rank_d2, "ker D must meet im D trivially")
 
     labels = weight_labels(module)
     P = CentralCharPoly.from_xi(xi, 1)
@@ -183,11 +188,12 @@ def oracle_cohomology(xi: Poly, lam) -> ModuleDecomposition:
             for j in range(size):
                 if j in idxs:
                     want = expected if i == j else Fraction(0)
-                    assert d2[i][j] == want, "D^2 is not the expected scalar on a weight block"
+                    _require(d2[i][j] == want,
+                             "D^2 is not the expected scalar on a weight block")
                 else:
-                    assert d2[i][j] == 0, "D^2 mixes distinct weights"
+                    _require(d2[i][j] == 0, "D^2 mixes distinct weights")
         if expected == 0:
             out.add(Weight.of(mu), len(idxs))
     total = out.total_dimension()
-    assert total == nullity(d2)
+    _require(total == nullity(d2), "cohomology dimension is not the nullity of D^2")
     return out

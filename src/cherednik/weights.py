@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polynomials import Poly, Scalar, _as_fraction, xi_to_w
+from .polynomials import InvariantViolation, Poly, Scalar, _as_fraction, xi_to_w
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,8 @@ def weyl_dim(w: Weight) -> int:
     if not is_dominant(w):
         raise ValueError(f"weight is not dominant: {w}")
     d = weyl_dim_formal(w)
-    assert d > 0
+    if d <= 0:
+        raise InvariantViolation(f"Weyl dimension {d} of dominant {w} is not positive")
     return d
 
 
@@ -116,7 +117,8 @@ def weyl_dim_formal(w: Weight) -> int:
     for i in range(n):
         for j in range(i + 1, n):
             num *= Fraction(w.coords[i] - w.coords[j] + j - i, j - i)
-    assert num.denominator == 1
+    if num.denominator != 1:
+        raise InvariantViolation(f"Weyl dimension product {num} is not an integer")
     return int(num)
 
 

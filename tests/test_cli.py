@@ -283,3 +283,29 @@ def test_dimensions_computed_once_and_text_only_when_printed(monkeypatch, capsys
     # cohomology (5); the text lines are built only in text mode
     assert len(calls) == 9 + 16 + 5
     assert bool(rendered) == (not mode)
+
+
+@pytest.mark.parametrize("command,p_h,nu", [
+    ("classify", "0,100000000000000000039,1", 10 ** 20 + 38),
+    ("dirac", "0,20000001,1", 20000000),
+    ("tables", "0,20000001,1", 20000000),
+])
+def test_box_over_budget_is_a_diagnostic(command, p_h, nu):
+    # nu is found at once; the box it describes (10^20 weights, or 2e7 that
+    # would fill memory) is refused before anything is built.
+    res = subprocess.run([sys.executable, "-m", "cherednik", command, "--n", "1",
+                          f"--P-h={p_h}", "--lambda=0", "--json"],
+                         capture_output=True, text=True, timeout=10)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr == ""
+    doc = json.loads(res.stdout)
+    assert doc["error"]["code"] == "box-too-large"
+    assert doc["error"]["grid_size"] == nu + 2
+    assert doc["error"]["max_grid"] == modules.MAX_GRID
+    assert doc["nu"] == [nu]
+    assert [g["weight"] for g in doc["guaranteed"]] == [["1/2"], [f"{-2 * nu - 1}/2"]]
+    text = subprocess.run([sys.executable, "-m", "cherednik", command, "--n", "1",
+                           f"--P-h={p_h}", "--lambda=0"],
+                          capture_output=True, text=True, timeout=10)
+    assert text.returncode == 3
+    assert text.stdout.startswith(f"box too large: nu = [{nu}]")

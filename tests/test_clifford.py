@@ -1,14 +1,16 @@
 """Clifford algebra, spin module, and the gamma lift."""
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cherednik.clifford import (
     CliffordElement,
     SpinVector,
-    clifford_multiply,
+    _cl_normalize,
     commutator_matches_action,
     gamma_e,
     gamma_lie_hom_check,
@@ -45,8 +47,90 @@ def test_multiplication_associativity():
     for _ in range(100):
         n = rng.randint(1, 3)
         a, b, c = (random_element(rng, n) for _ in range(3))
-        assert clifford_multiply(clifford_multiply(a, b), c) == \
-            clifford_multiply(a, clifford_multiply(b, c))
+        assert (a * b) * c == a * (b * c)
+
+
+@st.composite
+def rank_and_words(draw, count, max_len=4):
+    """A rank n <= 3 and ``count`` words of length <= max_len in the V-basis."""
+    n = draw(st.integers(1, 3))
+    letter = st.sampled_from(v_basis(n))
+    return n, [tuple(draw(st.lists(letter, max_size=max_len))) for _ in range(count)]
+
+
+@st.composite
+def clifford_triples(draw):
+    _, words = draw(rank_and_words(6))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+    terms = [C.from_word(*w) * c for w, c in zip(words, coeffs)]
+    return [terms[k] + terms[k + 1] for k in (0, 2, 4)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(clifford_triples())
+def test_multiplication_associativity_generated(triple):
+    a, b, c = triple
+    assert (a * b) * c == a * (b * c)
+
+
+def _fock_apply(word, subset):
+    """Apply a word to the basis vector e_subset of the exterior algebra on
+    e_1..e_n, with x_i acting as e_i ^ (.) and y_i as 2 times contraction by
+    e_i (rightmost letter first). This is the spin representation, faithful
+    because the Clifford algebra of a nondegenerate form is simple."""
+    state = {tuple(subset): F(1)}
+    for kind, i in reversed(word):
+        new = {}
+        for s, c in state.items():
+            if (i in s) == (kind == "x"):
+                continue
+            sign = F((-1) ** sum(j < i for j in s))
+            if kind == "x":
+                new[tuple(sorted(s + (i,)))] = c * sign
+            else:
+                new[tuple(j for j in s if j != i)] = 2 * c * sign
+        state = new
+    return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_and_words(1, max_len=5))
+def test_normal_form_acts_like_its_word_in_the_spin_representation(case):
+    n, (word,) = case
+    normal = _cl_normalize(word)
+    for m, _ in normal:
+        assert list(m) == sorted(set(m))
+    for size in range(n + 1):
+        for subset in combinations(range(1, n + 1), size):
+            want = {}
+            for m, c in normal:
+                for s, cs in _fock_apply(m, subset).items():
+                    want[s] = want.get(s, F(0)) + c * cs
+            assert _fock_apply(word, subset) == {s: c for s, c in want.items() if c}
+
+
+def inversions(word):
+    return sum(a > b for i, a in enumerate(word) for b in word[i + 1:])
+
+
+@st.composite
+def unpaired_words(draw):
+    """Words of length <= 6 using, for each index i <= 5, only one of x_i, y_i."""
+    n = draw(st.integers(1, 5))
+    species = draw(st.lists(st.sampled_from("xy"), min_size=n, max_size=n))
+    letters = [(k, i + 1) for i, k in enumerate(species)]
+    return tuple(draw(st.lists(st.sampled_from(letters), max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unpaired_words())
+def test_unpaired_word_normalizes_to_signed_sort(word):
+    # with no x_i / y_i pair the form vanishes, so the Clifford algebra acts
+    # like the exterior algebra: sorted word times the inversion sign, or 0
+    if len(set(word)) < len(word):
+        assert _cl_normalize(word) == ()
+    else:
+        assert _cl_normalize(word) == ((tuple(sorted(word)), F((-1) ** inversions(word))),)
 
 
 def test_defining_relations_post_hoc():

@@ -5,10 +5,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cherednik.enveloping import (
     KappaMap,
     UEAElement,
+    _act_gen,
+    _normalize,
     act_on_v,
     coproduct,
     h_linearity_check,
@@ -17,7 +21,6 @@ from cherednik.enveloping import (
     kappa_from_r_matrices,
     kappa_of,
     r_matrix,
-    uea_multiply,
     v_basis,
 )
 from cherednik.polynomials import Poly
@@ -46,7 +49,72 @@ def test_multiplication_associativity():
     for _ in range(100):
         n = rng.randint(1, 3)
         a, b, c = (U({random_monomial(rng, n, 3): F(1)}) for _ in range(3))
-        assert uea_multiply(uea_multiply(a, b), c) == uea_multiply(a, uea_multiply(b, c))
+        assert (a * b) * c == a * (b * c)
+
+
+@st.composite
+def rank_and_words(draw, count, max_len=4):
+    """A rank n <= 3 and ``count`` generator words of length <= max_len."""
+    n = draw(st.integers(1, 3))
+    gen = st.tuples(st.integers(1, n), st.integers(1, n))
+    return n, [tuple(draw(st.lists(gen, max_size=max_len))) for _ in range(count)]
+
+
+@st.composite
+def uea_triples(draw):
+    n, words = draw(rank_and_words(6))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+    terms = [(tuple(sorted(w)), F(c)) for w, c in zip(words, coeffs)]
+    return [U.collect(terms[k:k + 2]) for k in (0, 2, 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(uea_triples())
+def test_multiplication_associativity_generated(triple):
+    a, b, c = triple
+    assert (a * b) * c == a * (b * c)
+
+
+def _act_word(word, v):
+    """The action of a generator word on a V-basis vector, composed
+    generator by generator through _act_gen (rightmost first)."""
+    coeff = F(1)
+    for gen in reversed(word):
+        hit = _act_gen(gen, v)
+        if hit is None:
+            return {}
+        v, c = hit
+        coeff *= c
+    return {v: coeff}
+
+
+def _matrix_of_word(word, n):
+    """The product of elementary matrices E_ij in the defining n x n
+    representation."""
+    out = [[F(int(r == c)) for c in range(n)] for r in range(n)]
+    for i, j in word:
+        out = [[out[r][i - 1] if c == j - 1 else F(0) for c in range(n)] for r in range(n)]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_and_words(1, max_len=5))
+def test_pbw_normal_form_acts_like_its_word(case):
+    n, (word,) = case
+    normal = _normalize(word)
+    for m, _ in normal:
+        assert list(m) == sorted(m)
+    for v in v_basis(n):
+        want = {}
+        for m, c in normal:
+            for b, cb in _act_word(m, v).items():
+                want[b] = want.get(b, F(0)) + c * cb
+        assert _act_word(word, v) == {b: c for b, c in want.items() if c}
+    total = [[F(0)] * n for _ in range(n)]
+    for m, c in normal:
+        mat = _matrix_of_word(m, n)
+        total = [[t + c * x for t, x in zip(rt, rx)] for rt, rx in zip(total, mat)]
+    assert _matrix_of_word(word, n) == total
 
 
 def test_commutator_rule():

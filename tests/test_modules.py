@@ -384,3 +384,20 @@ def test_L_decomposition_invariant_survives_optimized_python(flags):
     res = subprocess.run([sys.executable, *flags, "-c", code, str(len(flags))],
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert res.returncode == 3, res.stderr
+
+
+def test_grid_budget_is_checked_before_the_box_is_built():
+    # prod(nu_i + 2) at the budget passes; one more point is refused.
+    assert modules.check_grid_size((998, 998)) == modules.MAX_GRID
+    with pytest.raises(modules.BoxTooLargeError) as err:
+        modules.check_grid_size((998, 999))
+    assert err.value.nu == (998, 999) and err.value.grid_size == 1000 * 1001
+    # a box of 10^20 weights is refused at once instead of overflowing
+    big = 10 ** 20 + 38
+    with pytest.raises(modules.BoxTooLargeError):
+        L_decomposition(Weight.of(0), (big,))
+    P = CentralCharPoly.from_h_coeffs([0, big + 1, 1], 1)
+    with pytest.raises(modules.BoxTooLargeError):
+        dirac_cohomology(P, Weight.of(0))
+    assert guaranteed_classes(P, Weight.of(0)) == [Weight.of(F(1, 2)),
+                                                   Weight.of(-big - F(1, 2))]

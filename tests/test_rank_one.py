@@ -1,5 +1,8 @@
 """The rank-one matrix oracle and its agreement with the closed form."""
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -121,3 +124,32 @@ def test_half_integral_family():
             coh = oracle_cohomology(xi, lam)
             assert {w.coords[0]: mm for w, mm in coh.entries.items()} == \
                 {lam + F(1, 2): 1, -lam - F(1, 2): 1}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_oracle_laws_survive_optimized_python(flags):
+    # A corrupted Dirac matrix breaks the D^2 eigenvalue law; the oracle must
+    # raise InvariantViolation (and oracle_suite report FAIL) even when
+    # python -O strips assert statements.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys\n"
+            "import cherednik.rank_one as rank_one\n"
+            "from cherednik.polynomials import InvariantViolation, Poly\n"
+            "from cherednik.verify import oracle_suite\n"
+            "assert sys.flags.optimize == int(sys.argv[1])\n"
+            "honest = rank_one.dirac_matrix\n"
+            "def corrupt(module):\n"
+            "    d = honest(module)\n"
+            "    d[0][0] += 1\n"
+            "    return d\n"
+            "rank_one.dirac_matrix = corrupt\n"
+            "results = oracle_suite(trials=3)\n"
+            "if any(r.ok or 'D^2' not in r.detail for r in results):\n"
+            "    sys.exit(4)\n"
+            "try:\n"
+            "    rank_one.oracle_cohomology(Poly.of(0, 1), 1)\n"
+            "except InvariantViolation:\n"
+            "    sys.exit(3)\n")
+    res = subprocess.run([sys.executable, *flags, "-c", code, str(len(flags))],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert res.returncode == 3, res.stderr
