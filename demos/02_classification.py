@@ -12,7 +12,7 @@ from cherednik import (
     L_decomposition,
     Poly,
     Weight,
-    lambda_tilde_member,
+    membership_detail,
     nu_vector,
 )
 
@@ -21,7 +21,7 @@ F = Fraction
 print("Rank 1, xi = z (so P(z) = z^2 + z): membership is the half-integers.")
 P1 = CentralCharPoly.from_xi(Poly.of(0, 1), 1)
 for lam in (F(0), F(1, 2), F(1), F(3, 2), F(1, 3), F(-1), F(7, 2)):
-    v = lambda_tilde_member(P1, Weight.of(lam))
+    v = membership_detail(P1, Weight.of(lam))[0]
     verdict = f"member, box bound nu = {v}, dim L = {v + 1}" if v is not None else "not a member"
     print(f"  lam = {str(lam):5}  ->  {verdict}")
 
@@ -29,7 +29,7 @@ print()
 print("Rank 1, constant xi = 7: P(z) = 7z is injective on steps, nothing is finite-dimensional.")
 Pc = CentralCharPoly.from_xi(Poly.of(7), 1)
 for lam in (F(0), F(3), F(-5, 2)):
-    print(f"  lam = {str(lam):5}  ->  member: {lambda_tilde_member(Pc, Weight.of(lam)) is not None}")
+    print(f"  lam = {str(lam):5}  ->  member: {membership_detail(Pc, Weight.of(lam))[0] is not None}")
 
 print()
 print("Rank 2 with P = 18h1 - (9/2)h2 - 2h3 + (1/2)h4 and lam + rho = (3, 0):")

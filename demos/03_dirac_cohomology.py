@@ -34,7 +34,7 @@ for b in rows:
 
 print("\nFormal multiplicities of V at mu+rho+(1/2,1/2) in L (x) spin:")
 L = L_decomposition(lam, nu)
-LS = tensor_with_spin(L)
+LS = tensor_with_spin(lam, nu)
 for b in rows:
     line = []
     for a in cols:

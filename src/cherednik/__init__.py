@@ -36,9 +36,10 @@ from .modules import (
     NotInClassificationError,
     dirac_cohomology,
     guaranteed_classes,
-    lambda_tilde_member,
+    membership_detail,
     nu_vector,
     select_cohomology,
+    spin_grid,
     tensor_with_spin,
 )
 from .enveloping import (
@@ -69,8 +70,8 @@ __all__ = [
     "CentralCharPoly", "Weight", "complete_homogeneous", "is_dominant", "rho",
     "weyl_dim", "weyl_dim_formal",
     "L_decomposition", "ModuleDecomposition", "NotInClassificationError",
-    "dirac_cohomology", "guaranteed_classes", "lambda_tilde_member",
-    "nu_vector", "select_cohomology", "tensor_with_spin",
+    "dirac_cohomology", "guaranteed_classes", "membership_detail", "nu_vector",
+    "select_cohomology", "spin_grid", "tensor_with_spin",
     "KappaMap", "UEAElement", "act_on_v", "coproduct", "h_linearity_check",
     "higher_jacobi_checks", "jacobi_check", "kappa_of", "r_matrix",
     "CliffordElement", "SpinVector", "gamma_e",

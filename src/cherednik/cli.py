@@ -15,19 +15,20 @@ Exit codes: 0 success, 1 mathematical rejection (the weight heads no
 finite-dimensional module) or verification failure, 2 usage or parse error,
 3 box too large: the grid over the box of nu, prod(nu_i + 2) points, exceeds
 modules.MAX_GRID; nu, the grid size and the guaranteed classes (which need
-only nu) are reported instead, error code "box-too-large".
+only nu) are reported instead, error code "box-too-large". Each command
+builds its whole output and main prints it once; a reader that closes the
+pipe early ends the output quietly, with the command's own exit code.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import prod
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .modules import (
     MAX_GRID,
@@ -39,6 +40,7 @@ from .modules import (
     membership_detail,
     nu_vector,
     select_cohomology,
+    spin_grid,
     tensor_with_spin,
 )
 from .polynomials import Poly, xi_to_density, xi_to_density_sum, xi_to_w
@@ -184,26 +186,37 @@ def _parse_weight(args, n: int) -> Weight:
     return w if args.lam is not None else w - rho(n)
 
 
-def _emit(args, doc: dict, text_lines: Callable[[], list[str]]) -> None:
-    """Print the JSON document, or the text lines, built only when printed."""
-    if args.json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        print("\n".join(text_lines()))
+# What a command hands back to main: its exit code and its stdout text.
+Outcome = tuple[int, str]
 
 
-def _reject(args, doc: dict, message: str) -> int:
+class Answered(Exception):
+    """Raised by the shared preamble when a request ends early in a
+    diagnostic (a rejection, a box over budget); main prints its output and
+    returns its exit code."""
+
+    def __init__(self, outcome: Outcome):
+        super().__init__(outcome[0])
+        self.outcome = outcome
+
+
+def _json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _emit(args, doc: dict, text_lines: Callable[[], list[str]]) -> str:
+    """The JSON document, or the text lines, built only when printed."""
+    return _json(doc) if args.json else "\n".join(text_lines())
+
+
+def _reject(args, doc: dict, message: str) -> Outcome:
     doc = dict(doc)
     doc["error"] = {"code": "not-classified", "message": message}
-    if args.json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        print(f"rejected: {message}")
-    return 1
+    return 1, _json(doc) if args.json else f"rejected: {message}"
 
 
 def _too_large(args, doc: dict, P: CentralCharPoly, lam: Weight,
-               exc: BoxTooLargeError) -> int:
+               exc: BoxTooLargeError) -> Outcome:
     """The diagnostic for a box over the grid budget: nu, the grid size and
     the guaranteed classes, none of which needs the box itself."""
     guaranteed = guaranteed_classes(P, lam, exc.nu)
@@ -211,16 +224,13 @@ def _too_large(args, doc: dict, P: CentralCharPoly, lam: Weight,
     doc["error"] = {"code": "box-too-large", "message": str(exc),
                     "grid_size": exc.grid_size, "max_grid": MAX_GRID}
     if args.json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        print(f"box too large: {exc}")
-        print("guaranteed multiplicity-one classes:")
-        for w in guaranteed:
-            print(f"  {_weight_text(w, args.decimal)}")
-    return 3
+        return 3, _json(doc)
+    lines = [f"box too large: {exc}", "guaranteed multiplicity-one classes:"]
+    lines.extend(f"  {_weight_text(w, args.decimal)}" for w in guaranteed)
+    return 3, "\n".join(lines)
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> Outcome:
     deformation = Deformation.from_args(args)
     if deformation.xi is None:
         raise UsageError("transform requires the --xi variant")
@@ -230,9 +240,8 @@ def cmd_transform(args) -> int:
         "derived": deformation.derived_json(),
     }
     d = doc["derived"]
-    _emit(args, doc, lambda: [f"{key:12} [{', '.join(d[key])}]"
-                              for key in ("density", "density_sum", "w", "P_h")])
-    return 0
+    return 0, _emit(args, doc, lambda: [f"{key:12} [{', '.join(d[key])}]"
+                                        for key in ("density", "density_sum", "w", "P_h")])
 
 
 def _membership_block(P: CentralCharPoly, lam: Weight) -> tuple[dict, tuple[int | None, bool]]:
@@ -256,23 +265,44 @@ REJECT_MESSAGE = ("no nonnegative integer v with "
                   "finite-dimensional module")
 
 
-def cmd_classify(args) -> int:
+class Classified(NamedTuple):
+    """A weight that heads a finite-dimensional module with a box within
+    the grid budget, and the JSON document so far."""
+
+    P: CentralCharPoly
+    lam: Weight
+    nu: tuple[int, ...]
+    membership: tuple[int | None, bool]
+    doc: dict
+
+
+def _classified(args, command: str, derived: bool = True) -> Classified:
+    """The stages classify, dirac and tables share, each run once: parse the
+    deformation and the weight, membership, nu and the grid budget. A
+    non-member or a box over budget ends the request in its diagnostic
+    (Answered). ``derived`` adds the --xi ladder to the document."""
     deformation = Deformation.from_args(args)
     P = deformation.central_char()
     lam = _parse_weight(args, deformation.n)
-    doc = {"command": "classify", "input": dict(deformation.input_json(),
-                                                **_weight_json_input(lam))}
-    if deformation.xi is not None:
+    doc = {"command": command, "input": dict(deformation.input_json(),
+                                             **_weight_json_input(lam))}
+    if derived and deformation.xi is not None:
         doc["derived"] = deformation.derived_json()
     doc["membership"], membership = _membership_block(P, lam)
     if membership[0] is None:
-        return _reject(args, doc, REJECT_MESSAGE)
+        raise Answered(_reject(args, doc, REJECT_MESSAGE))
     nu = nu_vector(P, lam, membership)
     try:
-        L = L_decomposition(lam, nu)
+        check_grid_size(nu)
     except BoxTooLargeError as exc:
-        return _too_large(args, doc, P, lam, exc)
+        raise Answered(_too_large(args, doc, P, lam, exc)) from None
     doc["nu"] = list(nu)
+    return Classified(P, lam, nu, membership, doc)
+
+
+def cmd_classify(args) -> Outcome:
+    _, lam, nu, membership, doc = _classified(args, "classify")
+    L = L_decomposition(lam, nu)
     doc["L"] = _decomp_json(L)
 
     def text() -> list[str]:
@@ -280,30 +310,15 @@ def cmd_classify(args) -> int:
         _decomp_text(lines, "L(lambda)", L, doc["L"]["dimension"], args.decimal)
         return lines
 
-    _emit(args, doc, text)
-    return 0
+    return 0, _emit(args, doc, text)
 
 
-def cmd_dirac(args) -> int:
-    deformation = Deformation.from_args(args)
-    P = deformation.central_char()
-    lam = _parse_weight(args, deformation.n)
-    doc = {"command": "dirac", "input": dict(deformation.input_json(),
-                                             **_weight_json_input(lam))}
-    if deformation.xi is not None:
-        doc["derived"] = deformation.derived_json()
-    doc["membership"], membership = _membership_block(P, lam)
-    if membership[0] is None:
-        return _reject(args, doc, REJECT_MESSAGE)
-    nu = nu_vector(P, lam, membership)
-    try:
-        L = L_decomposition(lam, nu)
-    except BoxTooLargeError as exc:
-        return _too_large(args, doc, P, lam, exc)
-    LS = tensor_with_spin(L)
-    coh = select_cohomology(P, lam, LS)
+def cmd_dirac(args) -> Outcome:
+    P, lam, nu, membership, doc = _classified(args, "dirac")
+    L = L_decomposition(lam, nu)
+    LS = tensor_with_spin(lam, nu)
+    coh = select_cohomology(P, lam, nu)
     guaranteed = guaranteed_classes(P, lam, nu)
-    doc["nu"] = list(nu)
     doc["L"] = _decomp_json(L)
     doc["tensor_spin"] = _decomp_json(LS)
     doc["cohomology"] = _decomp_json(coh)
@@ -321,8 +336,7 @@ def cmd_dirac(args) -> int:
             lines.append(f"  {_weight_text(w, args.decimal)}")
         return lines
 
-    _emit(args, doc, text)
-    return 0
+    return 0, _emit(args, doc, text)
 
 
 def _weight_json_input(lam: Weight) -> dict:
@@ -330,36 +344,16 @@ def _weight_json_input(lam: Weight) -> dict:
             "lambda_plus_rho": [str(c) for c in lam.shifted()]}
 
 
-def cmd_tables(args) -> int:
-    deformation = Deformation.from_args(args)
-    P = deformation.central_char()
-    lam = _parse_weight(args, deformation.n)
-    n = deformation.n
-    doc = {"command": "tables", "input": dict(deformation.input_json(),
-                                              **_weight_json_input(lam))}
-    doc["membership"], membership = _membership_block(P, lam)
-    if membership[0] is None:
-        return _reject(args, doc, REJECT_MESSAGE)
-    nu = nu_vector(P, lam, membership)
-    try:
-        check_grid_size(nu)
-    except BoxTooLargeError as exc:
-        return _too_large(args, doc, P, lam, exc)
-    doc["nu"] = list(nu)
-    top = lam.shifted()
-
-    def grid_point(offsets) -> tuple[Fraction, ...]:
-        return tuple(c - o for c, o in zip(top, offsets))
-
-    def mult(offsets) -> int:
-        return prod(1 if o in (0, v + 1) else 2 for o, v in zip(offsets, nu))
-
-    ranges = [range(v + 2) for v in nu]
-    if n == 2:
-        cols, rows = ranges
-        weight_grid = [[grid_point((k1, k2)) for k1 in cols] for k2 in rows]
-        p_grid = [[P.evaluate(pt) for pt in row] for row in weight_grid]
-        m_grid = [[mult((k1, k2)) for k1 in cols] for k2 in rows]
+def cmd_tables(args) -> Outcome:
+    P, lam, nu, _, doc = _classified(args, "tables", derived=False)
+    if lam.rank == 2:
+        # spin_grid runs the second coordinate fastest, so row k2 of the
+        # layout (columns over the first coordinate) is every (nu_2 + 2)-th cell.
+        cells = list(spin_grid(P, lam, nu))
+        grid = [cells[k2::nu[1] + 2] for k2 in range(nu[1] + 2)]
+        weight_grid = [[pt for pt, _, _ in row] for row in grid]
+        p_grid = [[v for _, _, v in row] for row in grid]
+        m_grid = [[m for _, m, _ in row] for row in grid]
         transpose_symmetric = (len(p_grid) == len(p_grid[0]) and all(
             p_grid[i][j] == p_grid[j][i]
             for i in range(len(p_grid)) for j in range(len(p_grid))))
@@ -385,22 +379,15 @@ def cmd_tables(args) -> int:
                 lines.append(f"note: {note}")
             return lines
     else:
-        points = []
-        for offsets in product(*ranges):
-            pt = grid_point(offsets)
-            points.append({
-                "weight_plus_rho": [str(c) for c in pt],
-                "P": str(P.evaluate(pt)),
-                "multiplicity": mult(offsets),
-            })
+        points = [{"weight_plus_rho": [str(c) for c in pt], "P": str(value),
+                   "multiplicity": mult} for pt, mult, value in spin_grid(P, lam, nu)]
         doc["points"] = points
 
         def text() -> list[str]:
             return [f"nu = {list(nu)}"] + [
                 f"mu+rho ({', '.join(item['weight_plus_rho'])})  "
                 f"P = {item['P']}  multiplicity {item['multiplicity']}" for item in points]
-    _emit(args, doc, text)
-    return 0
+    return 0, _emit(args, doc, text)
 
 
 def _render_grid(cells: list[list[str]]) -> list[str]:
@@ -409,27 +396,27 @@ def _render_grid(cells: list[list[str]]) -> list[str]:
             for row in cells]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Outcome:
     results = run_suites(args.suite, max_n=args.max_n, max_deg=args.max_deg,
                          trials=args.trials, seed=args.seed)
     ok = all(r.ok for r in results)
+    code = 0 if ok else 1
     if args.json:
-        doc = {
+        return code, _json({
             "command": "verify",
             "suite": args.suite,
             "ok": ok,
             "results": [{"suite": r.suite, "name": r.name, "ok": r.ok,
                          "detail": r.detail} for r in results],
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        for r in results:
-            status = "PASS" if r.ok else "FAIL"
-            detail = f"  -- {r.detail}" if r.detail else ""
-            print(f"{status} [{r.suite}] {r.name}{detail}")
-        print(f"{'all checks passed' if ok else 'FAILURES PRESENT'} "
-              f"({sum(r.ok for r in results)}/{len(results)})")
-    return 0 if ok else 1
+        })
+    lines = []
+    for r in results:
+        status = "PASS" if r.ok else "FAIL"
+        detail = f"  -- {r.detail}" if r.detail else ""
+        lines.append(f"{status} [{r.suite}] {r.name}{detail}")
+    lines.append(f"{'all checks passed' if ok else 'FAILURES PRESENT'} "
+                 f"({sum(r.ok for r in results)}/{len(results)})")
+    return code, "\n".join(lines)
 
 
 def _add_deformation_flags(sub) -> None:
@@ -506,10 +493,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negative_lists(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        code, out = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Answered as early:
+        code, out = early.outcome
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (as `| head` does). Point stdout at
+        # devnull so the interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

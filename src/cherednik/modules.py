@@ -20,21 +20,29 @@ For a deformation with central character polynomial P and a dominant weight
   Nothing is built over a box whose grid, prod(nu_i + 2) points, exceeds
   MAX_GRID; BoxTooLargeError is raised instead. The grid is L (x) spin's
   class set and the tables' P grid, the largest structure any request walks.
-* tensor with spin: each box weight shifted by every sign vector in
-  {+-1/2}^n; candidates are kept when their rho-shift is weakly decreasing,
-  which on these candidates is automatic. Boundary candidates (repeated
+* the spin grid: L(lam) (x) spin is the grid of points lam + rho - o,
+  0 <= o_i <= nu_i + 1, the class of mu = lam + 1/2 - o sitting over the
+  point mu + rho - 1/2. Its multiplicity has the closed form
+  prod_i (1 if o_i in {0, nu_i + 1} else 2): the ways to split o_i into a box
+  offset in [0, nu_i] and a spin step in {0, 1}. spin_grid walks the grid
+  once, in itertools.product order, and evaluates P at every point in scaled
+  integers: with d the common denominator of lam + rho and D that of the
+  h-coefficients, P(y/d) = N(y) / (D d^K) where N is an integer polynomial,
+  and along the last coordinate N is one Horner evaluation per point. Every
+  class has a weakly decreasing rho-shift; boundary classes (repeated
   shifted coordinate) are genuine formal summands of dimension 0 and are
   retained so multiplicity grids close up; total-dimension accounting counts
   them as 0.
-* Dirac cohomology: the sub-multiset of the spin tensor whose members mu
-  satisfy P(lam) = P(mu - (1/2,...,1/2)).
+* Dirac cohomology: the classes of the spin grid whose point mu + rho - 1/2
+  has P(lam + rho) = P(mu + rho - 1/2), with their multiplicities.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
+from typing import Iterator
 
 from .polynomials import Poly, least_positive_integer_root
 from .weights import (
@@ -44,6 +52,7 @@ from .weights import (
     half_vector,
     is_dominant,
     is_shift_weakly_decreasing,
+    rho,
     weyl_dim_formal,
 )
 
@@ -102,8 +111,9 @@ class ModuleDecomposition:
         return sum(m * weyl_dim_formal(w) for w, m in self.entries.items())
 
     def sorted_items(self) -> list[tuple[Weight, int]]:
-        """Entries ordered by descending rho-shifted lexicographic order."""
-        return sorted(self.entries.items(), key=lambda wm: wm[0].shifted(), reverse=True)
+        """Entries ordered by descending rho-shifted lexicographic order (the
+        order of the plain coordinates, rho being one fixed vector)."""
+        return sorted(self.entries.items(), key=lambda wm: wm[0].coords, reverse=True)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ModuleDecomposition)
@@ -142,12 +152,6 @@ def membership_detail(P: CentralCharPoly, lam: Weight) -> tuple[int | None, bool
     return (None if root is None else root - 1), False
 
 
-def lambda_tilde_member(P: CentralCharPoly, lam: Weight) -> int | None:
-    """The minimal v >= 0 with P(lam) = P(lam - (0,...,0,v+1)), or None when
-    no such integer exists (lam heads no finite-dimensional module)."""
-    return membership_detail(P, lam)[0]
-
-
 def nu_vector(P: CentralCharPoly, lam: Weight,
               membership: tuple[int | None, bool] | None = None) -> tuple[int, ...]:
     """
@@ -174,16 +178,21 @@ def nu_vector(P: CentralCharPoly, lam: Weight,
     return tuple(nu)
 
 
-def L_decomposition(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
-    """The box {lam - nu' : 0 <= nu' <= nu componentwise}, multiplicity one.
-    Every box weight is dominant exactly when lam is dominant and
-    nu_i <= lam_i - lam_{i+1} for each i < n (the minimality of nu guarantees
-    it); otherwise ValueError, raised before the box is built. A box whose
-    grid exceeds MAX_GRID raises BoxTooLargeError."""
+def _check_box(lam: Weight, nu: tuple[int, ...]) -> None:
+    """Every weight of the box below lam of nu is dominant exactly when lam is
+    dominant and nu_i <= lam_i - lam_{i+1} for each i < n (the minimality of
+    nu guarantees it); otherwise ValueError. A grid over MAX_GRID points
+    raises BoxTooLargeError. Nothing is built before this check."""
     if not is_dominant(lam) or any(
             v > lam.coords[i] - lam.coords[i + 1] for i, v in enumerate(nu[:-1])):
         raise ValueError(f"nu = {nu} takes the box below {lam} out of the dominant chamber")
     check_grid_size(nu)
+
+
+def L_decomposition(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
+    """The box {lam - nu' : 0 <= nu' <= nu componentwise}, multiplicity one.
+    Raises ValueError or BoxTooLargeError as _check_box does."""
+    _check_box(lam, nu)
     n = lam.rank
     out = ModuleDecomposition(rank=n)
     for offsets in product(*(range(v + 1) for v in nu)):
@@ -191,36 +200,81 @@ def L_decomposition(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
     return out
 
 
-def tensor_with_spin(L: ModuleDecomposition) -> ModuleDecomposition:
+def _spin_multiplicities(nu: tuple[int, ...]) -> Iterator[int]:
+    """The multiplicity of each spin-grid point o, in product order:
+    prod_i (1 if o_i in {0, nu_i + 1} else 2)."""
+    return map(prod, product(*([1] + [2] * v + [1] for v in nu)))
+
+
+def _grid_values(P: CentralCharPoly, top: tuple[Fraction, ...],
+                 nu: tuple[int, ...]) -> Iterator[Fraction]:
+    """P(top - o) for o in product(range(nu_1 + 2), ..., range(nu_n + 2)).
+
+    With d the common denominator of top, D that of the h-coefficients c_k
+    and K = deg P, a point is y/d with y integral and h_k is homogeneous, so
+    P(y/d) = N(y) / (D d^K) with N(y) = sum_k (D c_k) d^(K-k) h_k(y). Since
+    h_k(x, y_n) = sum_m y_n^m h_{k-m}(x), N is, for a fixed prefix x of the
+    first n - 1 coordinates, an integer polynomial in y_n whose coefficients
+    take one h-recurrence per prefix; each point is then one Horner pass.
     """
-    Decomposition of L tensored with the 2^n-dimensional spin module: every
-    weight of L shifted by every sign vector in {+-1/2}^n, retained when the
-    rho-shift stays weakly decreasing. Dropped candidates would be formal
-    summands with a shifted coordinate inversion; on boxes of dominant
-    weights nothing is ever dropped.
+    coeffs = P.h_coeffs
+    K = len(coeffs) - 1
+    d = lcm(*(c.denominator for c in top))
+    D = lcm(*(c.denominator for c in coeffs))
+    a = [c.numerator * (D // c.denominator) * d ** (K - k) for k, c in enumerate(coeffs)]
+    den = D * d ** max(K, 0)
+    axes = [[c.numerator * (d // c.denominator) - d * o for o in range(v + 2)]
+            for c, v in zip(top, nu)]
+    for prefix in product(*axes[:-1]):
+        h = [1] + [0] * K
+        for x in prefix:
+            for j in range(1, K + 1):
+                h[j] += x * h[j - 1]
+        horner = [sum(a[k] * h[k - m] for k in range(m, K + 1)) for m in range(K, -1, -1)]
+        for y in axes[-1]:
+            value = 0
+            for b in horner:
+                value = value * y + b
+            yield Fraction(value, den)
+
+
+def spin_grid(P: CentralCharPoly, lam: Weight, nu: tuple[int, ...]
+              ) -> Iterator[tuple[tuple[Fraction, ...], int, Fraction]]:
     """
-    n = L.rank
+    The grid of L(lam) (x) spin: for each o in product(range(nu_1 + 2), ...,
+    range(nu_n + 2)), in that order, the point lam + rho - o, the
+    multiplicity of the class mu = lam + 1/2 - o over it, and P at the point.
+    Raises ValueError or BoxTooLargeError, as _check_box does, at the call.
+    """
+    _check_box(lam, nu)
+    top = lam.shifted()
+    points = product(*([c - o for o in range(v + 2)] for c, v in zip(top, nu)))
+    return zip(points, _spin_multiplicities(nu), _grid_values(P, top, nu))
+
+
+def tensor_with_spin(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
+    """
+    Decomposition of L(lam) (x) spin, for L(lam) the box of nu below lam:
+    the classes mu = lam + 1/2 - o, 0 <= o_i <= nu_i + 1, with the closed-form
+    multiplicities of spin_grid. On a dominant box every class has a weakly
+    decreasing rho-shift, so none is dropped.
+    """
+    _check_box(lam, nu)
     half = Fraction(1, 2)
-    out = ModuleDecomposition(rank=n)
-    for w, mult in L.entries.items():
-        for signs in product((half, -half), repeat=n):
-            cand = Weight(tuple(c + s for c, s in zip(w.coords, signs)))
-            if is_shift_weakly_decreasing(cand):
-                out.add(cand, mult)
-    return out
+    mus = product(*([c + half - o for o in range(v + 2)] for c, v in zip(lam.coords, nu)))
+    return ModuleDecomposition(lam.rank, {
+        Weight(mu): mult for mu, mult in zip(mus, _spin_multiplicities(nu))})
 
 
 def select_cohomology(P: CentralCharPoly, lam: Weight,
-                      tensor: ModuleDecomposition) -> ModuleDecomposition:
-    """The part of ``tensor`` = L(lam) (x) spin whose weights mu satisfy
-    P(lam) = P(mu - (1/2,...,1/2)), with its multiplicities."""
+                      nu: tuple[int, ...]) -> ModuleDecomposition:
+    """The part of L(lam) (x) spin, for the box of nu, whose classes mu
+    satisfy P(lam) = P(mu - (1/2,...,1/2)), with its multiplicities."""
     target = P.value(lam)
-    n = lam.rank
-    out = ModuleDecomposition(rank=n)
-    for mu, mult in tensor.entries.items():
-        if P.value(mu - half_vector(n)) == target:
-            out.add(mu, mult)
-    return out
+    shift = half_vector(lam.rank) - rho(lam.rank)
+    return ModuleDecomposition(lam.rank, {
+        Weight(point) + shift: mult
+        for point, mult, value in spin_grid(P, lam, nu) if value == target})
 
 
 def dirac_cohomology(P: CentralCharPoly, lam: Weight) -> ModuleDecomposition:
@@ -229,8 +283,7 @@ def dirac_cohomology(P: CentralCharPoly, lam: Weight) -> ModuleDecomposition:
     gl_n decomposition: the part of L(lam) (x) spin whose weights mu satisfy
     P(lam) = P(mu - (1/2,...,1/2)).
     """
-    nu = nu_vector(P, lam)
-    return select_cohomology(P, lam, tensor_with_spin(L_decomposition(lam, nu)))
+    return select_cohomology(P, lam, nu_vector(P, lam))
 
 
 def guaranteed_classes(P: CentralCharPoly, lam: Weight,

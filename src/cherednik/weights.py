@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .polynomials import InvariantViolation, Poly, Scalar, _as_fraction, xi_to_w
@@ -111,15 +112,22 @@ def weyl_dim(w: Weight) -> int:
 
 def weyl_dim_formal(w: Weight) -> int:
     """The Weyl dimension product without the dominance check; 0 on boundary
-    weights."""
+    weights. In integers: with d the common denominator of w and s = w + rho,
+    prod_{i<j} d (s_i - s_j) over d^(n(n-1)/2) prod_{i<j} (j - i), one exact
+    division."""
     n = w.rank
-    num = Fraction(1)
+    d = lcm(*(c.denominator for c in w.coords))
+    y = [c.numerator * (d // c.denominator) for c in w.coords]
+    num = den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            num *= Fraction(w.coords[i] - w.coords[j] + j - i, j - i)
-    if num.denominator != 1:
-        raise InvariantViolation(f"Weyl dimension product {num} is not an integer")
-    return int(num)
+            num *= y[i] - y[j] + d * (j - i)
+            den *= d * (j - i)
+    dim, rest = divmod(num, den)
+    if rest:
+        raise InvariantViolation(f"Weyl dimension product {Fraction(num, den)} "
+                                 "is not an integer")
+    return dim
 
 
 def complete_homogeneous(k: int, point: Sequence):

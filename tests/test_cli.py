@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, determinism, wire format."""
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,11 +12,13 @@ import cherednik.cli as cli
 import cherednik.modules as modules
 
 EXAMPLE_ARGS = ["--n", "2", "--P-h", "0,18,-9/2,-2,1/2", "--lambda-plus-rho", "3,0"]
+# Child interpreters import the package from this checkout's src.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "cherednik", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
 
 
 def test_transform_example():
@@ -214,7 +217,7 @@ def test_fault_query_answers_within_bit_size_cost():
     R = 10 ** 20 + 7
     res = subprocess.run([sys.executable, "-m", "cherednik", "classify", "--n", "1",
                           f"--P-h=0,{2 * R},{R + 2},1", "--lambda=0", "--json"],
-                         capture_output=True, text=True, timeout=10)
+                         capture_output=True, text=True, timeout=10, env=CHILD_ENV)
     assert res.returncode == 0
     assert json.loads(res.stdout)["nu"] == [1]
 
@@ -254,14 +257,15 @@ def _count_calls(monkeypatch, names):
 
 
 STAGES = ["membership_detail", "nu_vector", "L_decomposition", "tensor_with_spin",
-          "dirac_cohomology", "select_cohomology", "guaranteed_classes"]
+          "dirac_cohomology", "select_cohomology", "spin_grid", "guaranteed_classes"]
 
 
 @pytest.mark.parametrize("cmd,want", [
     ("classify", {"membership_detail": 1, "nu_vector": 1, "L_decomposition": 1}),
     ("dirac", {"membership_detail": 1, "nu_vector": 1, "L_decomposition": 1,
-               "tensor_with_spin": 1, "select_cohomology": 1, "guaranteed_classes": 1}),
-    ("tables", {"membership_detail": 1, "nu_vector": 1}),
+               "tensor_with_spin": 1, "select_cohomology": 1, "spin_grid": 1,
+               "guaranteed_classes": 1}),
+    ("tables", {"membership_detail": 1, "nu_vector": 1, "spin_grid": 1}),
 ])
 def test_each_stage_runs_once_per_request(monkeypatch, capsys, cmd, want):
     counts = _count_calls(monkeypatch, STAGES)
@@ -295,7 +299,7 @@ def test_box_over_budget_is_a_diagnostic(command, p_h, nu):
     # would fill memory) is refused before anything is built.
     res = subprocess.run([sys.executable, "-m", "cherednik", command, "--n", "1",
                           f"--P-h={p_h}", "--lambda=0", "--json"],
-                         capture_output=True, text=True, timeout=10)
+                         capture_output=True, text=True, timeout=10, env=CHILD_ENV)
     assert res.returncode == 3, res.stderr
     assert res.stderr == ""
     doc = json.loads(res.stdout)
@@ -306,6 +310,26 @@ def test_box_over_budget_is_a_diagnostic(command, p_h, nu):
     assert [g["weight"] for g in doc["guaranteed"]] == [["1/2"], [f"{-2 * nu - 1}/2"]]
     text = subprocess.run([sys.executable, "-m", "cherednik", command, "--n", "1",
                            f"--P-h={p_h}", "--lambda=0"],
-                          capture_output=True, text=True, timeout=10)
+                          capture_output=True, text=True, timeout=10, env=CHILD_ENV)
     assert text.returncode == 3
     assert text.stdout.startswith(f"box too large: nu = [{nu}]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--n", "1", "--P-h=0,20001,1", "--lambda=0", "--json"],
+    ["dirac", "--n", "1", "--P-h=0,20001,1", "--lambda=0"],
+])
+def test_closed_stdout_ends_quietly_with_the_commands_exit_code(argv):
+    # A reader that takes one line and goes away (as `| head -1` does) while
+    # the command is still writing megabytes: no traceback, exit code 0.
+    proc = subprocess.Popen([sys.executable, "-m", "cherednik", *argv], env=CHILD_ENV,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=30) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert stderr == b""

@@ -16,7 +16,6 @@ from cherednik.modules import (
     NotInClassificationError,
     dirac_cohomology,
     guaranteed_classes,
-    lambda_tilde_member,
     membership_detail,
     nu_vector,
     tensor_with_spin,
@@ -44,11 +43,11 @@ def shifted_multiset(d: ModuleDecomposition):
 
 def test_membership_examples():
     P1 = CentralCharPoly.from_xi(Poly.of(0, 1), 1)   # w = z^2 + z
-    assert lambda_tilde_member(P1, Weight.of(F(3, 2))) == 3
-    assert lambda_tilde_member(EXAMPLE_P, EXAMPLE_LAM) == 2
+    assert membership_detail(P1, Weight.of(F(3, 2)))[0] == 3
+    assert membership_detail(EXAMPLE_P, EXAMPLE_LAM)[0] == 2
     Pconst = CentralCharPoly.from_xi(Poly.of(7), 1)  # w = 7z, no positive root
     for lam in (F(0), F(1), F(5, 2), F(-3)):
-        assert lambda_tilde_member(Pconst, Weight.of(lam)) is None
+        assert membership_detail(Pconst, Weight.of(lam))[0] is None
 
 
 def test_membership_degenerate_deformation():
@@ -61,7 +60,7 @@ def test_membership_degenerate_deformation():
 
 def test_membership_rejects_non_dominant():
     with pytest.raises(ValueError):
-        lambda_tilde_member(EXAMPLE_P, Weight.of(0, 1))
+        membership_detail(EXAMPLE_P, Weight.of(0, 1))[0]
 
 
 def test_nu_vector_examples():
@@ -79,7 +78,7 @@ def test_nu_vector_dominance_escape():
     P = CentralCharPoly.from_xi(Poly.of(0, 1), 2)
     assert P.h_coeffs == (F(0), F(3, 2), F(1))
     lam = Weight.of(1, 1)
-    assert lambda_tilde_member(P, lam) == 3
+    assert membership_detail(P, lam)[0] == 3
     assert nu_vector(P, lam) == (0, 3)
 
 
@@ -115,8 +114,7 @@ def test_L_decomposition_box():
 
 def test_tensor_with_spin_rank_one_pattern():
     lam, nu = F(3, 2), 3
-    L = L_decomposition(Weight.of(lam), (nu,))
-    T = tensor_with_spin(L)
+    T = tensor_with_spin(Weight.of(lam), (nu,))
     got = {w.coords[0]: m for w, m in T.entries.items()}
     expected = {lam + F(1, 2): 1, lam - nu - F(1, 2): 1}
     for k in range(nu + 1):
@@ -126,8 +124,7 @@ def test_tensor_with_spin_rank_one_pattern():
 
 
 def test_tensor_with_spin_example_grid():
-    L = L_decomposition(EXAMPLE_LAM, (2, 2))
-    T = tensor_with_spin(L)
+    T = tensor_with_spin(EXAMPLE_LAM, (2, 2))
     # multiplicities over the shifted grid (3.5,0.5)..(0.5,-2.5): 1,2,2,1 pattern
     for i1, a in enumerate((F(7, 2), F(5, 2), F(3, 2), F(1, 2))):
         for i2, b in enumerate((F(1, 2), F(-1, 2), F(-3, 2), F(-5, 2))):
@@ -139,8 +136,7 @@ def test_tensor_with_spin_example_grid():
 
 
 def test_tensor_with_spin_trivial():
-    L = L_decomposition(Weight.of(2), (0,))
-    T = tensor_with_spin(L)
+    T = tensor_with_spin(Weight.of(2), (0,))
     assert {w.coords[0]: m for w, m in T.entries.items()} == {F(5, 2): 1, F(3, 2): 1}
 
 
@@ -165,7 +161,7 @@ def test_dirac_cohomology_degenerate_keeps_everything():
     Pzero = CentralCharPoly.from_xi(Poly.zero(), 2)
     lam = Weight.of(2, 0)
     coh = dirac_cohomology(Pzero, lam)
-    full = tensor_with_spin(L_decomposition(lam, nu_vector(Pzero, lam)))
+    full = tensor_with_spin(lam, nu_vector(Pzero, lam))
     assert coh == full
 
 
@@ -177,7 +173,7 @@ def test_dirac_cohomology_rejects_nonmember():
 def test_cohomology_subset_of_tensor():
     for _ in range(5):
         coh = dirac_cohomology(EXAMPLE_P, EXAMPLE_LAM)
-        T = tensor_with_spin(L_decomposition(EXAMPLE_LAM, (2, 2)))
+        T = tensor_with_spin(EXAMPLE_LAM, (2, 2))
         assert coh.is_submultiset_of(T)
 
 
@@ -211,7 +207,8 @@ def test_constant_shift_of_P_is_invisible():
     assert nu_vector(shifted_P, EXAMPLE_LAM) == nu_vector(EXAMPLE_P, EXAMPLE_LAM)
 
 
-def _conservation_holds(L: ModuleDecomposition) -> bool:
+def _conservation_holds(lam: Weight, nu: tuple[int, ...]) -> bool:
+    L = L_decomposition(lam, nu)
     n = L.rank
     half = F(1, 2)
     total = 0
@@ -221,18 +218,16 @@ def _conservation_holds(L: ModuleDecomposition) -> bool:
             total += mult * weyl_dim_formal(cand)
     if total != 2 ** n * L.total_dimension():
         return False
-    return tensor_with_spin(L).total_dimension() == 2 ** n * L.total_dimension()
+    return tensor_with_spin(lam, nu).total_dimension() == 2 ** n * L.total_dimension()
 
 
 def test_dimension_conservation():
     # classified instances at ranks 1 and 2
-    L1 = L_decomposition(Weight.of(F(3, 2)), (3,))
-    L2 = L_decomposition(EXAMPLE_LAM, (2, 2))
-    # synthetic boxes at rank 3 (conservation is independent of P)
-    L3a = L_decomposition(Weight.of(5, 2, 0), (2, 1, 3))
-    L3b = L_decomposition(Weight.of(F(7, 2), F(5, 2), F(5, 2)), (0, 0, 4))
-    for L in (L1, L2, L3a, L3b):
-        assert _conservation_holds(L)
+    boxes = [(Weight.of(F(3, 2)), (3,)), (EXAMPLE_LAM, (2, 2)),
+             # synthetic boxes at rank 3 (conservation is independent of P)
+             (Weight.of(5, 2, 0), (2, 1, 3)), (Weight.of(F(7, 2), F(5, 2), F(5, 2)), (0, 0, 4))]
+    for lam, nu in boxes:
+        assert _conservation_holds(lam, nu)
 
 
 def test_rank_three_classified_instance():
@@ -240,22 +235,21 @@ def test_rank_three_classified_instance():
     P = CentralCharPoly.from_xi(Poly.of(0, 1), 3)
     assert P.h_coeffs == (F(0), F(2), F(1))
     lam = Weight.of(2, 1, 0)   # shifted (3, 1, -1)
-    assert lambda_tilde_member(P, lam) == 3
+    assert membership_detail(P, lam)[0] == 3
     nu = nu_vector(P, lam)
     assert nu == (1, 1, 3)
     L = L_decomposition(lam, nu)
     assert len(L.entries) == 2 * 2 * 4
-    assert _conservation_holds(L)
+    assert _conservation_holds(lam, nu)
     coh = dirac_cohomology(P, lam)
-    assert coh.is_submultiset_of(tensor_with_spin(L))
+    assert coh.is_submultiset_of(tensor_with_spin(lam, nu))
     for w in guaranteed_classes(P, lam):
         assert coh.multiplicity(w) == 1
 
     # the zero weight: trivial module, box (0,0,0)
     zero = Weight.of(0, 0, 0)
     assert nu_vector(P, zero) == (0, 0, 0)
-    Lz = L_decomposition(zero, (0, 0, 0))
-    assert _conservation_holds(Lz)
+    assert _conservation_holds(zero, (0, 0, 0))
 
 
 def test_sorted_items_order_is_descending_lex_on_shift():
@@ -320,7 +314,7 @@ def test_nu_vector_matches_scan_on_planted_instances():
     members = hits = 0
     for _ in range(150):
         P, lam = planted_instance(rng)
-        last = lambda_tilde_member(P, lam)
+        last = membership_detail(P, lam)[0]
         if last is None:
             with pytest.raises(NotInClassificationError):
                 nu_vector(P, lam)

@@ -4,7 +4,10 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cherednik.polynomials import InvariantViolation
 from cherednik.weights import (
     CentralCharPoly,
     Weight,
@@ -160,3 +163,56 @@ def test_h_coeff_trimming():
 def test_value_shifts_by_rho():
     lam = Weight.of(F(5, 2), F(1, 2))
     assert EXAMPLE_P.value(lam) == EXAMPLE_P.evaluate([F(3), F(0)]) == 0
+
+
+def fraction_weyl_dim(w: Weight) -> int:
+    """Reference: the Weyl dimension product over Fractions, one factor
+    (w_i - w_j + j - i)/(j - i) at a time; InvariantViolation when it is not
+    an integer."""
+    n = w.rank
+    num = F(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= F(w.coords[i] - w.coords[j] + j - i, j - i)
+    if num.denominator != 1:
+        raise InvariantViolation(f"Weyl dimension product {num} is not an integer")
+    return int(num)
+
+
+@st.composite
+def rational_weights(draw):
+    """Weights of rank 1-5 with small rational coordinates, some consecutive
+    pairs forced onto a boundary (w_{i+1} = w_i + 1, equal shifted
+    coordinates, formal dimension 0) and some made integral steps apart."""
+    n = draw(st.integers(1, 5))
+    coords = [F(draw(st.integers(-30, 30)), draw(st.sampled_from((1, 2, 3, 4, 6))))]
+    for _ in range(n - 1):
+        kind = draw(st.sampled_from(("boundary", "integral", "free")))
+        if kind == "boundary":
+            coords.append(coords[-1] + 1)
+        elif kind == "integral":
+            coords.append(coords[-1] - draw(st.integers(-3, 12)))
+        else:
+            coords.append(F(draw(st.integers(-30, 30)), draw(st.sampled_from((1, 2, 3, 5)))))
+    return Weight(tuple(coords))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_weights())
+def test_weyl_dim_formal_matches_fraction_product(w):
+    try:
+        want = fraction_weyl_dim(w)
+    except InvariantViolation:
+        with pytest.raises(InvariantViolation):
+            weyl_dim_formal(w)
+        return
+    assert weyl_dim_formal(w) == want
+
+
+def test_weyl_dim_formal_integer_edges():
+    assert weyl_dim_formal(Weight.of(3, 4)) == 0              # boundary: shifts coincide
+    assert weyl_dim_formal(Weight.of(F(1, 3), F(1, 3), F(-2, 3))) == fraction_weyl_dim(
+        Weight.of(F(1, 3), F(1, 3), F(-2, 3)))
+    assert weyl_dim_formal(Weight.of(F(7, 2), F(3, 2), F(-1, 2))) == 3 * 6 * 3 // 2
+    with pytest.raises(InvariantViolation):
+        weyl_dim_formal(Weight.of(F(1, 3), 0))                # (4/3) is no integer
