@@ -12,7 +12,9 @@ single JSON document with sorted keys and deterministic entry order; every
 rational is serialized as "p/q" (or "p"), never as a float.
 
 Exit codes: 0 success, 1 mathematical rejection (the weight heads no
-finite-dimensional module) or verification failure, 2 usage or parse error,
+finite-dimensional module: error code "not-classified", or "not-dominant"
+for a weight that is not dominant) or verification failure, 2 usage or
+parse error (including verify's --trials < 1, --max-n < 1, --max-deg < 0),
 3 box too large: the grid over the box of nu, prod(nu_i + 2) points, exceeds
 modules.MAX_GRID; nu, the grid size and the guaranteed classes (which need
 only nu) are reported instead, error code "box-too-large". Each command
@@ -45,7 +47,7 @@ from .modules import (
 )
 from .polynomials import Poly, xi_to_density, xi_to_density_sum, xi_to_w
 from .verify import run_suites
-from .weights import CentralCharPoly, Weight, rho
+from .weights import CentralCharPoly, Weight, is_dominant, rho
 
 
 class UsageError(Exception):
@@ -209,9 +211,9 @@ def _emit(args, doc: dict, text_lines: Callable[[], list[str]]) -> str:
     return _json(doc) if args.json else "\n".join(text_lines())
 
 
-def _reject(args, doc: dict, message: str) -> Outcome:
+def _reject(args, doc: dict, code: str, message: str) -> Outcome:
     doc = dict(doc)
-    doc["error"] = {"code": "not-classified", "message": message}
+    doc["error"] = {"code": code, "message": message}
     return 1, _json(doc) if args.json else f"rejected: {message}"
 
 
@@ -278,9 +280,10 @@ class Classified(NamedTuple):
 
 def _classified(args, command: str, derived: bool = True) -> Classified:
     """The stages classify, dirac and tables share, each run once: parse the
-    deformation and the weight, membership, nu and the grid budget. A
-    non-member or a box over budget ends the request in its diagnostic
-    (Answered). ``derived`` adds the --xi ladder to the document."""
+    deformation and the weight, dominance, membership, nu and the grid
+    budget. A non-dominant weight, a non-member or a box over budget ends
+    the request in its diagnostic (Answered). ``derived`` adds the --xi
+    ladder to the document."""
     deformation = Deformation.from_args(args)
     P = deformation.central_char()
     lam = _parse_weight(args, deformation.n)
@@ -288,9 +291,14 @@ def _classified(args, command: str, derived: bool = True) -> Classified:
                                              **_weight_json_input(lam))}
     if derived and deformation.xi is not None:
         doc["derived"] = deformation.derived_json()
+    if not is_dominant(lam):
+        raise Answered(_reject(args, doc, "not-dominant", (
+            f"lambda = ({', '.join(map(str, lam.coords))}) is not dominant (some "
+            "lambda_i - lambda_(i+1) is not a nonnegative integer): the weight "
+            "heads no finite-dimensional module")))
     doc["membership"], membership = _membership_block(P, lam)
     if membership[0] is None:
-        raise Answered(_reject(args, doc, REJECT_MESSAGE))
+        raise Answered(_reject(args, doc, "not-classified", REJECT_MESSAGE))
     nu = nu_vector(P, lam, membership)
     try:
         check_grid_size(nu)
@@ -397,6 +405,10 @@ def _render_grid(cells: list[list[str]]) -> list[str]:
 
 
 def cmd_verify(args) -> Outcome:
+    for flag, value, least in (("--max-n", args.max_n, 1), ("--max-deg", args.max_deg, 0),
+                               ("--trials", args.trials, 1)):
+        if value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     results = run_suites(args.suite, max_n=args.max_n, max_deg=args.max_deg,
                          trials=args.trials, seed=args.seed)
     ok = all(r.ok for r in results)

@@ -22,18 +22,19 @@ U(gl_n) by a_kl -> E_lk (the trace pairing) followed by symmetrization
 (average over all factor orderings). Then kappa(y_j, x_i) = sum_m xi_m r_m,
 kappa vanishes on pairs of the same species, and extends skew-symmetrically.
 
-The certificates: with h > v := h.v - eps(h) v and [h, v] = (h_(1) > v) h_(2)
-computed in the free module V (x) U, the cyclic Jacobi identity, the
-wedge-square symmetry, the wedge-cube vanishing, and adjoint-action linearity
-are checked on all basis tuples. Jacobi + linearity certify flatness of the
-deformation at the given rank.
+The certificates share one leg invariant (v_1..v_k | h): deal the PBW
+positions of h into k+1 coproduct legs, act with the first k on v_1..v_k
+(through h > v := h.v - eps(h) v, so an empty leg gives 0), wedge, tensor the
+last leg. Jacobi is sum_cyc (c | kappa(a,b)) = 0 with (v | h) = [h, v] (k = 1),
+the wedge square (z,u | kappa(x,y)) = (x,y | kappa(z,u)) (k = 2), the wedge
+cube (z,u,v | kappa(x,y)) = 0 (k = 3); with adjoint linearity they certify flatness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .lincomb import ONE, LinComb, rewriting
 from .polynomials import Poly
@@ -80,47 +81,56 @@ class UEAElement(LinComb):
         return f"UEA({parts or '0'})"
 
 
-def _splits(mono: Monomial):
-    """(left, right) for every subset of positions sent left; subsequences
-    of a sorted monomial stay sorted."""
-    for pick in product((0, 1), repeat=len(mono)):
-        yield (tuple(g for g, p in zip(mono, pick) if p == 0),
-               tuple(g for g, p in zip(mono, pick) if p == 1))
+def _legs(mono: Monomial, k: int):
+    """The k legs of every assignment of a monomial's positions to k legs, in
+    product order; subsequences of a sorted monomial stay sorted."""
+    for assign in product(range(k), repeat=len(mono)):
+        legs: list[list[Gen]] = [[] for _ in range(k)]
+        for g, b in zip(mono, assign):
+            legs[b].append(g)
+        yield tuple(map(tuple, legs))
+
+
+@lru_cache(maxsize=None)
+def _acting_legs(mono: Monomial, k: int) -> tuple[tuple[Monomial, ...], ...]:
+    """The deals of a monomial into k+1 legs whose first k (acting) legs are
+    all non-empty, since an empty leg acts through > as zero; once per monomial."""
+    return tuple(legs for legs in _legs(mono, k + 1) if all(legs[:k]))
 
 
 def coproduct(a: UEAElement) -> dict[tuple[Monomial, Monomial], Fraction]:
     """Two-fold coproduct; generators are primitive, so a monomial splits as
     the sum over position subsets."""
-    return LinComb.collect((split, c) for mono, c in a.terms.items()
-                           for split in _splits(mono)).terms
+    return LinComb.collect((legs, c) for mono, c in a.terms.items()
+                           for legs in _legs(mono, 2)).terms
 
 
-def _act_gen(gen: Gen, v: VBasis) -> tuple[VBasis, Fraction] | None:
+def _act_gen(gen: Gen, v: VBasis) -> tuple[VBasis, int] | None:
     i, j = gen
     kind, k = v
     if kind == "y":
-        return (("y", i), Fraction(1)) if j == k else None
-    return (("x", j), Fraction(-1)) if i == k else None
+        return (("y", i), 1) if j == k else None
+    return (("x", j), -1) if i == k else None
 
 
-def _act_monomial(mono: Monomial, v: VBasis) -> dict[VBasis, Fraction]:
-    """Each generator sends a basis vector to at most one basis vector, so
-    the image is a single term or zero."""
-    coeff = ONE
+def _act_monomial(mono: Monomial, v: VBasis) -> tuple[VBasis, int] | None:
+    """Each generator sends a basis vector to at most one basis vector, with
+    sign +-1, so the image is a single term (vector, sign) or zero (None)."""
+    sign = 1
     for gen in reversed(mono):
         hit = _act_gen(gen, v)
         if hit is None:
-            return {}
+            return None
         v, c = hit
-        coeff *= c
-    return {v: coeff}
+        sign *= c
+    return v, sign
 
 
 def act_on_v(a: UEAElement, v: VBasis) -> dict[VBasis, Fraction]:
     """The module action of U(gl_n) on V = h + h*, as a combination of basis
     vectors."""
-    return LinComb.collect((b, c * c2) for mono, c in a.terms.items()
-                           for b, c2 in _act_monomial(mono, v).items()).terms
+    return LinComb.collect((hit[0], c * hit[1]) for mono, c in a.terms.items()
+                           if (hit := _act_monomial(mono, v))).terms
 
 
 def v_basis(n: int) -> list[VBasis]:
@@ -203,39 +213,18 @@ class KappaMap:
             return self.entries.get((a, b), UEAElement.zero())
         return -self.entries.get((b, a), UEAElement.zero())
 
-    def extend(self, va: dict[VBasis, Fraction], vb: dict[VBasis, Fraction]) -> UEAElement:
-        out = UEAElement.zero()
-        for a, ca in va.items():
-            for b, cb in vb.items():
-                out = out + self.pair(a, b) * (ca * cb)
-        return out
-
 
 def kappa_from_r_matrices(xi: Poly, rmats, n: int) -> KappaMap:
-    entries: dict[tuple[VBasis, VBasis], UEAElement] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            acc = UEAElement.zero()
-            for m, coeff in enumerate(xi.coeffs):
-                if coeff:
-                    acc = acc + rmats[m][i - 1][j - 1] * coeff
-            entries[(("y", j), ("x", i))] = acc
-    return KappaMap(n, entries)
+    return KappaMap(n, {
+        (("y", j), ("x", i)): sum((rmats[m][i - 1][j - 1] * c
+                                   for m, c in enumerate(xi.coeffs) if c), UEAElement())
+        for i in range(1, n + 1) for j in range(1, n + 1)})
 
 
 def kappa_of(xi: Poly, n: int) -> KappaMap:
     """kappa(y_j, x_i) = sum_m xi_m r_m(x_i, y_j)."""
     rmats = [r_matrix(n, m) for m in range(len(xi.coeffs))]
     return kappa_from_r_matrices(xi, rmats, n)
-
-
-def _bracket_into_vh(h: UEAElement, v: VBasis) -> LinComb:
-    """[h, v] = (h_(1) > v) h_(2) as an element of the free module V (x) U,
-    keyed by (basis vector, monomial); the empty left factor contributes
-    nothing since 1 > v = 0."""
-    return LinComb.collect(((b, right), c * c2) for mono, c in h.terms.items()
-                           for left, right in _splits(mono) if left
-                           for b, c2 in _act_monomial(left, v).items())
 
 
 @dataclass
@@ -248,19 +237,6 @@ class CheckReport:
         return self.ok
 
 
-def jacobi_check(kappa: KappaMap, n: int) -> CheckReport:
-    """Cyclic identity [kappa(u,v), w] + [kappa(v,w), u] + [kappa(w,u), v] = 0
-    over all ordered basis triples; reports the first offending triple."""
-    basis = v_basis(n)
-    for u, v, w in product(basis, repeat=3):
-        residual = LinComb.zero()
-        for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
-            residual = residual + _bracket_into_vh(kappa.pair(a, b), c)
-        if not residual.is_zero():
-            return CheckReport(False, witness=(u, v, w), residual=residual.terms)
-    return CheckReport(True)
-
-
 def _exterior_rule(a: VBasis, b: VBasis) -> list[tuple[tuple, Fraction]] | None:
     """v w = -w v and v v = 0 in the exterior algebra."""
     if a < b:
@@ -271,46 +247,52 @@ def _exterior_rule(a: VBasis, b: VBasis) -> list[tuple[tuple, Fraction]] | None:
 _wedge_normalize = rewriting(_exterior_rule)
 
 
-def _wedge_invariant(kappa: KappaMap, vs: tuple[VBasis, ...],
-                     x: VBasis, y: VBasis) -> LinComb:
-    """(v_1,..,v_k | x, y): apply the first k coproduct legs of kappa(x, y)
-    through > to v_1..v_k, wedge the results, tensor the last leg."""
+def _leg_invariant(h: UEAElement, vs: tuple[VBasis, ...]) -> LinComb:
+    """(v_1..v_k | h) in V^(wedge k) (x) U, keyed by (wedge word, last leg): act
+    with the acting legs of each monomial on v_1..v_k, wedge, tensor the last."""
     k = len(vs)
-    h = kappa.pair(x, y)
     out: list[tuple[tuple, Fraction]] = []
     for mono, c in h.terms.items():
-        for assign in product(range(k + 1), repeat=len(mono)):
-            blocks: list[list[Gen]] = [[] for _ in range(k + 1)]
-            for g, b in zip(mono, assign):
-                blocks[b].append(g)
-            if any(not blocks[b] for b in range(k)):
-                continue  # empty leg acts through > as zero
-            acted = [_act_monomial(tuple(blocks[b]), vs[b]) for b in range(k)]
-            if any(not a for a in acted):
-                continue
-            tail = tuple(blocks[k])
-            for combo in product(*(a.items() for a in acted)):
-                for vec, sign in _wedge_normalize(tuple(b for b, _ in combo)):
-                    coeff = c * sign
-                    for _, cc in combo:
-                        coeff *= cc
-                    out.append(((vec, tail), coeff))
+        for legs in _acting_legs(mono, k):
+            coeff, word = c, []
+            for leg, v in zip(legs, vs):
+                hit = _act_monomial(leg, v)
+                if hit is None:
+                    break
+                word.append(hit[0])
+                coeff *= hit[1]
+            else:
+                out.extend(((vec, legs[k]), coeff * sign)
+                           for vec, sign in _wedge_normalize(tuple(word)))
     return LinComb.collect(out)
 
 
-def higher_jacobi_checks(kappa: KappaMap, n: int) -> CheckReport:
-    """Wedge-square symmetry (z,u|x,y) = (x,y|z,u) and wedge-cube vanishing
-    (z,u,v|x,y) = 0 over all basis tuples."""
+def jacobi_check(kappa: KappaMap, n: int) -> CheckReport:
+    """Cyclic identity [kappa(u,v), w] + [kappa(v,w), u] + [kappa(w,u), v] = 0
+    on all ordered basis triples, each bracket once; reports the first failing."""
     basis = v_basis(n)
-    for z, u, x, y in product(basis, repeat=4):
-        lhs = _wedge_invariant(kappa, (z, u), x, y)
-        rhs = _wedge_invariant(kappa, (x, y), z, u)
-        if lhs != rhs:
-            return CheckReport(False, witness=("square", z, u, x, y))
-    for x, y in product(basis, repeat=2):
-        for z, u, v in product(basis, repeat=3):
-            if not _wedge_invariant(kappa, (z, u, v), x, y).is_zero():
-                return CheckReport(False, witness=("cube", z, u, v, x, y))
+    bracket = {(a, b, c): _leg_invariant(kappa.pair(a, b), (c,))
+               for a, b, c in product(basis, repeat=3)}
+    for u, v, w in product(basis, repeat=3):
+        residual = bracket[u, v, w] + bracket[v, w, u] + bracket[w, u, v]
+        if not residual.is_zero():
+            return CheckReport(False, witness=(u, v, w), residual=residual.terms)
+    return CheckReport(True)
+
+
+def higher_jacobi_checks(kappa: KappaMap, n: int) -> CheckReport:
+    """Wedge-square symmetry (z,u | kappa(x,y)) = (x,y | kappa(z,u)), each
+    unordered pair of pairs compared once, and wedge-cube vanishing
+    (z,u,v | kappa(x,y)) = 0; reports the first failing tuple in product order."""
+    basis = v_basis(n)
+    h = {pair: kappa.pair(*pair) for pair in product(basis, repeat=2)}
+    for zu, xy in combinations(h, 2):
+        if _leg_invariant(h[xy], zu) != _leg_invariant(h[zu], xy):
+            return CheckReport(False, witness=("square", *zu, *xy))
+    for xy in h:
+        for zuv in product(basis, repeat=3):
+            if not _leg_invariant(h[xy], zuv).is_zero():
+                return CheckReport(False, witness=("cube", *zuv, *xy))
     return CheckReport(True)
 
 
@@ -318,14 +300,16 @@ def h_linearity_check(kappa: KappaMap, n: int) -> CheckReport:
     """Adjoint linearity on generators: [E, kappa(v, w)] = kappa(E.v, w) +
     kappa(v, E.w) for every generator E and V-basis pair."""
     basis = v_basis(n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            e = UEAElement.generator(i, j)
-            for v, w in product(basis, repeat=2):
-                lhs = e.commutator(kappa.pair(v, w))
-                rhs = kappa.extend(act_on_v(e, v), {w: Fraction(1)})
-                rhs = rhs + kappa.extend({v: Fraction(1)}, act_on_v(e, w))
-                if lhs != rhs:
-                    return CheckReport(False, witness=((i, j), v, w),
-                                       residual=(lhs - rhs).terms)
+    for gen in product(range(1, n + 1), repeat=2):
+        e = UEAElement.generator(*gen)
+        for v, w in product(basis, repeat=2):
+            lhs = e.commutator(kappa.pair(v, w))
+            rhs = UEAElement.zero()
+            if hit := _act_gen(gen, v):
+                rhs = rhs + kappa.pair(hit[0], w) * hit[1]
+            if hit := _act_gen(gen, w):
+                rhs = rhs + kappa.pair(v, hit[0]) * hit[1]
+            if lhs != rhs:
+                return CheckReport(False, witness=(gen, v, w),
+                                   residual=(lhs - rhs).terms)
     return CheckReport(True)

@@ -191,13 +191,12 @@ def _check_box(lam: Weight, nu: tuple[int, ...]) -> None:
 
 def L_decomposition(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
     """The box {lam - nu' : 0 <= nu' <= nu componentwise}, multiplicity one.
-    Raises ValueError or BoxTooLargeError as _check_box does."""
+    Raises ValueError or BoxTooLargeError as _check_box does; past that
+    check every weight of the box is dominant, so none is re-checked."""
     _check_box(lam, nu)
-    n = lam.rank
-    out = ModuleDecomposition(rank=n)
-    for offsets in product(*(range(v + 1) for v in nu)):
-        out.add(Weight(tuple(c - o for c, o in zip(lam.coords, offsets))), 1)
-    return out
+    return ModuleDecomposition(lam.rank, {
+        Weight(tuple(c - o for c, o in zip(lam.coords, offsets))): 1
+        for offsets in product(*(range(v + 1) for v in nu))})
 
 
 def _spin_multiplicities(nu: tuple[int, ...]) -> Iterator[int]:

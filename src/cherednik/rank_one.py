@@ -159,20 +159,20 @@ def weight_labels(module: RankOneModule) -> list[Fraction]:
 def oracle_cohomology(xi: Poly, lam) -> ModuleDecomposition:
     """
     Dirac cohomology computed from matrices alone: assemble D, check that
-    ker D = ker D^2 and ker D meets im D trivially (rank D = rank D^2), and
-    decompose ker D^2 by the weight grading. Checks that D^2 is
-    block-diagonal across weights and acts on the weight-mu block by the
-    scalar 2 P(lam) - 2 P(mu - 1/2).
+    ker D = ker D^2 and ker D meets im D trivially, and decompose ker D^2 by
+    the weight grading. For the square matrix D both conditions are
+    rank D = rank D^2 (rank-nullity), so each matrix is ranked once and
+    every nullity is size - rank. Checks that D^2 is block-diagonal across
+    weights and acts on the weight-mu block by the scalar
+    2 P(lam) - 2 P(mu - 1/2).
     """
     module = build_module(xi, lam)
     d = dirac_matrix(module)
     d2 = mat_mul(d, d)
 
-    rank_d, rank_d2 = mat_rank(d), mat_rank(d2)
-    size = len(d)
-    _require(rank_d + nullity(d) == size, "rank + nullity of D is not its size")
-    _require(nullity(d) == nullity(d2), "D and D^2 must have the same kernel")
-    _require(rank_d == rank_d2, "ker D must meet im D trivially")
+    size, rank_d, rank_d2 = len(d), mat_rank(d), mat_rank(d2)
+    _require(rank_d == rank_d2,
+             "rank D != rank D^2: ker D must equal ker D^2 and meet im D trivially")
 
     labels = weight_labels(module)
     P = CentralCharPoly.from_xi(xi, 1)
@@ -195,5 +195,5 @@ def oracle_cohomology(xi: Poly, lam) -> ModuleDecomposition:
         if expected == 0:
             out.add(Weight.of(mu), len(idxs))
     total = out.total_dimension()
-    _require(total == nullity(d2), "cohomology dimension is not the nullity of D^2")
+    _require(total == size - rank_d2, "cohomology dimension is not the nullity of D^2")
     return out

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -59,14 +60,15 @@ class Weight:
 
     def shifted(self) -> tuple[Fraction, ...]:
         """Coordinates of self + rho(rank)."""
-        return (self + rho(self.rank)).coords
+        return tuple(a + b for a, b in zip(self.coords, rho(self.rank).coords))
 
     def __repr__(self) -> str:
         return "Weight(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
+@lru_cache(maxsize=None)
 def rho(n: int) -> Weight:
-    """The Weyl vector ((n-1)/2, (n-3)/2, ..., (1-n)/2)."""
+    """The Weyl vector ((n-1)/2, (n-3)/2, ..., (1-n)/2), built once per rank."""
     if n < 1:
         raise ValueError("rank must be positive")
     return Weight(tuple(Fraction(n - 1 - 2 * i, 2) for i in range(n)))

@@ -333,3 +333,37 @@ def test_closed_stdout_ends_quietly_with_the_commands_exit_code(argv):
         proc.kill()
         proc.wait()
     assert stderr == b""
+
+
+@pytest.mark.parametrize("argv,lam", [
+    (["classify", "--n", "2", "--P-h", "0,1", "--lambda", "1/2,0"], "(1/2, 0)"),
+    (["dirac", "--n", "2", "--P-h", "0,1", "--lambda", "0,1"], "(0, 1)"),
+    (["tables", "--n", "2", "--P-h", "0,1", "--lambda-plus-rho", "0,0"], "(-1/2, 1/2)"),
+    (["dirac", "--n", "3", "--xi", "0,1", "--lambda", "2,1,3/2"], "(2, 1, 3/2)"),
+])
+def test_non_dominant_weight_is_a_diagnostic(capsys, argv, lam):
+    # A weight that is not dominant heads no finite-dimensional module: exit
+    # 1 with a structured diagnostic and nothing on stderr, not a traceback.
+    rc = cli.main(argv + ["--json"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["error"]["code"] == "not-dominant"
+    assert doc["error"]["message"].startswith(f"lambda = {lam} is not dominant")
+    assert doc["command"] == argv[0] and "membership" not in doc and "nu" not in doc
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, err) == (1, "")
+    assert out == f"rejected: {doc['error']['message']}\n"
+
+
+@pytest.mark.parametrize("flag,value,least", [
+    ("--trials", "-1", 1), ("--trials", "0", 1), ("--max-n", "0", 1), ("--max-deg", "-1", 0),
+])
+@pytest.mark.parametrize("mode", [["--json"], []])
+def test_verify_rejects_empty_ranges(capsys, flag, value, least, mode):
+    # These ranges would run no check and report a vacuous pass.
+    rc = cli.main(["verify", "--suite", "oracle-n1", flag, value, *mode])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == f"error: {flag} must be at least {least}, got {value}\n"

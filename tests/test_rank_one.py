@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import cherednik.rank_one as rank_one
 from cherednik.modules import NotInClassificationError, dirac_cohomology
-from cherednik.polynomials import Poly, xi_to_density
+from cherednik.polynomials import InvariantViolation, Poly, xi_to_density
 from cherednik.rank_one import (
     build_module,
     dirac_matrix,
@@ -153,3 +154,25 @@ def test_oracle_laws_survive_optimized_python(flags):
     res = subprocess.run([sys.executable, *flags, "-c", code, str(len(flags))],
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert res.returncode == 3, res.stderr
+
+
+@pytest.mark.parametrize("xi,lam", [(Poly.of(0, 1), 1), (Poly.of(0, 1), F(7, 2)),
+                                    random_rank_one_instance(random.Random(61))])
+def test_oracle_ranks_each_matrix_once(monkeypatch, xi, lam):
+    # rank D and rank D^2 decide every kernel condition (rank-nullity), so
+    # one oracle call runs exactly two eliminations.
+    ranked = []
+    monkeypatch.setattr(rank_one, "mat_rank", lambda a: ranked.append(len(a)) or mat_rank(a))
+    got = oracle_cohomology(xi, lam)
+    size = 2 * (build_module(xi, lam).nu + 1)
+    assert ranked == [size, size]
+    assert got == dirac_cohomology(CentralCharPoly.from_xi(xi, 1), Weight.of(lam))
+
+
+def test_oracle_rejects_a_dirac_matrix_with_a_larger_rank_than_its_square(monkeypatch):
+    # On the trivial module every weight block of D^2 must vanish, so a
+    # nilpotent D of rank 1 passes the block laws and the final dimension
+    # count; only rank D = rank D^2 (ker D = ker D^2) can reject it.
+    monkeypatch.setattr(rank_one, "dirac_matrix", lambda module: [[F(0), F(1)], [F(0), F(0)]])
+    with pytest.raises(InvariantViolation, match="ker D must equal ker D\\^2"):
+        oracle_cohomology(Poly.of(0, 1), 0)

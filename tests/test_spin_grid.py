@@ -134,3 +134,18 @@ def test_zero_and_constant_P_take_the_whole_grid():
         values = {value for _, _, value in spin_grid(P, lam, nu)}
         assert values == {sum(coeffs, F(0))}
         assert select_cohomology(P, lam, nu) == tensor_with_spin(lam, nu)
+
+
+@settings(max_examples=80, deadline=None)
+@given(boxes())
+def test_box_equals_its_weights_added_one_by_one(box):
+    # L_decomposition builds its dict directly; ModuleDecomposition.add,
+    # which re-checks every rho-shift, is the reference, entry order included.
+    _, lam, nu = box
+    want = ModuleDecomposition(rank=lam.rank)
+    for offsets in product(*(range(v + 1) for v in nu)):
+        want.add(Weight(tuple(c - o for c, o in zip(lam.coords, offsets))))
+    got = L_decomposition(lam, nu)
+    assert got == want and list(got.entries) == list(want.entries)
+    for w in got.entries:
+        assert w.shifted() == (w + rho(lam.rank)).coords
