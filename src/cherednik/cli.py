@@ -14,7 +14,8 @@ rational is serialized as "p/q" (or "p"), never as a float.
 Exit codes: 0 success, 1 mathematical rejection (the weight heads no
 finite-dimensional module: error code "not-classified", or "not-dominant"
 for a weight that is not dominant) or verification failure, 2 usage or
-parse error (including verify's --trials < 1, --max-n < 1, --max-deg < 0),
+parse error (including verify's --trials < 1, --max-n < 1, --max-deg < 0,
+and --max-deg 0 for a run that includes the oracle-n1 suite),
 3 box too large: the grid over the box of nu, prod(nu_i + 2) points, exceeds
 modules.MAX_GRID; nu, the grid size and the guaranteed classes (which need
 only nu) are reported instead, error code "box-too-large". Each command
@@ -407,8 +408,11 @@ def _render_grid(cells: list[list[str]]) -> list[str]:
 def cmd_verify(args) -> Outcome:
     for flag, value, least in (("--max-n", args.max_n, 1), ("--max-deg", args.max_deg, 0),
                                ("--trials", args.trials, 1)):
-        if value < least:
+        if value is not None and value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
+    if args.max_deg == 0 and args.suite in ("oracle-n1", "all"):
+        raise UsageError("--max-deg must be at least 1 for the oracle-n1 suite, whose "
+                         "instances have a nonconstant xi, got 0")
     results = run_suites(args.suite, max_n=args.max_n, max_deg=args.max_deg,
                          trials=args.trials, seed=args.seed)
     ok = all(r.ok for r in results)
@@ -477,8 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--suite", required=True,
                      choices=["poly", "jacobi", "clifford", "oracle-n1", "all"])
     sub.add_argument("--max-n", type=int, default=2)
-    sub.add_argument("--max-deg", type=int, default=2)
-    sub.add_argument("--trials", type=int, default=20)
+    sub.add_argument("--max-deg", type=int, default=None,
+                     help="highest xi degree (default: 2 for jacobi, 3 for oracle-n1)")
+    sub.add_argument("--trials", type=int, default=None,
+                     help="random trials (default: 100 for poly, 20 for oracle-n1)")
     sub.add_argument("--seed", type=int, default=20260811)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_verify)

@@ -18,9 +18,12 @@ generating-series coefficients r_m: over a commutative ring in n^2 symbols
 a_kl, r_m(x_i, y_j) is the tau^m coefficient of entry (i, j) of
 (1 - tau A)^{-1} * det(1 - tau A)^{-1}, with the determinant inverse expanded
 through exp of the power-sum series; each commutative monomial is sent to
-U(gl_n) by a_kl -> E_lk (the trace pairing) followed by symmetrization
-(average over all factor orderings). Then kappa(y_j, x_i) = sum_m xi_m r_m,
-kappa vanishes on pairs of the same species, and extends skew-symmetrically.
+U(gl_n) by a_kl -> E_lk (the trace pairing) followed by symmetrization, the
+average over all factor orderings. That average is computed as a sum over
+the orderings memoised on sorted sub-multisets, T(S) = sum over distinct a in
+S of mult(a) a T(S - a), so no ordering is visited one by one. Then
+kappa(y_j, x_i) = sum_m xi_m r_m, kappa vanishes on pairs of the same
+species, and extends skew-symmetrically.
 
 The certificates share one leg invariant (v_1..v_k | h): deal the PBW
 positions of h into k+1 coproduct legs, act with the first k on v_1..v_k
@@ -28,15 +31,20 @@ positions of h into k+1 coproduct legs, act with the first k on v_1..v_k
 last leg. Jacobi is sum_cyc (c | kappa(a,b)) = 0 with (v | h) = [h, v] (k = 1),
 the wedge square (z,u | kappa(x,y)) = (x,y | kappa(z,u)) (k = 2), the wedge
 cube (z,u,v | kappa(x,y)) = 0 (k = 3); with adjoint linearity they certify flatness.
+A leg acts nonzero on at most two basis vectors, one y and one x, fixed by
+its last generator, so leg_tensor scatters each deal into the tuples it
+reaches and builds the invariant at every tuple at once; a tuple it never
+reaches has invariant zero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
+from math import factorial
 
-from .lincomb import ONE, LinComb, rewriting
+from .lincomb import ONE, LinComb, add_terms, rewriting
 from .polynomials import Poly
 
 Gen = tuple[int, int]                 # (i, j) index pair of E_ij, 1-based
@@ -89,13 +97,6 @@ def _legs(mono: Monomial, k: int):
         for g, b in zip(mono, assign):
             legs[b].append(g)
         yield tuple(map(tuple, legs))
-
-
-@lru_cache(maxsize=None)
-def _acting_legs(mono: Monomial, k: int) -> tuple[tuple[Monomial, ...], ...]:
-    """The deals of a monomial into k+1 legs whose first k (acting) legs are
-    all non-empty, since an empty leg acts through > as zero; once per monomial."""
-    return tuple(legs for legs in _legs(mono, k + 1) if all(legs[:k]))
 
 
 def coproduct(a: UEAElement) -> dict[tuple[Monomial, Monomial], Fraction]:
@@ -154,23 +155,42 @@ class CPoly(LinComb):
         return ((tuple(sorted(word)), ONE),)
 
 
+@lru_cache(maxsize=None)
+def _ordering_sum(gens: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """The sum of the products of the generators of a sorted multiset S over
+    all |S|! orderings of its positions, in PBW normal form and with integer
+    coefficients: sum over distinct a in S of mult(a) a T(S - a), memoised
+    on the sorted sub-multisets. Sym(S) is this divided by |S|!."""
+    if not gens:
+        return (((), 1),)
+    acc: dict = {}
+    for idx, a in enumerate(gens):
+        if idx and gens[idx - 1] == a:
+            continue
+        mult = gens.count(a)
+        add_terms(acc, ((m, mult * c * cc.numerator)
+                        for mono, c in _ordering_sum(gens[:idx] + gens[idx + 1:])
+                        for m, cc in _normalize((a,) + mono)))
+    return tuple((m, c) for m, c in acc.items() if c)
+
+
 def _symmetrize_to_uea(p: dict[CMono, Fraction]) -> UEAElement:
     """a_kl -> E_lk on each factor of the terms of a CPoly, averaged over all
-    factor orderings."""
-    out = UEAElement.zero()
+    factor orderings through the memoised ordering sum."""
+    out: list[tuple[Monomial, Fraction]] = []
     for mono, c in p.items():
-        perms = list(permutations((l, k) for k, l in mono))
-        total = UEAElement.collect(t for perm in perms for t in _normalize(perm))
-        out = out + total * Fraction(c, len(perms))
-    return out
+        scale = Fraction(c) / factorial(len(mono))
+        out.extend((m, scale * t) for m, t in
+                   _ordering_sum(tuple(sorted((l, k) for k, l in mono))))
+    return UEAElement.collect(out)
 
 
 @lru_cache(maxsize=None)
 def r_matrix(n: int, m: int) -> tuple[tuple[UEAElement, ...], ...]:
     """Entry (i, j) [0-based] is r_m(x_{i+1}, y_{j+1}) in U(gl_n).
 
-    Symmetrization averages over all m! factor orderings, so this is meant
-    for desk scale (m <= 4, n <= 3)."""
+    Each commutative monomial is symmetrized through _ordering_sum, which
+    visits each sorted sub-multiset once instead of the m! factor orderings."""
     one = CPoly({(): ONE})
     a = [[CPoly({((k + 1, l + 1),): ONE}) for l in range(n)] for k in range(n)]
 
@@ -247,32 +267,72 @@ def _exterior_rule(a: VBasis, b: VBasis) -> list[tuple[tuple, Fraction]] | None:
 _wedge_normalize = rewriting(_exterior_rule)
 
 
-def _leg_invariant(h: UEAElement, vs: tuple[VBasis, ...]) -> LinComb:
-    """(v_1..v_k | h) in V^(wedge k) (x) U, keyed by (wedge word, last leg): act
-    with the acting legs of each monomial on v_1..v_k, wedge, tensor the last."""
-    k = len(vs)
-    out: list[tuple[tuple, Fraction]] = []
+@lru_cache(maxsize=None)
+def _monomial_tensor(mono: Monomial, k: int) -> tuple[tuple[tuple, tuple], ...]:
+    """The leg invariant of one monomial at every tuple it reaches, as
+    (v_1..v_k, ((wedge word, last leg), sign) pairs). Positions are dealt from
+    the right, in the order the generators act. An acting leg carries the
+    (start vector, image, sign) triples it has not yet sent to zero: a leg
+    whose first generator to act is E_ij starts from y_j and x_i only. A deal is
+    dropped once an acting leg has no triple left, and one whose acting legs
+    are not all non-empty gives zero."""
+    acc: dict = {}
+
+    def deal(pos: int, legs: tuple, last: Monomial) -> None:
+        if pos < 0:
+            if all(legs):
+                for picks in product(*legs):
+                    sign = 1
+                    for _, _, s in picks:
+                        sign *= s
+                    terms = acc.setdefault(tuple(v for v, _, _ in picks), {})
+                    add_terms(terms, (((vec, last), sign * ws.numerator) for vec, ws in
+                                      _wedge_normalize(tuple(image for _, image, _ in picks))))
+            return
+        gen = mono[pos]
+        deal(pos - 1, legs, (gen,) + last)
+        i, j = gen
+        for b, leg in enumerate(legs):
+            seeds = leg or ((("x", i), ("x", i), 1), (("y", j), ("y", j), 1))
+            images = tuple((v, hit[0], s * hit[1]) for v, image, s in seeds
+                           if (hit := _act_gen(gen, image)))
+            if images:
+                deal(pos - 1, legs[:b] + (images,) + legs[b + 1:], last)
+
+    deal(len(mono) - 1, ((),) * k, ())
+    return tuple((vs, tuple((key, s) for key, s in terms.items() if s))
+                 for vs, terms in acc.items())
+
+
+def leg_tensor(h: UEAElement, k: int) -> dict[tuple[VBasis, ...], LinComb]:
+    """The leg invariant (v_1..v_k | h) in V^(wedge k) (x) U, keyed by (wedge
+    word, last leg), for every tuple at once: deal the PBW positions of each
+    monomial into k+1 legs, act with the first k, wedge, tensor the last. The
+    results are scattered from the legs' domains, so a tuple that is not a
+    key has invariant zero."""
+    acc: dict = {}
     for mono, c in h.terms.items():
-        for legs in _acting_legs(mono, k):
-            coeff, word = c, []
-            for leg, v in zip(legs, vs):
-                hit = _act_monomial(leg, v)
-                if hit is None:
-                    break
-                word.append(hit[0])
-                coeff *= hit[1]
-            else:
-                out.extend(((vec, legs[k]), coeff * sign)
-                           for vec, sign in _wedge_normalize(tuple(word)))
-    return LinComb.collect(out)
+        for vs, terms in _monomial_tensor(mono, k):
+            add_terms(acc.setdefault(vs, {}), ((key, c * s) for key, s in terms))
+    return {vs: LinComb(terms) for vs, terms in acc.items()}
+
+
+def _pair_tensors(kappa: KappaMap, n: int, k: int) -> dict[tuple[VBasis, VBasis], dict]:
+    """leg_tensor(kappa(x, y), k) for every ordered basis pair (x, y); kappa is
+    skew, so the tensor of (y, x) is the negated tensor of (x, y)."""
+    out: dict = {}
+    for x, y in product(v_basis(n), repeat=2):
+        out[x, y] = ({vs: -t for vs, t in out[y, x].items()} if (y, x) in out
+                     else leg_tensor(kappa.pair(x, y), k))
+    return out
 
 
 def jacobi_check(kappa: KappaMap, n: int) -> CheckReport:
     """Cyclic identity [kappa(u,v), w] + [kappa(v,w), u] + [kappa(w,u), v] = 0
     on all ordered basis triples, each bracket once; reports the first failing."""
-    basis = v_basis(n)
-    bracket = {(a, b, c): _leg_invariant(kappa.pair(a, b), (c,))
-               for a, b, c in product(basis, repeat=3)}
+    basis, zero = v_basis(n), LinComb()
+    tensors = _pair_tensors(kappa, n, 1)
+    bracket = {(a, b, c): tensors[a, b].get((c,), zero) for a, b in tensors for c in basis}
     for u, v, w in product(basis, repeat=3):
         residual = bracket[u, v, w] + bracket[v, w, u] + bracket[w, u, v]
         if not residual.is_zero():
@@ -284,16 +344,25 @@ def higher_jacobi_checks(kappa: KappaMap, n: int) -> CheckReport:
     """Wedge-square symmetry (z,u | kappa(x,y)) = (x,y | kappa(z,u)), each
     unordered pair of pairs compared once, and wedge-cube vanishing
     (z,u,v | kappa(x,y)) = 0; reports the first failing tuple in product order."""
-    basis = v_basis(n)
-    h = {pair: kappa.pair(*pair) for pair in product(basis, repeat=2)}
-    for zu, xy in combinations(h, 2):
-        if _leg_invariant(h[xy], zu) != _leg_invariant(h[zu], xy):
+    basis, zero = v_basis(n), LinComb()
+    square = _pair_tensors(kappa, n, 2)
+    for zu, xy in combinations(square, 2):
+        if square[xy].get(zu, zero) != square[zu].get(xy, zero):
             return CheckReport(False, witness=("square", *zu, *xy))
-    for xy in h:
+    for xy, cube in _pair_tensors(kappa, n, 3).items():
         for zuv in product(basis, repeat=3):
-            if not _leg_invariant(h[xy], zuv).is_zero():
+            if not cube.get(zuv, zero).is_zero():
                 return CheckReport(False, witness=("cube", *zuv, *xy))
     return CheckReport(True)
+
+
+@lru_cache(maxsize=None)
+def _generator_bracket(gen: Gen, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """[E_gen, mono] in PBW normal form, with integer coefficients; once per
+    pair, since the entries of kappa share their monomials."""
+    acc = add_terms({}, ((m, c.numerator) for m, c in _normalize((gen,) + mono)))
+    add_terms(acc, ((m, -c.numerator) for m, c in _normalize(mono + (gen,))))
+    return tuple((m, c) for m, c in acc.items() if c)
 
 
 def h_linearity_check(kappa: KappaMap, n: int) -> CheckReport:
@@ -301,9 +370,9 @@ def h_linearity_check(kappa: KappaMap, n: int) -> CheckReport:
     kappa(v, E.w) for every generator E and V-basis pair."""
     basis = v_basis(n)
     for gen in product(range(1, n + 1), repeat=2):
-        e = UEAElement.generator(*gen)
         for v, w in product(basis, repeat=2):
-            lhs = e.commutator(kappa.pair(v, w))
+            lhs = UEAElement.collect((m, c * t) for mono, c in kappa.pair(v, w).terms.items()
+                                     for m, t in _generator_bracket(gen, mono))
             rhs = UEAElement.zero()
             if hit := _act_gen(gen, v):
                 rhs = rhs + kappa.pair(hit[0], w) * hit[1]

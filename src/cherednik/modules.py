@@ -119,9 +119,6 @@ class ModuleDecomposition:
         return (isinstance(other, ModuleDecomposition)
                 and self.rank == other.rank and self.entries == other.entries)
 
-    def is_submultiset_of(self, other: ModuleDecomposition) -> bool:
-        return all(other.multiplicity(w) >= m for w, m in self.entries.items())
-
     def __repr__(self) -> str:
         parts = ", ".join(f"{m} x {w}" for w, m in self.sorted_items())
         return f"ModuleDecomposition({parts or '0'})"

@@ -152,12 +152,24 @@ class Poly:
         return Poly.of(*(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
     def shift(self, c: Scalar) -> Poly:
-        """Compose with z + c, i.e. return p(z + c)."""
+        """Compose with z + c, i.e. return p(z + c).
+
+        A Taylor shift in scaled integers: with D the common denominator of
+        the coefficients and c = u/v, the integer polynomial
+        P(w) = D v^d p(w/v) is shifted by u through synthetic division, and
+        P(w + u) = D v^d p((w + u)/v) gives the z^i coefficient of p(z + c)
+        as its w^i coefficient over D v^(d-i)."""
         c = _as_fraction(c)
-        result = Poly.zero()
-        for a in reversed(self.coeffs):
-            result = result * Poly.of(c, 1) + a
-        return result
+        if not self.coeffs:
+            return self
+        d, u, v = self.degree, c.numerator, c.denominator
+        den = lcm(*(a.denominator for a in self.coeffs))
+        ints = [a.numerator * (den // a.denominator) * v ** (d - i)
+                for i, a in enumerate(self.coeffs)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                ints[j] += u * ints[j + 1]
+        return Poly(tuple(Fraction(a, den * v ** (d - i)) for i, a in enumerate(ints)))
 
     def __call__(self, z: Scalar) -> Fraction:
         z = _as_fraction(z)
@@ -304,15 +316,19 @@ def nabla_inverse(eps: Scalar, p: Poly) -> Poly:
     """
     The unique f with nabla(eps, f) = p and constant term 0.
 
-    Built as sum_i p_i/(i+1) * B_{i+1}(z + 1 - eps), then the constant
-    is dropped; nabla kills constants, so this normalization is free.
+    Built as sum_i p_i/(i+1) * B_{i+1}(z + 1 - eps), from one table of
+    Bernoulli numbers and one shift, then the constant is dropped; nabla
+    kills constants, so this normalization is free.
     """
     eps = _as_fraction(eps)
-    f = Poly.zero()
+    nums = _bernoulli_numbers(len(p.coeffs))
+    out = [Fraction(0)] * (len(p.coeffs) + 1)
     for i, c in enumerate(p.coeffs):
         if c:
-            f = f + bernoulli(i + 1).shift(1 - eps) * Fraction(c, i + 1)
-    return f.with_constant_zero()
+            scale = c / (i + 1)
+            for j in range(i + 2):
+                out[i + 1 - j] += scale * comb(i + 1, j) * nums[j]
+    return Poly.of(*out).shift(1 - eps).with_constant_zero()
 
 
 def xi_to_density(xi: Poly, n: int) -> Poly:

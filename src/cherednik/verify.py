@@ -248,7 +248,10 @@ def _twisted_identity_in_clifford() -> bool:
 def random_rank_one_instance(rng: random.Random, max_deg: int = 3,
                              max_nu: int = 8) -> tuple[Poly, Fraction]:
     """A random (xi, lam) with lam in the classification and box size <= max_nu:
-    the closing sum over the box is linear in xi_0, so solve for it."""
+    the closing sum over the box is linear in xi_0, so solve for it. The tail
+    of xi must be nonzero, so max_deg must be at least 1."""
+    if max_deg < 1:
+        raise ValueError(f"a rank-one instance needs max_deg >= 1, got {max_deg}")
     while True:
         deg = rng.randint(1, max_deg)
         nu = rng.randint(0, max_nu)
@@ -279,13 +282,18 @@ def oracle_suite(trials: int = 20, seed: int = DEFAULT_SEED,
     return out
 
 
-def run_suites(selector: str, max_n: int = 2, max_deg: int = 2,
-               trials: int = 20, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def run_suites(selector: str, max_n: int = 2, max_deg: int | None = None,
+               trials: int | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Run one suite or all of them. max_deg reaches jacobi and oracle-n1,
+    trials reaches poly and oracle-n1; None keeps each suite's own default."""
+    def given(**flags):
+        return {k: v for k, v in flags.items() if v is not None}
+
     suites = {
-        "poly": lambda: poly_suite(seed=seed),
-        "jacobi": lambda: jacobi_suite(max_n=max_n, max_deg=max_deg),
+        "poly": lambda: poly_suite(seed=seed, **given(trials=trials)),
+        "jacobi": lambda: jacobi_suite(max_n=max_n, **given(max_deg=max_deg)),
         "clifford": lambda: clifford_suite(max_n=max(max_n, 3)),
-        "oracle-n1": lambda: oracle_suite(trials=trials, seed=seed),
+        "oracle-n1": lambda: oracle_suite(seed=seed, **given(trials=trials, max_deg=max_deg)),
     }
     if selector == "all":
         results = []

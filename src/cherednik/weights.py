@@ -38,10 +38,6 @@ class Weight:
     def of(*coords: Scalar) -> Weight:
         return Weight(tuple(_as_fraction(c) for c in coords))
 
-    @staticmethod
-    def from_seq(coords: Iterable[Scalar]) -> Weight:
-        return Weight.of(*coords)
-
     @property
     def rank(self) -> int:
         return len(self.coords)

@@ -367,3 +367,64 @@ def test_verify_rejects_empty_ranges(capsys, flag, value, least, mode):
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
     assert err == f"error: {flag} must be at least {least}, got {value}\n"
+
+
+def _oracle_xi_lengths(results):
+    return [len(re.search(r"xi=(\[.*?\])", r["name"]).group(1).split(","))
+            for r in results]
+
+
+def test_verify_oracle_honours_max_deg(capsys):
+    # The oracle suite used to keep its own degree 3 whatever --max-deg said.
+    for max_deg in (1, 2):
+        rc = cli.main(["verify", "--suite", "oracle-n1", "--trials", "3",
+                       "--max-deg", str(max_deg), "--seed", "5", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 0 and doc["ok"] and len(doc["results"]) == 3
+        assert max(_oracle_xi_lengths(doc["results"])) <= max_deg + 1
+    # without --max-deg the suite keeps its default degree 3
+    rc = cli.main(["verify", "--suite", "oracle-n1", "--trials", "3", "--seed", "5", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and max(_oracle_xi_lengths(doc["results"])) == 4
+
+
+def test_verify_poly_honours_trials(capsys):
+    rc = cli.main(["verify", "--suite", "poly", "--trials", "3", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["ok"]
+    details = {r["name"]: r["detail"] for r in doc["results"]}
+    assert details["nabla-inversion-round-trip"] == "3 random polynomials per step, 4 steps"
+    rc = cli.main(["verify", "--suite", "poly", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    details = {r["name"]: r["detail"] for r in doc["results"]}
+    assert details["nabla-inversion-round-trip"] == "100 random polynomials per step, 4 steps"
+
+
+@pytest.mark.parametrize("suite", ["oracle-n1", "all"])
+def test_verify_oracle_max_deg_zero_is_a_usage_error(suite):
+    # A rank-one instance needs a nonzero xi tail, so --max-deg 0 leaves the
+    # instance generator nothing to draw: a usage error, not a traceback or
+    # a hang.
+    res = subprocess.run([sys.executable, "-m", "cherednik", "verify", "--suite", suite,
+                          "--trials", "3", "--max-deg", "0", "--seed", "5"],
+                         capture_output=True, text=True, env=CHILD_ENV, timeout=30)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith("error: --max-deg must be at least 1 for the oracle-n1 suite")
+
+
+def test_rank_one_instance_rejects_degree_zero():
+    import random
+
+    from cherednik.verify import random_rank_one_instance
+    with pytest.raises(ValueError, match=r"needs max_deg >= 1, got 0"):
+        random_rank_one_instance(random.Random(5), max_deg=0)
+
+
+def test_verify_jacobi_rank_three_degree_three(capsys):
+    # the certificates on kappa(z^d), d <= 3, at ranks 1-3, with the dense xi
+    # and the corruption controls
+    rc = cli.main(["verify", "--suite", "jacobi", "--max-n", "3", "--max-deg", "3", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["ok"] and len(doc["results"]) == 47
+    names = {r["name"] for r in doc["results"]}
+    assert {"wedge-identities n=3 xi=z^3", "all-certificates n=3 dense-xi deg=3"} <= names

@@ -2,7 +2,7 @@
 certificates."""
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +222,42 @@ def test_symmetrization_reorder_invariance():
     expected = (U.generator(2, 1) * U.generator(1, 2)) * half \
         + (U.generator(1, 2) * U.generator(2, 1)) * half
     assert a == expected
+
+
+def ordering_average(p):
+    """Reference symmetrization: a_kl -> E_lk on each factor, averaged over
+    all m! orderings of the factors of each monomial."""
+    out = U.zero()
+    for mono, c in p.items():
+        perms = list(permutations((l, k) for k, l in mono))
+        total = U.collect(t for perm in perms for t in _normalize(perm))
+        out = out + total * Fraction(c, len(perms))
+    return out
+
+
+@st.composite
+def commutative_polys(draw):
+    """CPoly terms {sorted multiset of a_kl: coefficient}, n <= 3 and m <= 5,
+    drawn from few symbols so that repeats are common."""
+    n = draw(st.integers(1, 3))
+    symbol = st.tuples(st.integers(1, n), st.integers(1, n))
+    mono = st.lists(symbol, max_size=5).map(lambda s: tuple(sorted(s)))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    return draw(st.dictionaries(mono, coeff, max_size=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(commutative_polys())
+def test_memoised_symmetrization_is_the_ordering_average(p):
+    from cherednik.enveloping import _symmetrize_to_uea
+    assert _symmetrize_to_uea(p) == ordering_average(p)
+
+
+def test_memoised_symmetrization_of_repeated_symbols():
+    from cherednik.enveloping import _symmetrize_to_uea
+    for mono in [((1, 2),) * 5, ((1, 2), (1, 2), (2, 1), (2, 1), (2, 1)),
+                 ((1, 1), (1, 3), (1, 3), (3, 1), (3, 2))]:
+        assert _symmetrize_to_uea({mono: F(1)}) == ordering_average({mono: F(1)})
 
 
 def test_kappa_examples():

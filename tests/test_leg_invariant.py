@@ -1,10 +1,12 @@
-"""The one leg invariant (v_1..v_k | h) and the certificates built on it,
-checked against separate constructions kept here as references: the two-leg
-split, the bracket into V (x) U, the wedge invariant, and the certificate
-loops that compute both sides of every ordered tuple."""
+"""The one leg invariant (v_1..v_k | h), scattered over every tuple at once
+by leg_tensor, and the certificates built on it, checked against separate
+constructions kept here as references: the per-tuple leg invariant, the
+two-leg split, the bracket into V (x) U, the wedge invariant, and the
+certificate loops that compute both sides of every ordered tuple."""
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,6 @@ from cherednik.enveloping import (
     KappaMap,
     UEAElement,
     _act_gen,
-    _leg_invariant,
     _legs,
     _wedge_normalize,
     act_on_v,
@@ -21,6 +22,7 @@ from cherednik.enveloping import (
     jacobi_check,
     kappa_from_r_matrices,
     kappa_of,
+    leg_tensor,
     r_matrix,
     v_basis,
 )
@@ -34,6 +36,30 @@ F = Fraction
 # ---------------------------------------------------------------------------
 # references
 # ---------------------------------------------------------------------------
+
+def _leg_invariant(h, vs):
+    """(v_1..v_k | h) at one tuple: loop over every deal of each monomial into
+    k+1 legs whose first k legs are non-empty, act with those on v_1..v_k,
+    wedge, tensor the last leg."""
+    k = len(vs)
+    out = []
+    for mono, c in h.terms.items():
+        for legs in _legs(mono, k + 1):
+            if not all(legs[:k]):
+                continue
+            coeff, word = c, []
+            for leg, v in zip(legs, vs):
+                hit = _act_monomial(leg, v)
+                if not hit:
+                    break
+                (image, sign), = hit.items()
+                word.append(image)
+                coeff *= sign
+            else:
+                out.extend(((vec, legs[k]), coeff * sign)
+                           for vec, sign in _wedge_normalize(tuple(word)))
+    return LinComb.collect(out)
+
 
 def _splits(mono):
     """(left, right) for every subset of positions sent left."""
@@ -181,6 +207,7 @@ def test_one_leg_is_the_bracket(case):
     _, h, (v,) = case
     want = {((b,), right): c for (b, right), c in _bracket_into_vh(h, v).terms.items()}
     assert _leg_invariant(h, (v,)).terms == want
+    assert leg_tensor(h, 1).get((v,), LinComb()).terms == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -188,7 +215,34 @@ def test_one_leg_is_the_bracket(case):
 def test_k_legs_are_the_wedge_invariant(case):
     _, h, vs = case
     kappa = KappaMap(1, {(("y", 1), ("x", 1)): h})
-    assert _leg_invariant(h, vs) == _wedge_invariant(kappa, vs, ("y", 1), ("x", 1))
+    want = _wedge_invariant(kappa, vs, ("y", 1), ("x", 1))
+    assert _leg_invariant(h, vs) == want
+    assert leg_tensor(h, len(vs)).get(vs, LinComb()) == want
+
+
+def assert_scatter_matches_every_tuple(h, n, k):
+    tensor = leg_tensor(h, k)
+    tuples = set(product(v_basis(n), repeat=k))
+    assert set(tensor) <= tuples
+    for vs in tuples:
+        assert tensor.get(vs, LinComb()) == _leg_invariant(h, vs), vs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(st.just(n), elements(n))),
+       st.integers(1, 3))
+def test_scatter_is_the_per_tuple_invariant_on_generated_elements(case, k):
+    n, h = case
+    assert_scatter_matches_every_tuple(h, n, k)
+
+
+@pytest.mark.parametrize("n,deg", [(n, d) for n in (1, 2) for d in range(4)])
+def test_scatter_is_the_per_tuple_invariant_on_kappa(n, deg):
+    # every pair of kappa(z^deg) and every tuple (v_1..v_k), k = 1, 2, 3
+    kappa = kappa_of(Poly.of(*([0] * deg + [1])), n)
+    for x, y in product(v_basis(n), repeat=2):
+        for k in (1, 2, 3):
+            assert_scatter_matches_every_tuple(kappa.pair(x, y), n, k)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cherednik.polynomials import (
     Poly,
@@ -57,6 +59,48 @@ def test_bernoulli_small_values():
 def test_bernoulli_forward_difference(k):
     expected = Poly.of(*([0] * (k - 1) + [k])) if k >= 1 else Poly.zero()
     assert nabla(1, bernoulli(k)) == expected
+
+
+def horner_shift(p: Poly, c) -> Poly:
+    """Reference Taylor shift: Horner's scheme over Poly arithmetic."""
+    result = Poly.zero()
+    for a in reversed(p.coeffs):
+        result = result * Poly.of(c, 1) + a
+    return result
+
+
+RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(RATIONALS, max_size=16).map(lambda cs: Poly.of(*cs)), RATIONALS)
+def test_shift_matches_horner_reference(p, c):
+    assert p.shift(c) == horner_shift(p, c)
+
+
+@pytest.mark.parametrize("c", [F(0), F(3), F(-5), F(2, 7), F(-9, 4), 1, -2])
+def test_shift_edge_cases(c):
+    assert Poly.zero().shift(c).is_zero()
+    assert Poly.of(F(-3, 8)).shift(c) == Poly.of(F(-3, 8))
+    high = Poly.of(*(F((-1) ** k * (k + 1), k % 5 + 1) for k in range(14)))
+    assert high.degree == 13
+    got = high.shift(c)
+    assert got == horner_shift(high, c)
+    assert got.shift(-F(c)) == high
+    assert all(type(a) is Fraction for a in got.coeffs)
+
+
+def test_nabla_inverse_matches_bernoulli_sum():
+    # the one-table construction against the per-coefficient Bernoulli sum
+    rng = random.Random(4)
+    for eps in (F(0), F(1, 2), F(-3, 7)):
+        for _ in range(20):
+            p = Poly.of(*(F(rng.randint(-9, 9), rng.randint(1, 4))
+                          for _ in range(rng.randint(0, 13))))
+            want = Poly.zero()
+            for i, c in enumerate(p.coeffs):
+                want = want + horner_shift(bernoulli(i + 1), 1 - eps) * F(c, i + 1)
+            assert nabla_inverse(eps, p) == want.with_constant_zero()
 
 
 def test_nabla_basics():

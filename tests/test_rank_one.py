@@ -15,7 +15,6 @@ from cherednik.rank_one import (
     dirac_matrix,
     mat_mul,
     mat_rank,
-    mat_sub,
     nullity,
     oracle_cohomology,
     weight_labels,
@@ -25,6 +24,10 @@ from cherednik.verify import random_rank_one_instance
 from cherednik.weights import CentralCharPoly, Weight
 
 F = Fraction
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def test_build_module_sl2_like():
