@@ -268,6 +268,23 @@ _wedge_normalize = rewriting(_exterior_rule)
 
 
 @lru_cache(maxsize=None)
+def _wedged_picks(legs: tuple) -> tuple[tuple[tuple[VBasis, ...], tuple], ...]:
+    """For acting legs given as (start vector, image, sign) triples: each
+    choice of one triple per leg as (v_1..v_k, ((wedge word, sign), ...)),
+    choices whose images wedge to zero left out."""
+    out = []
+    for picks in product(*legs):
+        sign = 1
+        for _, _, s in picks:
+            sign *= s
+        wedge = tuple((vec, sign * ws.numerator) for vec, ws in
+                      _wedge_normalize(tuple(image for _, image, _ in picks)))
+        if wedge:
+            out.append((tuple(v for v, _, _ in picks), wedge))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _monomial_tensor(mono: Monomial, k: int) -> tuple[tuple[tuple, tuple], ...]:
     """The leg invariant of one monomial at every tuple it reaches, as
     (v_1..v_k, ((wedge word, last leg), sign) pairs). Positions are dealt from
@@ -281,13 +298,8 @@ def _monomial_tensor(mono: Monomial, k: int) -> tuple[tuple[tuple, tuple], ...]:
     def deal(pos: int, legs: tuple, last: Monomial) -> None:
         if pos < 0:
             if all(legs):
-                for picks in product(*legs):
-                    sign = 1
-                    for _, _, s in picks:
-                        sign *= s
-                    terms = acc.setdefault(tuple(v for v, _, _ in picks), {})
-                    add_terms(terms, (((vec, last), sign * ws.numerator) for vec, ws in
-                                      _wedge_normalize(tuple(image for _, image, _ in picks))))
+                for vs, wedge in _wedged_picks(legs):
+                    add_terms(acc.setdefault(vs, {}), (((vec, last), s) for vec, s in wedge))
             return
         gen = mono[pos]
         deal(pos - 1, legs, (gen,) + last)
