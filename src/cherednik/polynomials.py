@@ -127,14 +127,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> Poly:
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.of(1)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         """Euclidean division over Q: self = quo * other + rem, deg rem < deg other."""
         if other.is_zero():
@@ -417,12 +409,6 @@ class TwistedPoly:
             self.a * other.a + self.b * other.b * quarter,
             self.a * other.b + self.b * other.a,
         )
-
-    def __pow__(self, k: int) -> TwistedPoly:
-        result = TwistedPoly(Poly.of(1), Poly.zero())
-        for _ in range(k):
-            result = result * self
-        return result
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()

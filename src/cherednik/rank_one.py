@@ -14,8 +14,10 @@ finite-dimensionality forcing d_{nu+1} = 0, which is exactly the membership
 equation P(lam) = P(lam - nu - 1) since P is the discrete antiderivative of p
 at rank one. The Dirac operator x (x) y_C + y (x) x_C is assembled as an
 explicit matrix on L (x) S (spin factors computed through the Clifford normal
-form), and its kernel is taken by exact Gaussian elimination. Everything here
-is independent of the closed-form selection rule in modules.py, which is the
+form). D preserves the weight grading, whose spaces have dimension at most 2,
+so the oracle checks that D joins no two distinct weights and then takes each
+kernel one weight space at a time by exact Gaussian elimination. Everything
+here is independent of the closed-form selection rule in modules.py, which is the
 point: the two routes must agree.
 """
 from __future__ import annotations
@@ -122,24 +124,21 @@ def _spin_matrix(c: CliffordElement) -> Matrix:
     return [[cols[j][i] for j in range(2)] for i in range(2)]
 
 
-def _kron(a: Matrix, s: Matrix) -> Matrix:
-    rows = len(a) * len(s)
-    out = zeros(rows, rows)
-    for i in range(len(a)):
-        for j in range(len(a)):
-            for si in range(len(s)):
-                for sj in range(len(s)):
-                    out[i * len(s) + si][j * len(s) + sj] = a[i][j] * s[si][sj]
-    return out
-
-
 def dirac_matrix(module: RankOneModule) -> Matrix:
     """The Dirac element x (x) y_C + y (x) x_C on L (x) S, basis ordered
-    v_0 u, v_0 x_1 u, v_1 u, ..."""
-    y_c = _spin_matrix(CliffordElement.vector(("y", 1)))
-    x_c = _spin_matrix(CliffordElement.vector(("x", 1)))
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in
-            zip(_kron(module.x, y_c), _kron(module.y, x_c))]
+    v_0 u, v_0 x_1 u, v_1 u, ...: each nonzero entry of x or y times its
+    2 x 2 spin matrix."""
+    size = module.nu + 1
+    out = zeros(2 * size, 2 * size)
+    for a, gen in ((module.x, ("y", 1)), (module.y, ("x", 1))):
+        spin = _spin_matrix(CliffordElement.vector(gen))
+        for i in range(size):
+            for j in range(size):
+                if a[i][j]:
+                    for si in range(2):
+                        for sj in range(2):
+                            out[2 * i + si][2 * j + sj] += a[i][j] * spin[si][sj]
+    return out
 
 
 def weight_labels(module: RankOneModule) -> list[Fraction]:
@@ -154,23 +153,22 @@ def weight_labels(module: RankOneModule) -> list[Fraction]:
 
 def oracle_cohomology(xi: Poly, lam) -> ModuleDecomposition:
     """
-    Dirac cohomology computed from matrices alone: assemble D, check that
-    ker D = ker D^2 and ker D meets im D trivially, and decompose ker D^2 by
-    the weight grading. For the square matrix D both conditions are
-    rank D = rank D^2 (rank-nullity), so each matrix is ranked once and
-    every nullity is size - rank. Checks that D^2 is block-diagonal across
-    weights and acts on the weight-mu block by the scalar
-    2 P(lam) - 2 P(mu - 1/2).
+    Dirac cohomology computed from matrices alone. Assemble D and check that
+    it joins no two basis vectors of distinct weights. Then, in each weight
+    space mu (of dimension at most 2), D's block D_mu must have
+    ker D_mu = ker D_mu^2 meeting im D_mu trivially, which for a square block
+    is rank D_mu = rank D_mu^2 (rank-nullity), so the block and its square are
+    ranked once each; and D_mu^2 must be the scalar 2 P(lam) - 2 P(mu - 1/2).
+    The cohomology is ker D^2, whose dimension is the sum of the blocks'
+    nullities.
     """
     module = build_module(xi, lam)
     d = dirac_matrix(module)
-    d2 = mat_mul(d, d)
-
-    size, rank_d, rank_d2 = len(d), mat_rank(d), mat_rank(d2)
-    _require(rank_d == rank_d2,
-             "rank D != rank D^2: ker D must equal ker D^2 and meet im D trivially")
-
     labels = weight_labels(module)
+    for i, row in enumerate(d):
+        _require(all(labels[i] == labels[j] for j, c in enumerate(row) if c),
+                 "D mixes distinct weights")
+
     P = CentralCharPoly.from_xi(xi, 1)
     p_lam = P.value(Weight.of(module.lam))
     groups: dict[Fraction, list[int]] = {}
@@ -178,18 +176,18 @@ def oracle_cohomology(xi: Poly, lam) -> ModuleDecomposition:
         groups.setdefault(mu, []).append(idx)
 
     out = ModuleDecomposition(rank=1)
+    kernel = 0
     for mu, idxs in groups.items():
+        block = [[d[i][j] for j in idxs] for i in idxs]
+        square = mat_mul(block, block)
+        rank_square = mat_rank(square)
+        _require(mat_rank(block) == rank_square,
+                 "rank D != rank D^2: ker D must equal ker D^2 and meet im D trivially")
         expected = 2 * p_lam - 2 * P.value(Weight.of(mu - Fraction(1, 2)))
-        for i in idxs:
-            for j in range(size):
-                if j in idxs:
-                    want = expected if i == j else Fraction(0)
-                    _require(d2[i][j] == want,
-                             "D^2 is not the expected scalar on a weight block")
-                else:
-                    _require(d2[i][j] == 0, "D^2 mixes distinct weights")
+        scalar = [[expected if i == j else 0 for j in idxs] for i in idxs]
+        _require(square == scalar, "D^2 is not the expected scalar on a weight block")
+        kernel += len(idxs) - rank_square
         if expected == 0:
             out.add(Weight.of(mu), len(idxs))
-    total = out.total_dimension()
-    _require(total == size - rank_d2, "cohomology dimension is not the nullity of D^2")
+    _require(out.total_dimension() == kernel, "cohomology dimension is not the nullity of D^2")
     return out

@@ -267,11 +267,11 @@ def random_rank_one_instance(rng: random.Random, max_deg: int = 3,
 
 
 def oracle_suite(trials: int = 20, seed: int = DEFAULT_SEED,
-                 max_deg: int = 3, max_nu: int = 8) -> list[CheckResult]:
+                 max_deg: int = 3) -> list[CheckResult]:
     rng = random.Random(seed)
     out = []
     for idx in range(trials):
-        xi, lam = random_rank_one_instance(rng, max_deg, max_nu)
+        xi, lam = random_rank_one_instance(rng, max_deg)
         name = f"oracle-vs-closed-form #{idx} xi={list(map(str, xi.coeffs))} lam={lam}"
         try:
             oracle = oracle_cohomology(xi, lam)  # checks kernel + eigenvalue laws

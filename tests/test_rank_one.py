@@ -6,9 +6,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cherednik.rank_one as rank_one
-from cherednik.modules import NotInClassificationError, dirac_cohomology
+from cherednik.clifford import CliffordElement
+from cherednik.modules import ModuleDecomposition, NotInClassificationError, dirac_cohomology
 from cherednik.polynomials import InvariantViolation, Poly, xi_to_density
 from cherednik.rank_one import (
     build_module,
@@ -132,9 +135,10 @@ def test_half_integral_family():
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_oracle_laws_survive_optimized_python(flags):
-    # A corrupted Dirac matrix breaks the D^2 eigenvalue law; the oracle must
-    # raise InvariantViolation (and oracle_suite report FAIL) even when
-    # python -O strips assert statements.
+    # A corrupted Dirac matrix must make the oracle raise InvariantViolation
+    # (and oracle_suite report FAIL) even when python -O strips assert
+    # statements: d[0][0] breaks the D^2 eigenvalue law inside one weight
+    # space, d[0][1] joins the weights lam + 1/2 and lam - 1/2.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import sys\n"
             "import cherednik.rank_one as rank_one\n"
@@ -142,18 +146,22 @@ def test_oracle_laws_survive_optimized_python(flags):
             "from cherednik.verify import oracle_suite\n"
             "assert sys.flags.optimize == int(sys.argv[1])\n"
             "honest = rank_one.dirac_matrix\n"
-            "def corrupt(module):\n"
-            "    d = honest(module)\n"
-            "    d[0][0] += 1\n"
-            "    return d\n"
-            "rank_one.dirac_matrix = corrupt\n"
-            "results = oracle_suite(trials=3)\n"
-            "if any(r.ok or 'D^2' not in r.detail for r in results):\n"
-            "    sys.exit(4)\n"
-            "try:\n"
-            "    rank_one.oracle_cohomology(Poly.of(0, 1), 1)\n"
-            "except InvariantViolation:\n"
-            "    sys.exit(3)\n")
+            "for i, j, message in [(0, 0, 'D^2'), (0, 1, 'D mixes distinct weights')]:\n"
+            "    def corrupt(module):\n"
+            "        d = honest(module)\n"
+            "        d[i][j] += 1\n"
+            "        return d\n"
+            "    rank_one.dirac_matrix = corrupt\n"
+            "    results = oracle_suite(trials=3)\n"
+            "    if any(r.ok or message not in r.detail for r in results):\n"
+            "        sys.exit(4)\n"
+            "    try:\n"
+            "        rank_one.oracle_cohomology(Poly.of(0, 1), 1)\n"
+            "        sys.exit(5)\n"
+            "    except InvariantViolation as exc:\n"
+            "        if message not in str(exc):\n"
+            "            sys.exit(6)\n"
+            "sys.exit(3)\n")
     res = subprocess.run([sys.executable, *flags, "-c", code, str(len(flags))],
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert res.returncode == 3, res.stderr
@@ -162,20 +170,109 @@ def test_oracle_laws_survive_optimized_python(flags):
 @pytest.mark.parametrize("xi,lam", [(Poly.of(0, 1), 1), (Poly.of(0, 1), F(7, 2)),
                                     random_rank_one_instance(random.Random(61))])
 def test_oracle_ranks_each_matrix_once(monkeypatch, xi, lam):
-    # rank D and rank D^2 decide every kernel condition (rank-nullity), so
-    # one oracle call runs exactly two eliminations.
+    # D preserves weight, so the oracle ranks D_mu and D_mu^2 once in each
+    # weight space: the two one-dimensional ends lam + 1/2 and lam - nu - 1/2,
+    # and nu two-dimensional spaces between them.
     ranked = []
     monkeypatch.setattr(rank_one, "mat_rank", lambda a: ranked.append(len(a)) or mat_rank(a))
     got = oracle_cohomology(xi, lam)
-    size = 2 * (build_module(xi, lam).nu + 1)
-    assert ranked == [size, size]
+    nu = build_module(xi, lam).nu
+    assert ranked == [1, 1] + [2, 2] * nu + [1, 1]
     assert got == dirac_cohomology(CentralCharPoly.from_xi(xi, 1), Weight.of(lam))
 
 
 def test_oracle_rejects_a_dirac_matrix_with_a_larger_rank_than_its_square(monkeypatch):
     # On the trivial module every weight block of D^2 must vanish, so a
     # nilpotent D of rank 1 passes the block laws and the final dimension
-    # count; only rank D = rank D^2 (ker D = ker D^2) can reject it.
+    # count; only rank D = rank D^2 (ker D = ker D^2) can reject it. Its
+    # entry joins lam + 1/2 and lam - 1/2, so both basis vectors are given
+    # the weight 1/2, where D^2 = 0 is the expected scalar (P(0) = P(-1)).
     monkeypatch.setattr(rank_one, "dirac_matrix", lambda module: [[F(0), F(1)], [F(0), F(0)]])
+    monkeypatch.setattr(rank_one, "weight_labels", lambda module: [F(1, 2), F(1, 2)])
     with pytest.raises(InvariantViolation, match="ker D must equal ker D\\^2"):
         oracle_cohomology(Poly.of(0, 1), 0)
+
+
+def test_oracle_rejects_a_dirac_matrix_across_weights(monkeypatch):
+    monkeypatch.setattr(rank_one, "dirac_matrix", lambda module: [[F(0), F(1)], [F(0), F(0)]])
+    with pytest.raises(InvariantViolation, match="D mixes distinct weights"):
+        oracle_cohomology(Poly.of(0, 1), 0)
+
+
+def _kron(a, s):
+    rows = len(a) * len(s)
+    out = zeros(rows, rows)
+    for i in range(len(a)):
+        for j in range(len(a)):
+            for si in range(len(s)):
+                for sj in range(len(s)):
+                    out[i * len(s) + si][j * len(s) + sj] = a[i][j] * s[si][sj]
+    return out
+
+
+def full_size_oracle(xi, lam):
+    """The whole-matrix oracle the per-weight-space one replaced, kept as a
+    reference: D from two Kronecker products, D^2 and both ranks at full size,
+    and D^2 scanned entry by entry against the weight grading."""
+    module = build_module(xi, lam)
+    y_c = rank_one._spin_matrix(CliffordElement.vector(("y", 1)))
+    x_c = rank_one._spin_matrix(CliffordElement.vector(("x", 1)))
+    d = [[a + b for a, b in zip(ra, rb)]
+         for ra, rb in zip(_kron(module.x, y_c), _kron(module.y, x_c))]
+    d2 = mat_mul(d, d)
+    size, rank_d, rank_d2 = len(d), mat_rank(d), mat_rank(d2)
+    if rank_d != rank_d2:
+        raise InvariantViolation("rank D != rank D^2")
+    P = CentralCharPoly.from_xi(xi, 1)
+    p_lam = P.value(Weight.of(module.lam))
+    groups = {}
+    for idx, mu in enumerate(weight_labels(module)):
+        groups.setdefault(mu, []).append(idx)
+    out = ModuleDecomposition(rank=1)
+    for mu, idxs in groups.items():
+        expected = 2 * p_lam - 2 * P.value(Weight.of(mu - F(1, 2)))
+        for i in idxs:
+            for j in range(size):
+                want = expected if i == j else F(0)
+                if d2[i][j] != (want if j in idxs else 0):
+                    raise InvariantViolation("D^2 breaks the weight-block law")
+        if expected == 0:
+            out.add(Weight.of(mu), len(idxs))
+    if out.total_dimension() != size - rank_d2:
+        raise InvariantViolation("cohomology dimension is not the nullity of D^2")
+    return out
+
+
+def _assert_three_routes_agree(xi, lam):
+    got = oracle_cohomology(xi, lam)
+    assert got == full_size_oracle(xi, lam)
+    assert got == dirac_cohomology(CentralCharPoly.from_xi(xi, 1), Weight.of(lam))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_oracle_agrees_with_the_full_size_oracle(seed):
+    _assert_three_routes_agree(*random_rank_one_instance(random.Random(seed),
+                                                         max_deg=3, max_nu=40))
+
+
+def test_oracle_agrees_with_the_full_size_oracle_at_nu_80():
+    xi = Poly.of(80, 1)
+    assert build_module(xi, 0).nu == 80
+    _assert_three_routes_agree(xi, F(0))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_oracle_rejects_every_single_entry_corruption(seed):
+    xi, lam = random_rank_one_instance(random.Random(seed), max_deg=3, max_nu=5)
+    honest = dirac_matrix(build_module(xi, lam))
+    size = len(honest)
+    for i in range(size):
+        for j in range(size):
+            d = [row[:] for row in honest]
+            d[i][j] += 1
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rank_one, "dirac_matrix", lambda module: d)
+                with pytest.raises(InvariantViolation):
+                    oracle_cohomology(xi, lam)
