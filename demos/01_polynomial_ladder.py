@@ -1,8 +1,9 @@
 """From a deformation polynomial xi to the classification polynomial w.
 
 The ladder: differentiate z^n xi(z) n times to get the density, invert the
-unit-step difference to get its cumulative sum, and solve the triangular
-half-step system for w. Everything is exact.
+unit-step difference to get its cumulative sum, and invert the half-step
+difference n times on density(z + 1/2); dropping the terms below degree n
+leaves z^(n-1) w. Everything is exact.
 """
 from fractions import Fraction
 

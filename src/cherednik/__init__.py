@@ -11,7 +11,6 @@ and a rank-one matrix oracle). All arithmetic is exact over Fraction.
 from .polynomials import (
     InvariantViolation,
     Poly,
-    TwistedPoly,
     bernoulli,
     least_positive_integer_root,
     nabla,
@@ -65,7 +64,7 @@ from .clifford import (
 from .rank_one import RankOneModule, build_module, dirac_matrix, oracle_cohomology
 
 __all__ = [
-    "InvariantViolation", "Poly", "TwistedPoly", "bernoulli", "least_positive_integer_root", "nabla", "nabla_inverse",
+    "InvariantViolation", "Poly", "bernoulli", "least_positive_integer_root", "nabla", "nabla_inverse",
     "twisted_identity_check", "xi_to_density", "xi_to_density_sum", "xi_to_w",
     "CentralCharPoly", "Weight", "complete_homogeneous", "is_dominant", "rho",
     "weyl_dim", "weyl_dim_formal",

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from .enveloping import CheckReport, VBasis, act_on_v, UEAElement
+from .enveloping import CheckReport, VBasis, act_on_v, UEAElement, v_basis
 from .lincomb import ONE, LinComb, rewriting
 from .polynomials import InvariantViolation, _as_fraction
 from .weights import Weight
@@ -172,7 +172,6 @@ def gamma_lie_hom_check(n: int) -> CheckReport:
 def commutator_matches_action(n: int) -> CheckReport:
     """[gamma(E_ij), v] in the Clifford algebra equals the module action
     E_ij . v embedded back, for every generator and V-basis vector."""
-    from .enveloping import v_basis
     for i, j in product(range(1, n + 1), repeat=2):
         g = gamma_e(i, j, n)
         e = UEAElement.generator(i, j)

@@ -9,19 +9,22 @@ on, together with the discrete calculus used to turn a deformation polynomial
 * The step-difference operator ``nabla_eps f(z) = f(z+eps) - f(z+eps-1)`` and
   its inverse (unique once the constant term is pinned to 0), constructed from
   Bernoulli polynomials in one exact pass.
-* The ladder of transforms attached to a deformation ``xi`` of rank ``n``:
+* The ladder of transforms attached to a deformation ``xi`` of rank ``n``,
+  each in closed form:
 
-      density(z)      = d^n/dz^n [ z^n xi(z) ]
+      density(z)      = d^n/dz^n [ z^n xi(z) ], coefficient (m+n)!/m! * xi_m
       density_sum     = the polynomial F with F(z) - F(z-1) = density(z), F(0)=0
       w               = the polynomial with w_0 = 0 such that applying
-                        nabla_{1/2} n times to z^(n-1) w(z) gives density(z+1/2)
+                        nabla_{1/2} n times to z^(n-1) w(z) gives density(z+1/2):
+                        nabla_inverse(1/2, .) n times on density(z+1/2), with
+                        the terms below degree n dropped
 
   ``w`` has degree deg(xi) + 1 and its coefficients are exactly the
   h-basis coefficients of the central character polynomial (see weights.py).
 
-* ``TwistedPoly``: the quotient ring Q[z,g] mod (g^2 - 1/4), used to certify
-  the substitution identity p(z)g = f(z+g) + p(z)/2 - f(z+1/2) that underlies
-  the square of the Dirac element.
+* ``twisted_identity_check``: the substitution identity
+  p(z)g = f(z+g) + p(z)/2 - f(z+1/2) mod (g^2 - 1/4) that underlies the
+  square of the Dirac element, checked at the two roots g = 1/2 and g = -1/2.
 * ``least_positive_integer_root``: exact root isolation (square-free part,
   Cauchy bound, Sturm-sequence bisection over integer intervals), whose cost
   grows with the bit size of the polynomial, not with the size of its roots.
@@ -34,7 +37,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from functools import lru_cache
+from math import comb, gcd, lcm, perm
 
 Scalar = int | Fraction
 
@@ -271,13 +275,13 @@ def least_positive_integer_root(q: Poly, cap: int | None = None) -> int | None:
     return None
 
 
-def _bernoulli_numbers(up_to: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def _bernoulli_number(j: int) -> Fraction:
     # B_0 = 1 and sum_{i<=j} C(j+1, i) B_i = 0 for j >= 1 (B_1 = -1/2 convention).
-    nums = [Fraction(1)]
-    for j in range(1, up_to + 1):
-        s = sum(comb(j + 1, i) * nums[i] for i in range(j))
-        nums.append(Fraction(-s, j + 1))
-    return nums
+    # Each B_j asks for B_0..B_(j-1) in order, so the recursion stays two deep.
+    if j == 0:
+        return Fraction(1)
+    return -sum(comb(j + 1, i) * _bernoulli_number(i) for i in range(j)) / (j + 1)
 
 
 def bernoulli(k: int) -> Poly:
@@ -291,11 +295,7 @@ def bernoulli(k: int) -> Poly:
     """
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    nums = _bernoulli_numbers(k)
-    out = [Fraction(0)] * (k + 1)
-    for i in range(k + 1):
-        out[k - i] = comb(k, i) * nums[i]
-    return Poly.of(*out)
+    return Poly.of(*(comb(k, i) * _bernoulli_number(i) for i in range(k, -1, -1)))
 
 
 def nabla(eps: Scalar, f: Poly) -> Poly:
@@ -313,13 +313,14 @@ def nabla_inverse(eps: Scalar, p: Poly) -> Poly:
     kills constants, so this normalization is free.
     """
     eps = _as_fraction(eps)
-    nums = _bernoulli_numbers(len(p.coeffs))
+    nums = [_bernoulli_number(j) for j in range(len(p.coeffs) + 1)]
     out = [Fraction(0)] * (len(p.coeffs) + 1)
     for i, c in enumerate(p.coeffs):
         if c:
             scale = c / (i + 1)
             for j in range(i + 2):
-                out[i + 1 - j] += scale * comb(i + 1, j) * nums[j]
+                if nums[j]:  # B_j vanishes at every odd j >= 3
+                    out[i + 1 - j] += scale * comb(i + 1, j) * nums[j]
     return Poly.of(*out).shift(1 - eps).with_constant_zero()
 
 
@@ -327,13 +328,13 @@ def xi_to_density(xi: Poly, n: int) -> Poly:
     """
     The n-th derivative of z^n * xi(z); same degree as xi, coefficient of z^m
     is (m+n)!/m! * xi_m.
+
+    >>> xi_to_density(Poly.of(1, 1), 2)   # (z^2 + z^3)'' = 2 + 6z
+    Poly('6z + 2')
     """
     if n < 1:
         raise ValueError("rank must be positive")
-    f = Poly.of(*([0] * n + list(xi.coeffs)))
-    for _ in range(n):
-        f = f.derivative()
-    return f
+    return Poly.of(*(perm(m + n, n) * c for m, c in enumerate(xi.coeffs)))
 
 
 def xi_to_density_sum(xi: Poly, n: int) -> Poly:
@@ -355,82 +356,40 @@ def half_step_transform(w: Poly, n: int) -> Poly:
 def xi_to_w(xi: Poly, n: int) -> Poly:
     """
     The unique polynomial w with constant term 0 such that
-    half_step_transform(w, n) equals density(z + 1/2).
+    half_step_transform(w, n) equals density(z + 1/2); for xi != 0,
+    deg w = deg xi + 1.
 
-    The images of the monomials z^k (k >= 1) have degree exactly k - 1, so
-    the system is triangular; constants lie in the kernel, which is why the
-    normalization w_0 = 0 costs nothing. For xi != 0, deg w = deg xi + 1.
+    nabla_{1/2} lowers degree by one and kills constants, so the solutions G
+    of nabla_{1/2}^n G = density(z + 1/2) differ by polynomials of degree
+    below n. G = z^(n-1) w is the one with no terms below degree n: apply
+    nabla_inverse(1/2, .) n times and drop those terms.
+
+    >>> xi_to_w(Poly.of(0, 1), 3)
+    Poly('z^2 + 2z')
     """
     if n < 1:
         raise ValueError("rank must be positive")
     rhs = xi_to_density(xi, n).shift(Fraction(1, 2))
-    coeffs: dict[int, Fraction] = {}
-    for k in range(rhs.degree + 1, 0, -1):
-        image = half_step_transform(Poly.of(*([0] * k + [1])), n)
-        if image.degree != k - 1:
-            raise InvariantViolation(f"half-step image of z^{k} has degree {image.degree}")
-        c = rhs.coeff(k - 1) / image.coeff(k - 1)
-        coeffs[k] = c
-        rhs = rhs - image * c
-    if not rhs.is_zero():
-        raise InvariantViolation("half-step system must close exactly")
-    out = [Fraction(0)] * (max(coeffs, default=0) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return Poly.of(*out)
-
-
-@dataclass(frozen=True)
-class TwistedPoly:
-    """
-    Element a(z) + b(z)*g of Q[z, g] mod (g^2 - 1/4).
-
-    >>> t = TwistedPoly(Poly.x(), Poly.of(1))  # z + g
-    >>> t * t                                  # (z+g)^2 = z^2 + 1/4 + 2zg
-    TwistedPoly(a=Poly('z^2 + 1/4'), b=Poly('2z'))
-    """
-
-    a: Poly
-    b: Poly
-
-    @staticmethod
-    def plain(p: Poly) -> TwistedPoly:
-        return TwistedPoly(p, Poly.zero())
-
-    def __add__(self, other: TwistedPoly) -> TwistedPoly:
-        return TwistedPoly(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: TwistedPoly) -> TwistedPoly:
-        return TwistedPoly(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: TwistedPoly) -> TwistedPoly:
-        quarter = Fraction(1, 4)
-        return TwistedPoly(
-            self.a * other.a + self.b * other.b * quarter,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-
-def compose_z_plus_gamma(f: Poly) -> TwistedPoly:
-    """f(z + g) expanded in Q[z, g] mod (g^2 - 1/4)."""
-    z_plus_g = TwistedPoly(Poly.x(), Poly.of(1))
-    result = TwistedPoly(Poly.zero(), Poly.zero())
-    for a in reversed(f.coeffs):
-        result = result * z_plus_g + TwistedPoly.plain(Poly.of(a))
-    return result
+    f = rhs
+    for _ in range(n):
+        f = nabla_inverse(Fraction(1, 2), f)
+    w = Poly.of(0, *f.coeffs[n:])
+    if half_step_transform(w, n) != rhs:
+        raise InvariantViolation("half-step transform of w must give density(z + 1/2)")
+    return w
 
 
 def twisted_identity_check(p: Poly) -> bool:
     """
     Check p(z)*g == f(z+g) + p(z)/2 - f(z+1/2) mod (g^2 - 1/4), where f is
     any half-step antidifference of p (the identity is insensitive to f's
-    constant term).
+    constant term). By the Chinese remainder theorem Q[z,g]/(g^2 - 1/4) is
+    Q[z] x Q[z] under g -> 1/2 and g -> -1/2, so the identity is checked at
+    both roots.
+
+    >>> twisted_identity_check(Poly.of(0, 0, 1))
+    True
     """
     f = nabla_inverse(Fraction(1, 2), p)
-    lhs = TwistedPoly(Poly.zero(), p)
-    rhs = compose_z_plus_gamma(f) + TwistedPoly.plain(
-        p * Fraction(1, 2) - f.shift(Fraction(1, 2)))
-    return (lhs - rhs).is_zero()
+    rest = p * Fraction(1, 2) - f.shift(Fraction(1, 2))
+    return all(p * g == f.shift(g) + rest for g in (Fraction(1, 2), Fraction(-1, 2)))

@@ -72,13 +72,10 @@ def mat_rank(a: Matrix) -> int:
     return rank
 
 
-def nullity(a: Matrix) -> int:
-    return (len(a[0]) if a else 0) - mat_rank(a)
-
-
 @dataclass
 class RankOneModule:
     xi: Poly
+    P: CentralCharPoly
     lam: Fraction
     nu: int
     t: Matrix
@@ -110,7 +107,7 @@ def build_module(xi: Poly, lam) -> RankOneModule:
             x[k + 1][k] = Fraction(1)
         if k - 1 >= 0:
             y[k - 1][k] = d[k]
-    return RankOneModule(xi=xi, lam=lam, nu=nu, t=t, x=x, y=y, d=d[:size + 1])
+    return RankOneModule(xi=xi, P=P, lam=lam, nu=nu, t=t, x=x, y=y, d=d[:size + 1])
 
 
 def _spin_matrix(c: CliffordElement) -> Matrix:
@@ -169,7 +166,7 @@ def oracle_cohomology(xi: Poly, lam) -> ModuleDecomposition:
         _require(all(labels[i] == labels[j] for j, c in enumerate(row) if c),
                  "D mixes distinct weights")
 
-    P = CentralCharPoly.from_xi(xi, 1)
+    P = module.P
     p_lam = P.value(Weight.of(module.lam))
     groups: dict[Fraction, list[int]] = {}
     for idx, mu in enumerate(labels):

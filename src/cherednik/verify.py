@@ -237,7 +237,7 @@ def _twisted_identity_in_clifford() -> bool:
                 lhs = g * p(z0)
                 zg = CliffordElement.scalar(z0) + g
                 rhs = CliffordElement.zero()
-                for j, c in reversed(list(enumerate(f.coeffs))):
+                for c in reversed(f.coeffs):
                     rhs = rhs * zg + CliffordElement.scalar(c)
                 rhs = rhs + CliffordElement.scalar(p(z0) / 2 - f(z0 + Fraction(1, 2)))
                 if lhs != rhs:

@@ -50,7 +50,6 @@ from cherednik.rank_one import (
     dirac_matrix,
     mat_mul,
     mat_rank,
-    nullity,
     oracle_cohomology,
     weight_labels,
 )
@@ -147,7 +146,8 @@ def test_criterion_3_oracle_equivalence():
         module = build_module(xi, lam)
         d = dirac_matrix(module)
         d2 = mat_mul(d, d)
-        assert nullity(d) == nullity(d2)          # ker D = ker D^2
+        size = len(d)
+        assert size - mat_rank(d) == size - mat_rank(d2)   # ker D = ker D^2
         assert mat_rank(d) == mat_rank(d2)        # ker D meets im D trivially
 
         P = CentralCharPoly.from_xi(xi, 1)

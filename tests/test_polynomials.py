@@ -1,16 +1,19 @@
 """Polynomial calculus: Bernoulli, step differences, the xi -> w ladder."""
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cherednik.polynomials as polynomials
 from cherednik.polynomials import (
     Poly,
-    TwistedPoly,
     bernoulli,
-    compose_z_plus_gamma,
     half_step_transform,
     nabla,
     nabla_inverse,
@@ -161,10 +164,10 @@ def test_w_examples():
 
 def test_w_degree_and_defining_equation():
     rng = random.Random(11)
-    for n in (1, 2, 3):
+    for n in range(1, 7):
         for _ in range(30):
             xi = Poly.of(*(F(rng.randint(-9, 9), rng.randint(1, 3))
-                           for _ in range(rng.randint(1, 5))))
+                           for _ in range(rng.randint(1, 9))))
             w = xi_to_w(xi, n)
             if xi.is_zero():
                 assert w.is_zero()
@@ -189,29 +192,71 @@ def test_w_and_density_sum_differ_by_constant_under_half_steps():
             assert diff.degree <= 0
 
 
-@pytest.mark.parametrize("k", range(9))
-def test_twisted_identity_on_monomials(k):
-    assert twisted_identity_check(Poly.of(*([0] * k + [1])))
 
 
 def test_twisted_identity_zero_polynomial():
     assert twisted_identity_check(Poly.zero())
 
 
-def test_twisted_poly_ring_laws():
-    rng = random.Random(17)
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_xi_to_w_postcondition_survives_optimized_python(flags):
+    # nabla_inverse off by z: xi_to_w must raise even when python -O strips
+    # assert statements.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys\n"
+            "import cherednik.polynomials as polynomials\n"
+            "from cherednik.polynomials import InvariantViolation, Poly\n"
+            "assert sys.flags.optimize == int(sys.argv[1])\n"
+            "base = polynomials.nabla_inverse\n"
+            "polynomials.nabla_inverse = lambda eps, p: base(eps, p) + Poly.x()\n"
+            "try:\n"
+            "    polynomials.xi_to_w(Poly.of(1, 2, 3), 2)\n"
+            "    sys.exit(5)\n"
+            "except InvariantViolation as exc:\n"
+            "    sys.exit(3 if 'half-step transform of w' in str(exc) else 6)\n")
+    res = subprocess.run([sys.executable, *flags, "-c", code, str(len(flags))],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert res.returncode == 3, res.stderr
 
-    def rand_twisted():
-        return TwistedPoly(
-            Poly.of(*(F(rng.randint(-4, 4)) for _ in range(rng.randint(0, 6)))),
-            Poly.of(*(F(rng.randint(-4, 4)) for _ in range(rng.randint(0, 6)))))
 
-    for _ in range(40):
-        a, b, c = rand_twisted(), rand_twisted(), rand_twisted()
-        assert ((a * b) * c - a * (b * c)).is_zero()
-        assert (a * b - b * a).is_zero()
+Z, G = sympy.symbols("z g")
 
 
-def test_compose_z_plus_gamma_square():
-    got = compose_z_plus_gamma(Poly.of(0, 0, 1))
-    assert got == TwistedPoly(Poly.of(F(1, 4), 0, 1), Poly.of(0, 2))
+def _sympy_poly(p: Poly):
+    return sum(sympy.Rational(c.numerator, c.denominator) * Z ** k
+               for k, c in enumerate(p.coeffs))
+
+
+def _sympy_twisted_residual(p: Poly, f: Poly):
+    """p*g - f(z+g) - p/2 + f(z+1/2), reduced mod g^2 - 1/4 by sympy."""
+    half = sympy.Rational(1, 2)
+    sp, sf = _sympy_poly(p), _sympy_poly(f)
+    expr = sp * G - sf.subs(Z, Z + G) - sp * half + sf.subs(Z, Z + half)
+    return sympy.expand(sympy.rem(sympy.expand(expr), G ** 2 - sympy.Rational(1, 4), G))
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_twisted_identity_on_monomials(k):
+    p = Poly.of(*([0] * k + [1]))
+    assert twisted_identity_check(p)
+    assert _sympy_twisted_residual(p, nabla_inverse(F(1, 2), p)) == 0
+
+
+@pytest.mark.parametrize("k, j", [(0, 1), (3, 1), (4, 2), (7, 5), (12, 3)])
+def test_twisted_identity_fails_for_a_perturbed_antidifference(monkeypatch, k, j):
+    p = Poly.of(*([0] * k + [1]))
+    bump = Poly.of(*([0] * j + [1]))
+    assert _sympy_twisted_residual(p, nabla_inverse(F(1, 2), p) + bump) != 0
+    base = polynomials.nabla_inverse
+    monkeypatch.setattr(polynomials, "nabla_inverse", lambda eps, q: base(eps, q) + bump)
+    assert not twisted_identity_check(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(RATIONALS, max_size=10).map(lambda cs: Poly.of(*cs)),
+       st.integers(min_value=1, max_value=7))
+def test_density_is_nth_derivative_of_z_n_xi(xi, n):
+    f = Poly.of(*([0] * n + list(xi.coeffs)))
+    for _ in range(n):
+        f = f.derivative()
+    assert xi_to_density(xi, n) == f

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cherednik.rank_one as rank_one
+import cherednik.weights as weights
 from cherednik.clifford import CliffordElement
 from cherednik.modules import ModuleDecomposition, NotInClassificationError, dirac_cohomology
 from cherednik.polynomials import InvariantViolation, Poly, xi_to_density
@@ -18,7 +19,6 @@ from cherednik.rank_one import (
     dirac_matrix,
     mat_mul,
     mat_rank,
-    nullity,
     oracle_cohomology,
     weight_labels,
     zeros,
@@ -81,8 +81,8 @@ def test_dirac_matrix_six_by_six_kernel():
     d = dirac_matrix(m)
     assert len(d) == 6
     d2 = mat_mul(d, d)
-    assert nullity(d2) == 2
-    assert nullity(d) == 2
+    assert len(d2) - mat_rank(d2) == 2
+    assert len(d) - mat_rank(d) == 2
     assert mat_rank(d) == mat_rank(d2) == 4
 
 
@@ -179,6 +179,16 @@ def test_oracle_ranks_each_matrix_once(monkeypatch, xi, lam):
     nu = build_module(xi, lam).nu
     assert ranked == [1, 1] + [2, 2] * nu + [1, 1]
     assert got == dirac_cohomology(CentralCharPoly.from_xi(xi, 1), Weight.of(lam))
+
+
+def test_oracle_derives_P_once(monkeypatch):
+    # build_module classifies lam with P; the oracle reads that P from the
+    # module instead of deriving it from xi again.
+    calls = []
+    base = weights.xi_to_w
+    monkeypatch.setattr(weights, "xi_to_w", lambda xi, n: calls.append(n) or base(xi, n))
+    oracle_cohomology(*random_rank_one_instance(random.Random(67)))
+    assert calls == [1]
 
 
 def test_oracle_rejects_a_dirac_matrix_with_a_larger_rank_than_its_square(monkeypatch):
