@@ -9,7 +9,19 @@ verify (the certificate suites). Deformations are given by exactly one of
 minus sign may be its own token, as in --xi -3,0,1); weights by exactly one
 of --lambda / --lambda-plus-rho. Output is aligned text or, with --json, a
 single JSON document with sorted keys and deterministic entry order; every
-rational is serialized as "p/q" (or "p"), never as a float.
+rational is serialized as "p/q" (or "p"), never as a float. The JSON text is,
+by contract, exactly json.dumps(doc, sort_keys=True, indent=2); it is written
+by _json, which produces that text with the C string encoder.
+
+The boxes (L(lambda), L(lambda) (x) spin) and the tables grid are rendered
+from per-axis data (modules.Axis): coordinate i of a class is top_i - o for
+o = 0..b_i, so each coordinate's strings (or, with --decimal, its _fmt
+renderings) are made once per axis value and the classes are their
+itertools.product, already in descending order. Dimensions come from the
+integer Weyl products of the same axes (modules.box_dimension) and the
+tables' P values from integer numerators over one common denominator
+(modules.grid_numerators); no Weight or Fraction is built per class. The
+cohomology and guaranteed classes, a few per request, go through Weight.
 
 Exit codes: 0 success, 1 mathematical rejection (the weight heads no
 finite-dimensional module: error code "not-classified", or "not-dominant"
@@ -25,26 +37,33 @@ pipe early ends the output quietly, with the command's own exit code.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, prod
 from typing import Callable, NamedTuple
 
 from .modules import (
     MAX_GRID,
+    Axis,
     BoxTooLargeError,
-    L_decomposition,
     ModuleDecomposition,
+    box_axes,
+    box_dimension,
     check_grid_size,
+    grid_axes,
+    grid_numerators,
     guaranteed_classes,
     membership_detail,
     nu_vector,
     select_cohomology,
-    spin_grid,
-    tensor_with_spin,
+    shift_axes,
+    spin_axes,
+    spin_multiplicities,
 )
 from .polynomials import Poly, xi_to_density, xi_to_density_sum, xi_to_w
 from .verify import run_suites
@@ -69,26 +88,39 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return [_parse_rational(tok) for tok in text.split(",")]
 
 
-def _fmt(q: Fraction, decimal: bool = False) -> str:
+def _ratio(num: int, den: int, decimal: bool = False) -> str:
+    """num/den (den > 0) as str(Fraction(num, den)) writes it, or, with
+    ``decimal``, as a decimal when it terminates."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
     if decimal:
-        num, den = q.numerator, q.denominator
-        scale = 0
-        while den % 2 == 0:
-            den //= 2
+        rest, scale, fives = den, 0, 0
+        while rest % 2 == 0:
+            rest //= 2
             scale += 1
-        fives = 0
-        while den % 5 == 0:
-            den //= 5
+        while rest % 5 == 0:
+            rest //= 5
             fives += 1
-        if den == 1:
+        if rest == 1:
             k = max(scale, fives)
-            digits = num * 10 ** k // q.denominator
+            digits = num * 10 ** k // den
             if k == 0:
                 return str(digits)
             sign = "-" if digits < 0 else ""
             digits = abs(digits)
             return f"{sign}{digits // 10**k}.{digits % 10**k:0{k}d}"
-    return str(q)
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _fmt(q: Fraction, decimal: bool = False) -> str:
+    return _ratio(q.numerator, q.denominator, decimal)
+
+
+def _axis_text(decimal: bool) -> Callable[[Axis], list[str]]:
+    """How the text output renders the values of an axis: _fmt once per value."""
+    if not decimal:
+        return Axis.strings
+    return lambda axis: [_fmt(v, True) for v in axis.values()]
 
 
 def _weight_json(w: Weight) -> dict:
@@ -111,11 +143,52 @@ def _decomp_json(d: ModuleDecomposition) -> dict:
     }
 
 
-def _decomp_text(lines: list[str], title: str, d: ModuleDecomposition, dimension: int,
+def _decomp_text(lines: list[str], title: str, d: ModuleDecomposition,
                  decimal: bool) -> None:
-    lines.append(f"{title}  (dimension {dimension})")
+    lines.append(f"{title}  (dimension {d.total_dimension()})")
     for w, m in d.sorted_items():
         lines.append(f"  {m} x {_weight_text(w, decimal)}")
+
+
+class Box(NamedTuple):
+    """The classes of L(lambda) or of L(lambda) (x) spin, rendered from their
+    axes: the product of the axes, in product order (already descending),
+    with the closed-form multiplicities and the total dimension."""
+
+    axes: list[Axis]
+    multiplicities: list[int]
+    dimension: int
+
+    @staticmethod
+    def of(axes: list[Axis], multiplicities: list[int]) -> "Box":
+        return Box(axes, multiplicities, box_dimension(axes, multiplicities))
+
+    def rows(self, fmt: Callable[[Axis], list[str]]):
+        """(multiplicity, weight, weight + rho) per class, each coordinate
+        taken from fmt's rendering of its axis, so nothing is made per class
+        but the tuples of strings."""
+        plus_rho = shift_axes(self.axes, rho(len(self.axes)).coords)
+        return zip(self.multiplicities, product(*map(fmt, self.axes)),
+                   product(*map(fmt, plus_rho)))
+
+    def json(self) -> dict:
+        return {"dimension": self.dimension,
+                "entries": [{"multiplicity": m, "weight": w, "weight_plus_rho": s}
+                            for m, w, s in self.rows(Axis.strings)]}
+
+    def text(self, lines: list[str], title: str, decimal: bool) -> None:
+        lines.append(f"{title}  (dimension {self.dimension})")
+        lines.extend(f"  {m} x ({', '.join(w)})  [mu+rho ({', '.join(s)})]"
+                     for m, w, s in self.rows(_axis_text(decimal)))
+
+
+def _L_box(lam: Weight, nu: tuple[int, ...]) -> Box:
+    axes = box_axes(lam, nu)
+    return Box.of(axes, [1] * prod(a.count for a in axes))
+
+
+def _spin_box(lam: Weight, nu: tuple[int, ...]) -> Box:
+    return Box.of(spin_axes(lam, nu), list(spin_multiplicities(nu)))
 
 
 class Deformation:
@@ -203,13 +276,42 @@ class Answered(Exception):
         self.outcome = outcome
 
 
-def _json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
+def _json(doc) -> str:
+    """The exact text of json.dumps(doc, sort_keys=True, indent=2), for a
+    document of dicts (with str keys), lists, tuples, str, int, bool and
+    None. Strings go through the C string encoder, and a list of strings is
+    one join over it."""
+    return _encode(doc, "\n")
 
 
-def _emit(args, doc: dict, text_lines: Callable[[], list[str]]) -> str:
-    """The JSON document, or the text lines, built only when printed."""
-    return _json(doc) if args.json else "\n".join(text_lines())
+def _encode(value, newline: str) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            _quote(key) + ": " + _encode(value[key], inner) for key in sorted(value)
+        ) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        try:
+            body = ("," + inner).join(map(_quote, value))
+        except TypeError:  # not a list of strings
+            body = ("," + inner).join([_encode(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _reject(args, doc: dict, code: str, message: str) -> Outcome:
@@ -242,9 +344,11 @@ def cmd_transform(args) -> Outcome:
         "input": deformation.input_json(),
         "derived": deformation.derived_json(),
     }
+    if args.json:
+        return 0, _json(doc)
     d = doc["derived"]
-    return 0, _emit(args, doc, lambda: [f"{key:12} [{', '.join(d[key])}]"
-                                        for key in ("density", "density_sum", "w", "P_h")])
+    return 0, "\n".join(f"{key:12} [{', '.join(d[key])}]"
+                        for key in ("density", "density_sum", "w", "P_h"))
 
 
 def _membership_block(P: CentralCharPoly, lam: Weight) -> tuple[dict, tuple[int | None, bool]]:
@@ -311,41 +415,35 @@ def _classified(args, command: str, derived: bool = True) -> Classified:
 
 def cmd_classify(args) -> Outcome:
     _, lam, nu, membership, doc = _classified(args, "classify")
-    L = L_decomposition(lam, nu)
-    doc["L"] = _decomp_json(L)
-
-    def text() -> list[str]:
-        lines = [_member_line(nu, membership)]
-        _decomp_text(lines, "L(lambda)", L, doc["L"]["dimension"], args.decimal)
-        return lines
-
-    return 0, _emit(args, doc, text)
+    L = _L_box(lam, nu)
+    if args.json:
+        doc["L"] = L.json()
+        return 0, _json(doc)
+    lines = [_member_line(nu, membership)]
+    L.text(lines, "L(lambda)", args.decimal)
+    return 0, "\n".join(lines)
 
 
 def cmd_dirac(args) -> Outcome:
     P, lam, nu, membership, doc = _classified(args, "dirac")
-    L = L_decomposition(lam, nu)
-    LS = tensor_with_spin(lam, nu)
+    L = _L_box(lam, nu)
+    LS = _spin_box(lam, nu)
     coh = select_cohomology(P, lam, nu)
     guaranteed = guaranteed_classes(P, lam, nu)
-    doc["L"] = _decomp_json(L)
-    doc["tensor_spin"] = _decomp_json(LS)
-    doc["cohomology"] = _decomp_json(coh)
-    doc["guaranteed"] = [_weight_json(w) for w in guaranteed]
-
-    def text() -> list[str]:
-        lines = [_member_line(nu, membership)]
-        _decomp_text(lines, "L(lambda)", L, doc["L"]["dimension"], args.decimal)
-        _decomp_text(lines, "L(lambda) (x) spin", LS, doc["tensor_spin"]["dimension"],
-                     args.decimal)
-        _decomp_text(lines, "Dirac cohomology", coh, doc["cohomology"]["dimension"],
-                     args.decimal)
-        lines.append("guaranteed multiplicity-one classes:")
-        for w in guaranteed:
-            lines.append(f"  {_weight_text(w, args.decimal)}")
-        return lines
-
-    return 0, _emit(args, doc, text)
+    if args.json:
+        doc["L"] = L.json()
+        doc["tensor_spin"] = LS.json()
+        doc["cohomology"] = _decomp_json(coh)
+        doc["guaranteed"] = [_weight_json(w) for w in guaranteed]
+        return 0, _json(doc)
+    lines = [_member_line(nu, membership)]
+    L.text(lines, "L(lambda)", args.decimal)
+    LS.text(lines, "L(lambda) (x) spin", args.decimal)
+    _decomp_text(lines, "Dirac cohomology", coh, args.decimal)
+    lines.append("guaranteed multiplicity-one classes:")
+    for w in guaranteed:
+        lines.append(f"  {_weight_text(w, args.decimal)}")
+    return 0, "\n".join(lines)
 
 
 def _weight_json_input(lam: Weight) -> dict:
@@ -355,48 +453,50 @@ def _weight_json_input(lam: Weight) -> dict:
 
 def cmd_tables(args) -> Outcome:
     P, lam, nu, _, doc = _classified(args, "tables", derived=False)
+    axes = grid_axes(lam, nu)
+    values, den = grid_numerators(P, axes)
+    multiplicities = spin_multiplicities(nu)
     if lam.rank == 2:
-        # spin_grid runs the second coordinate fastest, so row k2 of the
+        # The grid runs the second coordinate fastest, so row k2 of the
         # layout (columns over the first coordinate) is every (nu_2 + 2)-th cell.
-        cells = list(spin_grid(P, lam, nu))
-        grid = [cells[k2::nu[1] + 2] for k2 in range(nu[1] + 2)]
-        weight_grid = [[pt for pt, _, _ in row] for row in grid]
-        p_grid = [[v for _, _, v in row] for row in grid]
-        m_grid = [[m for _, m, _ in row] for row in grid]
-        transpose_symmetric = (len(p_grid) == len(p_grid[0]) and all(
-            p_grid[i][j] == p_grid[j][i]
-            for i in range(len(p_grid)) for j in range(len(p_grid))))
+        step = nu[1] + 2
+        values, multiplicities = list(values), list(multiplicities)
+        p_grid = [values[k2::step] for k2 in range(step)]
+        m_grid = [multiplicities[k2::step] for k2 in range(step)]
+        transpose_symmetric = len(p_grid) == len(p_grid[0]) and all(
+            p_grid[i][j] == p_grid[j][i] for i in range(step) for j in range(step))
         note = ("rows run over the second mu+rho coordinate (descending), columns "
                 "over the first (descending); this grid is not symmetric, so a "
                 "transposed layout reads differently" if not transpose_symmetric else "")
-        doc["grids"] = {
-            "weight_plus_rho": [[[str(c) for c in pt] for pt in row] for row in weight_grid],
-            "P": [[str(v) for v in row] for row in p_grid],
-            "multiplicity": m_grid,
-            "orientation_note": note,
-        }
-
-        def text() -> list[str]:
-            lines = [f"nu = {list(nu)}", "mu+rho grid:"]
-            lines.extend(_render_grid([[f"({_fmt(a, args.decimal)},{_fmt(b, args.decimal)})"
-                                        for a, b in row] for row in weight_grid]))
-            lines.append("P(mu+rho) grid:")
-            lines.extend(_render_grid([[_fmt(v, args.decimal) for v in row] for row in p_grid]))
-            lines.append("multiplicity grid:")
-            lines.extend(_render_grid([[str(v) for v in row] for row in m_grid]))
-            if note:
-                lines.append(f"note: {note}")
-            return lines
-    else:
-        points = [{"weight_plus_rho": [str(c) for c in pt], "P": str(value),
-                   "multiplicity": mult} for pt, mult, value in spin_grid(P, lam, nu)]
-        doc["points"] = points
-
-        def text() -> list[str]:
-            return [f"nu = {list(nu)}"] + [
-                f"mu+rho ({', '.join(item['weight_plus_rho'])})  "
-                f"P = {item['P']}  multiplicity {item['multiplicity']}" for item in points]
-    return 0, _emit(args, doc, text)
+        if args.json:
+            xs, ys = axes[0].strings(), axes[1].strings()
+            doc["grids"] = {
+                "weight_plus_rho": [[[x, y] for x in xs] for y in ys],
+                "P": [[_ratio(v, den) for v in row] for row in p_grid],
+                "multiplicity": m_grid,
+                "orientation_note": note,
+            }
+            return 0, _json(doc)
+        xs, ys = map(_axis_text(args.decimal), axes)
+        lines = [f"nu = {list(nu)}", "mu+rho grid:"]
+        lines.extend(_render_grid([[f"({x},{y})" for x in xs] for y in ys]))
+        lines.append("P(mu+rho) grid:")
+        lines.extend(_render_grid([[_ratio(v, den, args.decimal) for v in row]
+                                   for row in p_grid]))
+        lines.append("multiplicity grid:")
+        lines.extend(_render_grid([[str(v) for v in row] for row in m_grid]))
+        if note:
+            lines.append(f"note: {note}")
+        return 0, "\n".join(lines)
+    cells = zip(product(*(a.strings() for a in axes)), (_ratio(v, den) for v in values),
+                multiplicities)
+    if args.json:
+        doc["points"] = [{"P": value, "multiplicity": m, "weight_plus_rho": point}
+                         for point, value, m in cells]
+        return 0, _json(doc)
+    return 0, "\n".join([f"nu = {list(nu)}"] + [
+        f"mu+rho ({', '.join(point)})  P = {value}  multiplicity {m}"
+        for point, value, m in cells])
 
 
 def _render_grid(cells: list[list[str]]) -> list[str]:

@@ -20,19 +20,28 @@ For a deformation with central character polynomial P and a dominant weight
   Nothing is built over a box whose grid, prod(nu_i + 2) points, exceeds
   MAX_GRID; BoxTooLargeError is raised instead. The grid is L (x) spin's
   class set and the tables' P grid, the largest structure any request walks.
+* axes: every box and grid here is a product of per-coordinate axes
+  (Axis: the values top_i - o for o = 0..b_i), in itertools.product order,
+  which is descending lexicographic order. box_axes (L), spin_axes (the
+  classes of L (x) spin) and grid_axes (the spin grid's points) are the one
+  definition of them; L_decomposition, tensor_with_spin, spin_grid,
+  select_cohomology and the CLI all read their coordinates from these, as
+  Fractions, strings or scaled integers made once per axis value.
+  box_dimension sums the Weyl dimensions of a box's classes from the scaled
+  integer axes with the kernel of weights.weyl_dim_formal.
 * the spin grid: L(lam) (x) spin is the grid of points lam + rho - o,
   0 <= o_i <= nu_i + 1, the class of mu = lam + 1/2 - o sitting over the
   point mu + rho - 1/2. Its multiplicity has the closed form
   prod_i (1 if o_i in {0, nu_i + 1} else 2): the ways to split o_i into a box
-  offset in [0, nu_i] and a spin step in {0, 1}. spin_grid walks the grid
-  once, in itertools.product order, and evaluates P at every point in scaled
-  integers: with d the common denominator of lam + rho and D that of the
-  h-coefficients, P(y/d) = N(y) / (D d^K) where N is an integer polynomial,
-  and along the last coordinate N is one Horner evaluation per point. Every
-  class has a weakly decreasing rho-shift; boundary classes (repeated
-  shifted coordinate) are genuine formal summands of dimension 0 and are
-  retained so multiplicity grids close up; total-dimension accounting counts
-  them as 0.
+  offset in [0, nu_i] and a spin step in {0, 1}. grid_numerators walks the
+  grid once, in itertools.product order, and evaluates P at every point in
+  scaled integers: with d the common denominator of lam + rho and D that of
+  the h-coefficients, P(y/d) = N(y) / (D d^K) where N is an integer
+  polynomial, and along the last coordinate N is one Horner evaluation per
+  point. Every class has a weakly decreasing rho-shift; boundary classes
+  (repeated shifted coordinate) are genuine formal summands of dimension 0
+  and are retained so multiplicity grids close up; total-dimension
+  accounting counts them as 0.
 * Dirac cohomology: the classes of the spin grid whose point mu + rho - 1/2
   has P(lam + rho) = P(mu + rho - 1/2), with their multiplicities.
 """
@@ -42,9 +51,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .polynomials import Poly, least_positive_integer_root
+from .polynomials import InvariantViolation, Poly, least_positive_integer_root
 from .weights import (
     CentralCharPoly,
     Weight,
@@ -53,8 +62,12 @@ from .weights import (
     is_dominant,
     is_shift_weakly_decreasing,
     rho,
+    weyl_denominator,
     weyl_dim_formal,
+    weyl_quotient,
 )
+
+HALF = Fraction(1, 2)
 
 
 # Budget on prod(nu_i + 2), the number of points of the largest grid built
@@ -186,52 +199,123 @@ def _check_box(lam: Weight, nu: tuple[int, ...]) -> None:
     check_grid_size(nu)
 
 
-def L_decomposition(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
-    """The box {lam - nu' : 0 <= nu' <= nu componentwise}, multiplicity one.
-    Raises ValueError or BoxTooLargeError as _check_box does; past that
-    check every weight of the box is dominant, so none is re-checked."""
+class Axis(NamedTuple):
+    """One coordinate of a box or grid: the values top - o, o = 0, ..., count - 1.
+
+    The classes of a box or grid are the product of its axes, in
+    itertools.product order (the last coordinate fastest), which is
+    descending lexicographic order. Subtracting an integer keeps top's
+    reduced denominator, so every view of an axis is made in integers."""
+
+    top: Fraction
+    count: int
+
+    def values(self) -> list[Fraction]:
+        return [self.top - o for o in range(self.count)]
+
+    def strings(self) -> list[str]:
+        """str() of each value, as num/den (or the integer) without a Fraction."""
+        num, den = self.top.numerator, self.top.denominator
+        if den == 1:
+            return list(map(str, range(num, num - self.count, -1)))
+        return [f"{num - den * o}/{den}" for o in range(self.count)]
+
+    def scaled(self, d: int) -> list[int]:
+        """d times each value, for d a multiple of top's denominator."""
+        y = self.top.numerator * (d // self.top.denominator)
+        return list(range(y, y - d * self.count, -d))
+
+
+def box_axes(lam: Weight, nu: tuple[int, ...]) -> list[Axis]:
+    """The axes of L(lam), the box of nu below lam: lam_i - o, 0 <= o <= nu_i.
+    Raises ValueError or BoxTooLargeError as _check_box does."""
     _check_box(lam, nu)
-    return ModuleDecomposition(lam.rank, {
-        Weight(tuple(c - o for c, o in zip(lam.coords, offsets))): 1
-        for offsets in product(*(range(v + 1) for v in nu))})
+    return [Axis(c, v + 1) for c, v in zip(lam.coords, nu)]
 
 
-def _spin_multiplicities(nu: tuple[int, ...]) -> Iterator[int]:
-    """The multiplicity of each spin-grid point o, in product order:
+def spin_axes(lam: Weight, nu: tuple[int, ...]) -> list[Axis]:
+    """The axes of the classes of L(lam) (x) spin: lam_i + 1/2 - o,
+    0 <= o <= nu_i + 1. Raises as box_axes does."""
+    _check_box(lam, nu)
+    return [Axis(c + HALF, v + 2) for c, v in zip(lam.coords, nu)]
+
+
+def shift_axes(axes: list[Axis], by: Sequence[Fraction]) -> list[Axis]:
+    """The axes moved by the vector ``by`` (rho, for the rho-shifted view)."""
+    return [Axis(a.top + b, a.count) for a, b in zip(axes, by, strict=True)]
+
+
+def grid_axes(lam: Weight, nu: tuple[int, ...]) -> list[Axis]:
+    """The axes of the spin grid: lam + rho - o, 0 <= o_i <= nu_i + 1, the
+    point mu + rho - 1/2 of each class mu of L(lam) (x) spin."""
+    return shift_axes(spin_axes(lam, nu), (rho(lam.rank) - half_vector(lam.rank)).coords)
+
+
+def axis_points(axes: list[Axis]) -> Iterator[tuple[Fraction, ...]]:
+    """The classes of the axes, in product order, as tuples of the axes'
+    Fractions (none is built per class)."""
+    return product(*(a.values() for a in axes))
+
+
+def spin_multiplicities(nu: tuple[int, ...]) -> Iterator[int]:
+    """The multiplicity of each class of L(lam) (x) spin, in product order:
     prod_i (1 if o_i in {0, nu_i + 1} else 2)."""
     return map(prod, product(*([1] + [2] * v + [1] for v in nu)))
 
 
-def _grid_values(P: CentralCharPoly, top: tuple[Fraction, ...],
-                 nu: tuple[int, ...]) -> Iterator[Fraction]:
-    """P(top - o) for o in product(range(nu_1 + 2), ..., range(nu_n + 2)).
+def box_dimension(axes: list[Axis], multiplicities: Iterable[int]) -> int:
+    """sum m * weyl_dim_formal(w) over the classes w of the axes, in product
+    order, and their multiplicities m, in integers: with d the common
+    denominator of the tops, y_i = d * w_i - d * i is an integer axis, whose
+    differences are d times those of w + rho; each class is one weyl_quotient
+    by d^(n(n-1)/2) prod_{i<j} (j - i), checked exact."""
+    n = len(axes)
+    d = lcm(*(a.top.denominator for a in axes))
+    den = weyl_denominator(n, d)
+    scaled = [[y - d * i for y in a.scaled(d)] for i, a in enumerate(axes)]
+    return sum(m * weyl_quotient(y, den) for y, m in zip(product(*scaled), multiplicities))
 
-    With d the common denominator of top, D that of the h-coefficients c_k
-    and K = deg P, a point is y/d with y integral and h_k is homogeneous, so
-    P(y/d) = N(y) / (D d^K) with N(y) = sum_k (D c_k) d^(K-k) h_k(y). Since
+
+def L_decomposition(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
+    """The box {lam - nu' : 0 <= nu' <= nu componentwise}, multiplicity one.
+    Raises ValueError or BoxTooLargeError as _check_box does; past that
+    check every weight of the box is dominant, so none is re-checked."""
+    return ModuleDecomposition(lam.rank, dict.fromkeys(
+        map(Weight, axis_points(box_axes(lam, nu))), 1))
+
+
+def grid_numerators(P: CentralCharPoly, axes: list[Axis]) -> tuple[Iterator[int], int]:
+    """(N, den): P at each point of the axes, in product order, is N / den.
+
+    With d the common denominator of the tops, D that of the h-coefficients
+    c_k and K = deg P, a point is y/d with y integral and h_k is homogeneous,
+    so P(y/d) = N(y) / (D d^K) with N(y) = sum_k (D c_k) d^(K-k) h_k(y). Since
     h_k(x, y_n) = sum_m y_n^m h_{k-m}(x), N is, for a fixed prefix x of the
     first n - 1 coordinates, an integer polynomial in y_n whose coefficients
     take one h-recurrence per prefix; each point is then one Horner pass.
     """
     coeffs = P.h_coeffs
     K = len(coeffs) - 1
-    d = lcm(*(c.denominator for c in top))
+    d = lcm(*(a.top.denominator for a in axes))
     D = lcm(*(c.denominator for c in coeffs))
     a = [c.numerator * (D // c.denominator) * d ** (K - k) for k, c in enumerate(coeffs)]
-    den = D * d ** max(K, 0)
-    axes = [[c.numerator * (d // c.denominator) - d * o for o in range(v + 2)]
-            for c, v in zip(top, nu)]
-    for prefix in product(*axes[:-1]):
+    return _horner_walk(a, [ax.scaled(d) for ax in axes]), D * d ** max(K, 0)
+
+
+def _horner_walk(a: list[int], scaled: list[list[int]]) -> Iterator[int]:
+    """N(y) = sum_k a_k h_k(y) over the product of the integer axes."""
+    K = len(a) - 1
+    for prefix in product(*scaled[:-1]):
         h = [1] + [0] * K
         for x in prefix:
             for j in range(1, K + 1):
                 h[j] += x * h[j - 1]
         horner = [sum(a[k] * h[k - m] for k in range(m, K + 1)) for m in range(K, -1, -1)]
-        for y in axes[-1]:
+        for y in scaled[-1]:
             value = 0
             for b in horner:
                 value = value * y + b
-            yield Fraction(value, den)
+            yield value
 
 
 def spin_grid(P: CentralCharPoly, lam: Weight, nu: tuple[int, ...]
@@ -242,35 +326,39 @@ def spin_grid(P: CentralCharPoly, lam: Weight, nu: tuple[int, ...]
     multiplicity of the class mu = lam + 1/2 - o over it, and P at the point.
     Raises ValueError or BoxTooLargeError, as _check_box does, at the call.
     """
-    _check_box(lam, nu)
-    top = lam.shifted()
-    points = product(*([c - o for o in range(v + 2)] for c, v in zip(top, nu)))
-    return zip(points, _spin_multiplicities(nu), _grid_values(P, top, nu))
+    axes = grid_axes(lam, nu)
+    values, den = grid_numerators(P, axes)
+    return zip(axis_points(axes), spin_multiplicities(nu),
+               (Fraction(v, den) for v in values))
 
 
 def tensor_with_spin(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
     """
     Decomposition of L(lam) (x) spin, for L(lam) the box of nu below lam:
-    the classes mu = lam + 1/2 - o, 0 <= o_i <= nu_i + 1, with the closed-form
-    multiplicities of spin_grid. On a dominant box every class has a weakly
+    the classes of spin_axes with the closed-form multiplicities of
+    spin_multiplicities. On a dominant box every class has a weakly
     decreasing rho-shift, so none is dropped.
     """
-    _check_box(lam, nu)
-    half = Fraction(1, 2)
-    mus = product(*([c + half - o for o in range(v + 2)] for c, v in zip(lam.coords, nu)))
-    return ModuleDecomposition(lam.rank, {
-        Weight(mu): mult for mu, mult in zip(mus, _spin_multiplicities(nu))})
+    return ModuleDecomposition(lam.rank, dict(zip(
+        map(Weight, axis_points(spin_axes(lam, nu))), spin_multiplicities(nu))))
 
 
 def select_cohomology(P: CentralCharPoly, lam: Weight,
                       nu: tuple[int, ...]) -> ModuleDecomposition:
     """The part of L(lam) (x) spin, for the box of nu, whose classes mu
-    satisfy P(lam) = P(mu - (1/2,...,1/2)), with its multiplicities."""
-    target = P.value(lam)
+    satisfy P(lam) = P(mu - (1/2,...,1/2)), with its multiplicities. The
+    grid's values are compared as numerators over their common
+    denominator; P(lam + rho), evaluated apart, must be one of them."""
+    axes = grid_axes(lam, nu)
+    values, den = grid_numerators(P, axes)
+    target = P.value(lam) * den
+    if target.denominator != 1:
+        raise InvariantViolation(f"P(lambda + rho) * {den} = {target} is not an integer")
     shift = half_vector(lam.rank) - rho(lam.rank)
     return ModuleDecomposition(lam.rank, {
         Weight(point) + shift: mult
-        for point, mult, value in spin_grid(P, lam, nu) if value == target})
+        for point, mult, value in zip(axis_points(axes), spin_multiplicities(nu), values)
+        if value == target.numerator})
 
 
 def dirac_cohomology(P: CentralCharPoly, lam: Weight) -> ModuleDecomposition:
@@ -294,11 +382,10 @@ def guaranteed_classes(P: CentralCharPoly, lam: Weight,
     if nu is None:
         nu = nu_vector(P, lam)
     n = lam.rank
-    half = Fraction(1, 2)
 
     def spiked(i: int) -> Weight:
         return Weight(tuple(
-            c + (-nu[i - 1] - half if j == i - 1 else half)
+            c + (-nu[i - 1] - HALF if j == i - 1 else HALF)
             for j, c in enumerate(lam.coords)))
 
     out = [lam + half_vector(n)]

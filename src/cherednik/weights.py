@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm, prod
 from typing import Iterable, Sequence
 
 from .polynomials import InvariantViolation, Poly, Scalar, _as_fraction, xi_to_w
@@ -110,17 +110,33 @@ def weyl_dim(w: Weight) -> int:
 
 def weyl_dim_formal(w: Weight) -> int:
     """The Weyl dimension product without the dominance check; 0 on boundary
-    weights. In integers: with d the common denominator of w and s = w + rho,
-    prod_{i<j} d (s_i - s_j) over d^(n(n-1)/2) prod_{i<j} (j - i), one exact
-    division."""
-    n = w.rank
+    weights. In integers: with d the common denominator of w, y_i = d w_i - d i
+    has the differences of d (w + rho), so the dimension is one weyl_quotient
+    by weyl_denominator(n, d)."""
     d = lcm(*(c.denominator for c in w.coords))
-    y = [c.numerator * (d // c.denominator) for c in w.coords]
-    num = den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= y[i] - y[j] + d * (j - i)
-            den *= d * (j - i)
+    y = [c.numerator * (d // c.denominator) - d * i for i, c in enumerate(w.coords)]
+    return weyl_quotient(y, weyl_denominator(w.rank, d))
+
+
+def weyl_product(y: Sequence[int]) -> int:
+    """prod_{i<j} (y_i - y_j): the integer kernel of every Weyl dimension."""
+    num = 1
+    for i, a in enumerate(y):
+        for b in y[i + 1:]:
+            num *= a - b
+    return num
+
+
+def weyl_denominator(n: int, d: int) -> int:
+    """prod_{i<j} d (j - i) = d^(n(n-1)/2) prod_{k<n} k!, the Weyl product of
+    rho scaled by d."""
+    return d ** (n * (n - 1) // 2) * prod(factorial(k) for k in range(n))
+
+
+def weyl_quotient(y: Sequence[int], den: int) -> int:
+    """weyl_product(y) / den, which must be exact: a remainder raises
+    InvariantViolation, whatever flags Python runs with."""
+    num = weyl_product(y)
     dim, rest = divmod(num, den)
     if rest:
         raise InvariantViolation(f"Weyl dimension product {Fraction(num, den)} "

@@ -1,0 +1,150 @@
+"""The CLI's L and L (x) spin blocks, rendered from per-axis strings and
+integer Weyl products, against the rendering they replace: the entries of
+L_decomposition / tensor_with_spin, sorted, one Weight at a time, with a
+dimension from a Fraction Weyl product."""
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from math import prod
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cherednik.cli as cli
+from cherednik.modules import (
+    L_decomposition,
+    ModuleDecomposition,
+    box_axes,
+    spin_axes,
+    spin_multiplicities,
+    tensor_with_spin,
+)
+from cherednik.weights import Weight
+
+F = Fraction
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def reference_dimension(w: Weight) -> int:
+    """prod_{i<j} (s_i - s_j) / (j - i) over s = w + rho, in Fractions."""
+    s = w.shifted()
+    dim = prod((s[i] - s[j]) / (j - i) for i in range(len(s)) for j in range(i + 1, len(s)))
+    assert dim.denominator == 1
+    return int(dim)
+
+
+def reference_json(d: ModuleDecomposition) -> dict:
+    return {
+        "dimension": sum(m * reference_dimension(w) for w, m in d.entries.items()),
+        "entries": [{"weight": [str(c) for c in w.coords],
+                     "weight_plus_rho": [str(c) for c in w.shifted()],
+                     "multiplicity": m} for w, m in d.sorted_items()],
+    }
+
+
+def reference_text(title: str, d: ModuleDecomposition, decimal: bool) -> list[str]:
+    lines = [f"{title}  (dimension {reference_json(d)['dimension']})"]
+    for w, m in d.sorted_items():
+        plain = ", ".join(cli._fmt(c, decimal) for c in w.coords)
+        shifted = ", ".join(cli._fmt(c, decimal) for c in w.shifted())
+        lines.append(f"  {m} x ({plain})  [mu+rho ({shifted})]")
+    return lines
+
+
+@st.composite
+def boxes(draw):
+    """A dominant lam of rank 1-5 whose common offset lies in 1/3 + Z,
+    2/7 + Z, 1/2 + Z or Z, and a box nu within its dominance gaps; a gap
+    equal to nu_i puts boundary classes (dimension 0) into L (x) spin."""
+    n = draw(st.integers(1, 5))
+    cap = (1, 12, 5, 3, 2, 1)[n]
+    nu = tuple(draw(st.integers(0, cap)) for _ in range(n))
+    gaps = [v + draw(st.integers(0, 2)) for v in nu[:-1]]
+    last = draw(st.sampled_from((F(1, 3), F(2, 7), F(1, 2), F(0)))) + draw(st.integers(-9, 9))
+    return Weight(tuple(last + sum(gaps[i:]) for i in range(n))), nu
+
+
+def as_json(block: dict) -> str:
+    return json.dumps(block, sort_keys=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxes())
+def test_blocks_equal_the_sorted_weight_rendering(box):
+    lam, nu = box
+    L, LS = L_decomposition(lam, nu), tensor_with_spin(lam, nu)
+    new_L, new_LS = cli._L_box(lam, nu), cli._spin_box(lam, nu)
+    assert as_json(new_L.json()) == as_json(reference_json(L))
+    assert as_json(new_LS.json()) == as_json(reference_json(LS))
+    for decimal in (False, True):
+        lines: list[str] = []
+        new_L.text(lines, "L(lambda)", decimal)
+        new_LS.text(lines, "L(lambda) (x) spin", decimal)
+        assert lines == (reference_text("L(lambda)", L, decimal)
+                         + reference_text("L(lambda) (x) spin", LS, decimal))
+
+
+@pytest.mark.parametrize("lam,nu", [
+    (Weight.of(F(1, 3)), (4,)),                  # n = 1
+    (Weight.of(F(2, 7)), (0,)),
+    (Weight.of(F(7, 3), F(1, 3)), (2, 3)),       # gap 2 = nu_1: boundary classes
+    (Weight.of(F(23, 7), F(9, 7), F(2, 7)), (2, 1, 2)),
+])
+def test_blocks_at_rank_one_and_on_boundary_classes(lam, nu):
+    LS = tensor_with_spin(lam, nu)
+    assert as_json(cli._L_box(lam, nu).json()) == as_json(reference_json(L_decomposition(lam, nu)))
+    assert as_json(cli._spin_box(lam, nu).json()) == as_json(reference_json(LS))
+    if lam.rank > 1:
+        assert any(reference_dimension(w) == 0 for w in LS.entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxes())
+def test_product_order_is_the_sorted_order(box):
+    # The renderer drops the sort because the axes' product order already is
+    # descending lexicographic order.
+    lam, nu = box
+    for d in (L_decomposition(lam, nu), tensor_with_spin(lam, nu)):
+        assert list(d.entries.items()) == d.sorted_items()
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxes())
+def test_axis_strings_and_scaled_values_are_the_fractions(box):
+    lam, nu = box
+    for axis in box_axes(lam, nu) + spin_axes(lam, nu):
+        assert axis.strings() == [str(v) for v in axis.values()]
+        for d in (axis.top.denominator, 6 * axis.top.denominator):
+            assert axis.scaled(d) == [v * d for v in axis.values()]
+    assert len(list(spin_multiplicities(nu))) == prod(a.count for a in spin_axes(lam, nu))
+
+
+CORRUPT = """
+import sys
+from cherednik import cli, weights
+from cherednik.polynomials import InvariantViolation
+assert sys.flags.optimize == int(sys.argv[1])
+orig, calls = weights.weyl_product, []
+def corrupt(y):
+    # two classes off by one: a check of the sum alone (over 2) would pass
+    calls.append(y)
+    return orig(y) + (1 if len(calls) <= 2 else 0)
+weights.weyl_product = corrupt
+try:
+    cli.main(sys.argv[2:])
+except InvariantViolation:
+    sys.exit(3)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("command", ["classify", "dirac"])
+def test_corrupted_weyl_product_raises_under_any_flags(flags, command):
+    argv = [command, "--n", "2", "--P-h", "0,18,-9/2,-2,1/2", "--lambda-plus-rho", "3,0",
+            "--json"]
+    res = subprocess.run([sys.executable, *flags, "-c", CORRUPT, str(len(flags)), *argv],
+                         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+    assert res.returncode == 3, res.stderr

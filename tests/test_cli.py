@@ -10,6 +10,7 @@ import pytest
 
 import cherednik.cli as cli
 import cherednik.modules as modules
+import cherednik.weights as weights
 
 EXAMPLE_ARGS = ["--n", "2", "--P-h", "0,18,-9/2,-2,1/2", "--lambda-plus-rho", "3,0"]
 # Child interpreters import the package from this checkout's src.
@@ -257,15 +258,18 @@ def _count_calls(monkeypatch, names):
 
 
 STAGES = ["membership_detail", "nu_vector", "L_decomposition", "tensor_with_spin",
-          "dirac_cohomology", "select_cohomology", "spin_grid", "guaranteed_classes"]
+          "dirac_cohomology", "select_cohomology", "spin_grid", "guaranteed_classes",
+          "box_dimension", "grid_numerators"]
 
 
+# The CLI renders the L and L (x) spin blocks from their axes: one dimension
+# walk per box, and no ModuleDecomposition (L_decomposition, tensor_with_spin)
+# or Fraction-valued spin_grid; the P values are walked once, as numerators.
 @pytest.mark.parametrize("cmd,want", [
-    ("classify", {"membership_detail": 1, "nu_vector": 1, "L_decomposition": 1}),
-    ("dirac", {"membership_detail": 1, "nu_vector": 1, "L_decomposition": 1,
-               "tensor_with_spin": 1, "select_cohomology": 1, "spin_grid": 1,
-               "guaranteed_classes": 1}),
-    ("tables", {"membership_detail": 1, "nu_vector": 1, "spin_grid": 1}),
+    ("classify", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 1}),
+    ("dirac", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 2,
+               "select_cohomology": 1, "grid_numerators": 1, "guaranteed_classes": 1}),
+    ("tables", {"membership_detail": 1, "nu_vector": 1, "grid_numerators": 1}),
 ])
 def test_each_stage_runs_once_per_request(monkeypatch, capsys, cmd, want):
     counts = _count_calls(monkeypatch, STAGES)
@@ -276,14 +280,14 @@ def test_each_stage_runs_once_per_request(monkeypatch, capsys, cmd, want):
 @pytest.mark.parametrize("mode", [["--json"], []])
 def test_dimensions_computed_once_and_text_only_when_printed(monkeypatch, capsys, mode):
     calls = []
-    orig = modules.weyl_dim_formal
-    monkeypatch.setattr(modules, "weyl_dim_formal", lambda w: calls.append(w) or orig(w))
+    orig = weights.weyl_product
+    monkeypatch.setattr(weights, "weyl_product", lambda y: calls.append(y) or orig(y))
     rendered = []
     orig_text = cli._weight_text
     monkeypatch.setattr(cli, "_weight_text", lambda *a: rendered.append(a) or orig_text(*a))
     rc, out = run_main(capsys, "dirac", *EXAMPLE_ARGS, *mode)
     assert rc == 0
-    # one formal dimension per entry of L (9), L (x) spin (16) and the
+    # one Weyl product per entry of L (9), L (x) spin (16) and the
     # cohomology (5); the text lines are built only in text mode
     assert len(calls) == 9 + 16 + 5
     assert bool(rendered) == (not mode)
