@@ -45,7 +45,7 @@ from functools import cached_property
 from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, prod
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .modules import (
     MAX_GRID,
@@ -123,31 +123,40 @@ def _axis_text(decimal: bool) -> Callable[[Axis], list[str]]:
     return lambda axis: [_fmt(v, True) for v in axis.values()]
 
 
+def _weight_strings(w: Weight, decimal: bool = False) -> tuple[list[str], list[str]]:
+    """The coordinates of w and of w + rho, each rendered by _fmt."""
+    return [_fmt(c, decimal) for c in w.coords], [_fmt(c, decimal) for c in w.shifted()]
+
+
 def _weight_json(w: Weight) -> dict:
-    return {
-        "weight": [str(c) for c in w.coords],
-        "weight_plus_rho": [str(c) for c in w.shifted()],
-    }
+    weight, plus_rho = _weight_strings(w)
+    return {"weight": weight, "weight_plus_rho": plus_rho}
 
 
-def _weight_text(w: Weight, decimal: bool) -> str:
-    plain = ", ".join(_fmt(c, decimal) for c in w.coords)
-    shifted = ", ".join(_fmt(c, decimal) for c in w.shifted())
-    return f"({plain})  [mu+rho ({shifted})]"
+def _weight_text(weight: list[str], plus_rho: list[str]) -> str:
+    return f"({', '.join(weight)})  [mu+rho ({', '.join(plus_rho)})]"
 
 
-def _decomp_json(d: ModuleDecomposition) -> dict:
-    return {
-        "dimension": d.total_dimension(),
-        "entries": [dict(_weight_json(w), multiplicity=m) for w, m in d.sorted_items()],
-    }
+# One class of a block: (multiplicity, weight, weight + rho), the weights as
+# rendered coordinates. A box makes its rows from its axes, a
+# ModuleDecomposition from its sorted items; _block_json and _block_text are
+# the one JSON and the one text format of a block.
+Row = tuple[int, Sequence[str], Sequence[str]]
 
 
-def _decomp_text(lines: list[str], title: str, d: ModuleDecomposition,
-                 decimal: bool) -> None:
-    lines.append(f"{title}  (dimension {d.total_dimension()})")
-    for w, m in d.sorted_items():
-        lines.append(f"  {m} x {_weight_text(w, decimal)}")
+def _block_json(dimension: int, rows: Iterable[Row]) -> dict:
+    return {"dimension": dimension,
+            "entries": [{"multiplicity": m, "weight": w, "weight_plus_rho": s}
+                        for m, w, s in rows]}
+
+
+def _block_text(lines: list[str], title: str, dimension: int, rows: Iterable[Row]) -> None:
+    lines.append(f"{title}  (dimension {dimension})")
+    lines.extend(f"  {m} x {_weight_text(w, s)}" for m, w, s in rows)
+
+
+def _decomp_rows(d: ModuleDecomposition, decimal: bool = False) -> Iterator[Row]:
+    return ((m, *_weight_strings(w, decimal)) for w, m in d.sorted_items())
 
 
 class Box(NamedTuple):
@@ -163,7 +172,7 @@ class Box(NamedTuple):
     def of(axes: list[Axis], multiplicities: list[int]) -> "Box":
         return Box(axes, multiplicities, box_dimension(axes, multiplicities))
 
-    def rows(self, fmt: Callable[[Axis], list[str]]):
+    def rows(self, fmt: Callable[[Axis], list[str]]) -> Iterator[Row]:
         """(multiplicity, weight, weight + rho) per class, each coordinate
         taken from fmt's rendering of its axis, so nothing is made per class
         but the tuples of strings."""
@@ -172,14 +181,10 @@ class Box(NamedTuple):
                    product(*map(fmt, plus_rho)))
 
     def json(self) -> dict:
-        return {"dimension": self.dimension,
-                "entries": [{"multiplicity": m, "weight": w, "weight_plus_rho": s}
-                            for m, w, s in self.rows(Axis.strings)]}
+        return _block_json(self.dimension, self.rows(Axis.strings))
 
     def text(self, lines: list[str], title: str, decimal: bool) -> None:
-        lines.append(f"{title}  (dimension {self.dimension})")
-        lines.extend(f"  {m} x ({', '.join(w)})  [mu+rho ({', '.join(s)})]"
-                     for m, w, s in self.rows(_axis_text(decimal)))
+        _block_text(lines, title, self.dimension, self.rows(_axis_text(decimal)))
 
 
 def _L_box(lam: Weight, nu: tuple[int, ...]) -> Box:
@@ -331,7 +336,7 @@ def _too_large(args, doc: dict, P: CentralCharPoly, lam: Weight,
     if args.json:
         return 3, _json(doc)
     lines = [f"box too large: {exc}", "guaranteed multiplicity-one classes:"]
-    lines.extend(f"  {_weight_text(w, args.decimal)}" for w in guaranteed)
+    lines.extend(f"  {_weight_text(*_weight_strings(w, args.decimal))}" for w in guaranteed)
     return 3, "\n".join(lines)
 
 
@@ -433,16 +438,16 @@ def cmd_dirac(args) -> Outcome:
     if args.json:
         doc["L"] = L.json()
         doc["tensor_spin"] = LS.json()
-        doc["cohomology"] = _decomp_json(coh)
+        doc["cohomology"] = _block_json(coh.total_dimension(), _decomp_rows(coh))
         doc["guaranteed"] = [_weight_json(w) for w in guaranteed]
         return 0, _json(doc)
     lines = [_member_line(nu, membership)]
     L.text(lines, "L(lambda)", args.decimal)
     LS.text(lines, "L(lambda) (x) spin", args.decimal)
-    _decomp_text(lines, "Dirac cohomology", coh, args.decimal)
+    _block_text(lines, "Dirac cohomology", coh.total_dimension(),
+                _decomp_rows(coh, args.decimal))
     lines.append("guaranteed multiplicity-one classes:")
-    for w in guaranteed:
-        lines.append(f"  {_weight_text(w, args.decimal)}")
+    lines.extend(f"  {_weight_text(*_weight_strings(w, args.decimal))}" for w in guaranteed)
     return 0, "\n".join(lines)
 
 

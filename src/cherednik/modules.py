@@ -5,7 +5,10 @@ For a deformation with central character polynomial P and a dominant weight
 ``lam``, the pipeline is:
 
 * difference polynomials: q_i(t) = P(lam+rho) - P(lam+rho - t*e_i), one per
-  coordinate; both membership and nu ask for the least positive integer root
+  coordinate. P along coordinate i is a polynomial C(y) whose coefficients
+  weights.line_coeffs takes from one h-recurrence over the other shifted
+  coordinates, so q_i(t) = C(s_i) - C(s_i - t) is one Taylor shift in exact
+  rationals. Both membership and nu ask for the least positive integer root
   of one of them, answered exactly by polynomials.least_positive_integer_root
   (square-free part, Cauchy bound, Sturm-sequence bisection) at a cost
   polynomial in the bit size of q_i, not in its roots or coefficients.
@@ -38,10 +41,12 @@ For a deformation with central character polynomial P and a dominant weight
   scaled integers: with d the common denominator of lam + rho and D that of
   the h-coefficients, P(y/d) = N(y) / (D d^K) where N is an integer
   polynomial, and along the last coordinate N is one Horner evaluation per
-  point. Every class has a weakly decreasing rho-shift; boundary classes
-  (repeated shifted coordinate) are genuine formal summands of dimension 0
-  and are retained so multiplicity grids close up; total-dimension
-  accounting counts them as 0.
+  point, its coefficients taken per prefix from the same line kernel
+  (weights.line_coeffs) that gives the difference polynomials. Every class
+  has a weakly decreasing rho-shift; boundary classes (repeated shifted
+  coordinate) are genuine formal summands of dimension 0 and are retained
+  so multiplicity grids close up; total-dimension accounting counts them
+  as 0.
 * Dirac cohomology: the classes of the spin grid whose point mu + rho - 1/2
   has P(lam + rho) = P(mu + rho - 1/2), with their multiplicities.
 """
@@ -61,6 +66,7 @@ from .weights import (
     half_vector,
     is_dominant,
     is_shift_weakly_decreasing,
+    line_coeffs,
     rho,
     weyl_denominator,
     weyl_dim_formal,
@@ -144,10 +150,12 @@ def _require_dominant(lam: Weight) -> None:
 
 def _difference_poly(P: CentralCharPoly, shifted: tuple[Fraction, ...], i: int) -> Poly:
     """q_i(t) = P(s) - P(s - t*e_i) at the rho-shifted point s, as a polynomial
-    in t; q_i(0) = 0 always."""
-    point = [Poly.const(c) for c in shifted]
-    point[i - 1] = Poly.const(shifted[i - 1]) - Poly.x()
-    return Poly.const(P.evaluate(shifted)) - P.evaluate(point)
+    in t; q_i(0) = 0 always. With C(y) = P along coordinate i (line_coeffs
+    over the other coordinates of s), q_i(t) = C(s_i) - C(s_i - t): the
+    Taylor shift of -C(-u) by -s_i, less its constant term."""
+    b = line_coeffs(P.h_coeffs, shifted[:i - 1] + shifted[i:])
+    minus_reflected = Poly.of(*(c if m % 2 else -c for m, c in enumerate(b)))
+    return minus_reflected.shift(-shifted[i - 1]).with_constant_zero()
 
 
 def membership_detail(P: CentralCharPoly, lam: Weight) -> tuple[int | None, bool]:
@@ -292,7 +300,7 @@ def grid_numerators(P: CentralCharPoly, axes: list[Axis]) -> tuple[Iterator[int]
     so P(y/d) = N(y) / (D d^K) with N(y) = sum_k (D c_k) d^(K-k) h_k(y). Since
     h_k(x, y_n) = sum_m y_n^m h_{k-m}(x), N is, for a fixed prefix x of the
     first n - 1 coordinates, an integer polynomial in y_n whose coefficients
-    take one h-recurrence per prefix; each point is then one Horner pass.
+    are line_coeffs of the prefix; each point is then one Horner pass.
     """
     coeffs = P.h_coeffs
     K = len(coeffs) - 1
@@ -303,14 +311,11 @@ def grid_numerators(P: CentralCharPoly, axes: list[Axis]) -> tuple[Iterator[int]
 
 
 def _horner_walk(a: list[int], scaled: list[list[int]]) -> Iterator[int]:
-    """N(y) = sum_k a_k h_k(y) over the product of the integer axes."""
-    K = len(a) - 1
+    """N(y) = sum_k a_k h_k(y) over the product of the integer axes: per
+    prefix, the line_coeffs of the last coordinate, then one Horner pass
+    per point."""
     for prefix in product(*scaled[:-1]):
-        h = [1] + [0] * K
-        for x in prefix:
-            for j in range(1, K + 1):
-                h[j] += x * h[j - 1]
-        horner = [sum(a[k] * h[k - m] for k in range(m, K + 1)) for m in range(K, -1, -1)]
+        horner = line_coeffs(a, prefix)[::-1]
         for y in scaled[-1]:
             value = 0
             for b in horner:

@@ -13,9 +13,11 @@ show up as formal summands when tensoring with the spin module and are kept
 
 The central character polynomial P is stored by its coefficients in the basis
 of complete homogeneous symmetric polynomials: P(point) = sum_k c_k h_k(point),
-evaluated at rho-shifted points. When P comes from a deformation xi, its
-h-basis coefficients are exactly the coefficients of the polynomial w computed
-in polynomials.xi_to_w.
+evaluated at rho-shifted rational points. The h_k come from one recurrence,
+h_row, which also gives the line kernel line_coeffs: P along one coordinate,
+as a polynomial in it whose coefficients are h-sums over the others. When P
+comes from a deformation xi, its h-basis coefficients are exactly the
+coefficients of the polynomial w computed in polynomials.xi_to_w.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .polynomials import InvariantViolation, Poly, Scalar, _as_fraction, xi_to_w
@@ -144,20 +147,35 @@ def weyl_quotient(y: Sequence[int], den: int) -> int:
     return dim
 
 
-def complete_homogeneous(k: int, point: Sequence):
+def h_row(point: Sequence, K: int) -> list:
     """
-    The complete homogeneous symmetric polynomial h_k evaluated at ``point``:
-    the sum of all degree-k monomials. Entries may be Fractions or Polys (any
-    commutative ring elements supporting + and *); uses the recurrence
+    [h_0(point), ..., h_K(point)], the complete homogeneous symmetric
+    polynomials at a point of ints or Fractions, by the one recurrence
     h_k(x_1..x_m) = h_k(x_1..x_{m-1}) + x_m h_{k-1}(x_1..x_m).
     """
+    row = [1] + [0] * K
+    for x in point:
+        for j in range(1, K + 1):
+            row[j] += x * row[j - 1]
+    return row
+
+
+def complete_homogeneous(k: int, point: Sequence):
+    """h_k(point): the sum of all degree-k monomials, read off h_row."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    row = [Fraction(1)] + [Fraction(0)] * k
-    for x in point:
-        for j in range(1, k + 1):
-            row[j] = row[j] + x * row[j - 1]
-    return row[k]
+    return h_row(point, k)[k]
+
+
+def line_coeffs(coeffs: Sequence, others: Sequence) -> list:
+    """
+    [b_0, ..., b_K] with sum_k c_k h_k(others, y) = sum_m b_m y^m, for the
+    h-coefficients c_0..c_K and a point ``others`` of the remaining
+    coordinates: since h_k(x, y) = sum_m y^m h_{k-m}(x),
+    b_m = sum_{k >= m} c_k h_{k-m}(others). This is P along one coordinate.
+    """
+    h = h_row(others, len(coeffs) - 1)
+    return [sum(map(mul, coeffs[m:], h)) for m in range(len(coeffs))]
 
 
 @dataclass(frozen=True)
@@ -186,15 +204,12 @@ class CentralCharPoly:
     def from_xi(xi: Poly, rank: int) -> CentralCharPoly:
         return CentralCharPoly.from_w(xi_to_w(xi, rank), rank)
 
-    def evaluate(self, point: Sequence):
-        """Evaluate at an already rho-shifted point (Fractions or Polys)."""
+    def evaluate(self, point: Sequence) -> Fraction:
+        """Evaluate at an already rho-shifted point of ints or Fractions."""
         if len(point) != self.rank:
             raise ValueError(f"point has length {len(point)}, expected rank {self.rank}")
-        acc = Fraction(0)
-        for k, c in enumerate(self.h_coeffs):
-            if c:
-                acc = acc + c * complete_homogeneous(k, point)
-        return acc
+        h = h_row(point, len(self.h_coeffs) - 1)
+        return sum(map(mul, self.h_coeffs, h), Fraction(0))
 
     def value(self, w: Weight) -> Fraction:
         """Evaluate at weight w, shifting by rho internally."""

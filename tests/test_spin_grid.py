@@ -1,9 +1,10 @@
 """The closed-form spin grid against independent routes: the enumerative
 tensor (every box weight shifted by every sign vector) for the classes and
-multiplicities, and CentralCharPoly.evaluate (the Fraction h-basis
-recurrence) for the values of P."""
+multiplicities, and, for the values of P, both CentralCharPoly.evaluate and
+P_by_definition, which shares no code with the package's h-recurrence."""
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,13 @@ def enumerative_tensor(L: ModuleDecomposition) -> ModuleDecomposition:
             if is_shift_weakly_decreasing(cand):
                 out.add(cand, mult)
     return out
+
+
+def P_by_definition(P: CentralCharPoly, point) -> Fraction:
+    """sum_k c_k h_k(point), each h_k the sum of all degree-k monomials: one
+    product per multiset of k coordinates."""
+    return sum((c * sum(map(prod, combinations_with_replacement(point, k)))
+                for k, c in enumerate(P.h_coeffs)), Fraction(0))
 
 
 def _fraction(draw, size: int = 12) -> Fraction:
@@ -82,6 +90,28 @@ def test_spin_grid_matches_enumerative_tensor_and_evaluate(box):
         assert reference.multiplicity(Weight(point) + shift) == mult
         assert value == P.evaluate(point)
     assert tensor_with_spin(lam, nu) == reference
+
+
+@settings(max_examples=40, deadline=None)
+@given(boxes())
+def test_spin_grid_values_equal_P_by_definition(box):
+    P, lam, nu = box
+    for point, _, value in spin_grid(P, lam, nu):
+        assert value == P_by_definition(P, point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=5, max_size=5),
+       st.lists(st.sampled_from((1, 2, 3, 7)), min_size=5, max_size=5), st.data())
+def test_evaluate_equals_P_by_definition(n, numerators, denominators, data):
+    P = CentralCharPoly.from_h_coeffs(
+        [_fraction(data.draw) for _ in range(data.draw(st.integers(-1, 6)) + 1)], n)
+    ints = numerators[:n]
+    fractions = tuple(map(F, ints, denominators))
+    for point in (ints, fractions):
+        value = P.evaluate(point)
+        assert isinstance(value, Fraction)
+        assert value == P_by_definition(P, point)
 
 
 @settings(max_examples=120, deadline=None)

@@ -110,6 +110,11 @@ def test_complete_homogeneous_examples():
     assert complete_homogeneous(2, [F(1), F(1)]) == 3
 
 
+def test_complete_homogeneous_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        complete_homogeneous(-1, [F(1), F(2)])
+
+
 def test_eval_permutation_invariance():
     rng = random.Random(5)
     for _ in range(50):
