@@ -325,19 +325,29 @@ def _reject(args, doc: dict, code: str, message: str) -> Outcome:
     return 1, _json(doc) if args.json else f"rejected: {message}"
 
 
+# The guaranteed multiplicity-one classes, which need only nu, as the JSON
+# entries and as the text lines of dirac and of the box-too-large diagnostic.
+def _guaranteed_json(P: CentralCharPoly, lam: Weight, nu: tuple[int, ...]) -> list[dict]:
+    return [_weight_json(w) for w in guaranteed_classes(P, lam, nu)]
+
+
+def _guaranteed_text(P: CentralCharPoly, lam: Weight, nu: tuple[int, ...],
+                     decimal: bool) -> list[str]:
+    return ["guaranteed multiplicity-one classes:"] + [
+        f"  {_weight_text(*_weight_strings(w, decimal))}" for w in guaranteed_classes(P, lam, nu)]
+
+
 def _too_large(args, doc: dict, P: CentralCharPoly, lam: Weight,
                exc: BoxTooLargeError) -> Outcome:
     """The diagnostic for a box over the grid budget: nu, the grid size and
     the guaranteed classes, none of which needs the box itself."""
-    guaranteed = guaranteed_classes(P, lam, exc.nu)
-    doc = dict(doc, nu=list(exc.nu), guaranteed=[_weight_json(w) for w in guaranteed])
+    if not args.json:
+        return 3, "\n".join([f"box too large: {exc}",
+                             *_guaranteed_text(P, lam, exc.nu, args.decimal)])
+    doc = dict(doc, nu=list(exc.nu), guaranteed=_guaranteed_json(P, lam, exc.nu))
     doc["error"] = {"code": "box-too-large", "message": str(exc),
                     "grid_size": exc.grid_size, "max_grid": MAX_GRID}
-    if args.json:
-        return 3, _json(doc)
-    lines = [f"box too large: {exc}", "guaranteed multiplicity-one classes:"]
-    lines.extend(f"  {_weight_text(*_weight_strings(w, args.decimal))}" for w in guaranteed)
-    return 3, "\n".join(lines)
+    return 3, _json(doc)
 
 
 def cmd_transform(args) -> Outcome:
@@ -434,20 +444,18 @@ def cmd_dirac(args) -> Outcome:
     L = _L_box(lam, nu)
     LS = _spin_box(lam, nu)
     coh = select_cohomology(P, lam, nu)
-    guaranteed = guaranteed_classes(P, lam, nu)
     if args.json:
         doc["L"] = L.json()
         doc["tensor_spin"] = LS.json()
         doc["cohomology"] = _block_json(coh.total_dimension(), _decomp_rows(coh))
-        doc["guaranteed"] = [_weight_json(w) for w in guaranteed]
+        doc["guaranteed"] = _guaranteed_json(P, lam, nu)
         return 0, _json(doc)
     lines = [_member_line(nu, membership)]
     L.text(lines, "L(lambda)", args.decimal)
     LS.text(lines, "L(lambda) (x) spin", args.decimal)
     _block_text(lines, "Dirac cohomology", coh.total_dimension(),
                 _decomp_rows(coh, args.decimal))
-    lines.append("guaranteed multiplicity-one classes:")
-    lines.extend(f"  {_weight_text(*_weight_strings(w, args.decimal))}" for w in guaranteed)
+    lines.extend(_guaranteed_text(P, lam, nu, args.decimal))
     return 0, "\n".join(lines)
 
 

@@ -40,13 +40,13 @@ For a deformation with central character polynomial P and a dominant weight
   grid once, in itertools.product order, and evaluates P at every point in
   scaled integers: with d the common denominator of lam + rho and D that of
   the h-coefficients, P(y/d) = N(y) / (D d^K) where N is an integer
-  polynomial, and along the last coordinate N is one Horner evaluation per
-  point, its coefficients taken per prefix from the same line kernel
-  (weights.line_coeffs) that gives the difference polynomials. Every class
-  has a weakly decreasing rho-shift; boundary classes (repeated shifted
-  coordinate) are genuine formal summands of dimension 0 and are retained
-  so multiplicity grids close up; total-dimension accounting counts them
-  as 0.
+  polynomial, and each line of points along the last coordinate is one call
+  of polynomials.horner, N's coefficients along it taken per prefix from the
+  same line kernel (weights.line_coeffs) that gives the difference
+  polynomials. Every class has a weakly decreasing rho-shift; boundary
+  classes (repeated shifted coordinate) are genuine formal summands of
+  dimension 0 and are retained so multiplicity grids close up;
+  total-dimension accounting counts them as 0.
 * Dirac cohomology: the classes of the spin grid whose point mu + rho - 1/2
   has P(lam + rho) = P(mu + rho - 1/2), with their multiplicities.
 """
@@ -54,11 +54,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import lcm, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .polynomials import InvariantViolation, Poly, least_positive_integer_root
+from .polynomials import InvariantViolation, Poly, horner, least_positive_integer_root
 from .weights import (
     CentralCharPoly,
     Weight,
@@ -300,27 +300,18 @@ def grid_numerators(P: CentralCharPoly, axes: list[Axis]) -> tuple[Iterator[int]
     so P(y/d) = N(y) / (D d^K) with N(y) = sum_k (D c_k) d^(K-k) h_k(y). Since
     h_k(x, y_n) = sum_m y_n^m h_{k-m}(x), N is, for a fixed prefix x of the
     first n - 1 coordinates, an integer polynomial in y_n whose coefficients
-    are line_coeffs of the prefix; each point is then one Horner pass.
+    are line_coeffs of the prefix; each line's points are then one call of
+    polynomials.horner.
     """
     coeffs = P.h_coeffs
     K = len(coeffs) - 1
     d = lcm(*(a.top.denominator for a in axes))
     D = lcm(*(c.denominator for c in coeffs))
     a = [c.numerator * (D // c.denominator) * d ** (K - k) for k, c in enumerate(coeffs)]
-    return _horner_walk(a, [ax.scaled(d) for ax in axes]), D * d ** max(K, 0)
-
-
-def _horner_walk(a: list[int], scaled: list[list[int]]) -> Iterator[int]:
-    """N(y) = sum_k a_k h_k(y) over the product of the integer axes: per
-    prefix, the line_coeffs of the last coordinate, then one Horner pass
-    per point."""
-    for prefix in product(*scaled[:-1]):
-        horner = line_coeffs(a, prefix)[::-1]
-        for y in scaled[-1]:
-            value = 0
-            for b in horner:
-                value = value * y + b
-            yield value
+    *prefix_axes, last = [ax.scaled(d) for ax in axes]
+    values = chain.from_iterable(horner(line_coeffs(a, prefix), last)
+                                 for prefix in product(*prefix_axes))
+    return values, D * d ** max(K, 0)
 
 
 def spin_grid(P: CentralCharPoly, lam: Weight, nu: tuple[int, ...]

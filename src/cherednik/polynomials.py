@@ -28,9 +28,14 @@ on, together with the discrete calculus used to turn a deformation polynomial
 * ``least_positive_integer_root``: exact root isolation (square-free part,
   Cauchy bound, Sturm-sequence bisection over integer intervals), whose cost
   grows with the bit size of the polynomial, not with the size of its roots.
+* ``horner``: Horner's rule, the package's one polynomial evaluation, over
+  any ring the coefficients and the points share: ``Poly.__call__`` (in
+  Fractions), the Sturm sign counts and root test (in integers), the spin
+  grid of modules.grid_numerators (integers, one call per line of points)
+  and verify's substitution of a Clifford gamma for the twist variable.
 
-All coefficients are ``fractions.Fraction``; nothing here ever touches a
-float.
+All ``Poly`` coefficients are ``fractions.Fraction``; nothing here ever
+touches a float.
 """
 from __future__ import annotations
 
@@ -39,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, perm
+from typing import Iterable, Sequence
 
 Scalar = int | Fraction
 
@@ -168,11 +174,7 @@ class Poly:
         return Poly(tuple(Fraction(a, den * v ** (d - i)) for i, a in enumerate(ints)))
 
     def __call__(self, z: Scalar) -> Fraction:
-        z = _as_fraction(z)
-        acc = Fraction(0)
-        for a in reversed(self.coeffs):
-            acc = acc * z + a
-        return acc
+        return horner(self.coeffs, (_as_fraction(z),))[0]
 
     def with_constant_zero(self) -> Poly:
         return self - self.coeff(0)
@@ -202,11 +204,27 @@ def _integer_coeffs(p: Poly) -> list[int]:
     return [c // g for c in ints]
 
 
-def _horner(coeffs: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def horner(coeffs: Sequence, points: Iterable) -> list:
+    """
+    [sum_k coeffs[k] x^k for x in points], by Horner's rule: the one
+    polynomial evaluation of the package, over any ring the coefficients and
+    the points share (ints, Fractions, Clifford elements). All of a line's
+    points go through one call, so the loop over them stays tight. With no
+    coefficients every value is the zero of the points' ring, 0 * x.
+
+    >>> horner([1, 0, 2], [0, 1, Fraction(1, 2)])   # 1 + 2z^2
+    [1, 3, Fraction(3, 2)]
+    """
+    if not coeffs:
+        return [0 * x for x in points]
+    top, rest = coeffs[-1], coeffs[-2::-1]
+    values = []
+    for x in points:
+        acc = top
+        for c in rest:
+            acc = acc * x + c
+        values.append(acc)
+    return values
 
 
 def _gcd(a: Poly, b: Poly) -> Poly:
@@ -225,7 +243,7 @@ def _sturm_sequence(f: Poly) -> list[list[int]]:
 
 
 def _sign_changes(seq: list[list[int]], x: int) -> int:
-    signs = [v > 0 for coeffs in seq if (v := _horner(coeffs, x))]
+    signs = [v > 0 for coeffs in seq if (v := horner(coeffs, (x,))[0])]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
@@ -265,7 +283,7 @@ def least_positive_integer_root(q: Poly, cap: int | None = None) -> int | None:
         if va == vb:
             continue
         if b - a == 1:
-            if _horner(f_ints, b) == 0:
+            if horner(f_ints, (b,))[0] == 0:
                 return b
             continue
         mid = (a + b) // 2

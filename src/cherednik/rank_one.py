@@ -12,7 +12,8 @@ lam..lam-nu with
 
 finite-dimensionality forcing d_{nu+1} = 0, which is exactly the membership
 equation P(lam) = P(lam - nu - 1) since P is the discrete antiderivative of p
-at rank one. The Dirac operator x (x) y_C + y (x) x_C is assembled as an
+at rank one, and irreducibility forcing d_k != 0 for 1 <= k <= nu (nu + 1 is
+the least root). The Dirac operator x (x) y_C + y (x) x_C is assembled as an
 explicit matrix on L (x) S (spin factors computed through the Clifford normal
 form). D preserves the weight grading, whose spaces have dimension at most 2,
 so the oracle checks that D joins no two distinct weights and then takes each
@@ -86,7 +87,9 @@ class RankOneModule:
 
 def build_module(xi: Poly, lam) -> RankOneModule:
     """Construct the module headed by lam, rejecting lam outside the
-    classification; checks the closing condition d_{nu+1} = 0."""
+    classification; checks the closing condition d_{nu+1} = 0 and that nu
+    is the least such index: d_k != 0 for 1 <= k <= nu, so y kills no v_k
+    inside the box and the module is irreducible."""
     lam = Fraction(lam)
     P = CentralCharPoly.from_xi(xi, 1)
     nu = nu_vector(P, Weight.of(lam))[0]
@@ -97,6 +100,8 @@ def build_module(xi: Poly, lam) -> RankOneModule:
     for k in range(size):
         d.append(d[k] + p(lam - k))
     _require(d[size] == 0, "membership and the recurrence disagree")
+    _require(all(d[1:size]), f"y kills some v_k with 1 <= k <= nu = {nu}: "
+             "nu is not the least root, and the module is reducible")
 
     t = zeros(size, size)
     x = zeros(size, size)

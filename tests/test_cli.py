@@ -10,6 +10,7 @@ import pytest
 
 import cherednik.cli as cli
 import cherednik.modules as modules
+import cherednik.polynomials as polynomials
 import cherednik.weights as weights
 
 EXAMPLE_ARGS = ["--n", "2", "--P-h", "0,18,-9/2,-2,1/2", "--lambda-plus-rho", "3,0"]
@@ -402,6 +403,27 @@ def test_verify_poly_honours_trials(capsys):
     doc = json.loads(capsys.readouterr().out)
     details = {r["name"]: r["detail"] for r in doc["results"]}
     assert details["nabla-inversion-round-trip"] == "100 random polynomials per step, 4 steps"
+
+
+@pytest.mark.parametrize("suite", ["poly", "all"])
+def test_verify_reports_a_failed_w_ladder_postcondition(monkeypatch, capsys, suite):
+    # A half-step transform off by z makes xi_to_w's own postcondition
+    # fire: the ladder line reports it as FAIL, and every other check of the
+    # run is still reported.
+    base = polynomials.half_step_transform
+    monkeypatch.setattr(polynomials, "half_step_transform",
+                        lambda w, n: base(w, n) + polynomials.Poly.x())
+    rc = cli.main(["verify", "--suite", suite, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1 and doc["ok"] is False
+    results = {r["name"]: r for r in doc["results"]}
+    ladder = results["w-degree-and-defining-equation"]
+    assert ladder["ok"] is False
+    assert "half-step transform of w must give density(z + 1/2)" in ladder["detail"]
+    assert results["bernoulli-forward-difference"]["ok"] is True
+    if suite == "all":
+        assert {r["suite"] for r in doc["results"]} == {"poly", "jacobi", "clifford",
+                                                        "oracle-n1"}
 
 
 @pytest.mark.parametrize("suite", ["oracle-n1", "all"])

@@ -53,6 +53,22 @@ def test_build_module_rejects_nonmember():
         build_module(Poly.of(7), 2)
 
 
+def test_build_module_rejects_a_nu_that_is_not_the_least_root(monkeypatch):
+    # For xi = (3, 9/2, 1) and lam = 0, d_k vanishes at k = 2 and k = 4, so
+    # nu = 1. Handed nu = 3, the closing condition d_4 = 0 still holds, but y
+    # kills v_2 inside the box: the module would be reducible.
+    xi = Poly.of(3, F(9, 2), 1)
+    p = xi_to_density(xi, 1)
+    d = [F(0)]
+    for k in range(4):
+        d.append(d[k] + p(-k))
+    assert [k for k in range(1, 5) if d[k] == 0] == [2, 4]
+    assert build_module(xi, 0).nu == 1
+    monkeypatch.setattr(rank_one, "nu_vector", lambda P, lam: (3,))
+    with pytest.raises(InvariantViolation, match="y kills some v_k with 1 <= k <= nu = 3"):
+        build_module(xi, 0)
+
+
 def test_module_relations_hold_as_matrices():
     rng = random.Random(47)
     for _ in range(10):
