@@ -7,21 +7,28 @@ the Dirac cohomology), tables (the mu+rho / P-value / multiplicity grids),
 verify (the certificate suites). Deformations are given by exactly one of
 --xi, --w, --P-h as comma-separated exact rationals (a list starting with a
 minus sign may be its own token, as in --xi -3,0,1); weights by exactly one
-of --lambda / --lambda-plus-rho. Output is aligned text or, with --json, a
-single JSON document with sorted keys and deterministic entry order; every
-rational is serialized as "p/q" (or "p"), never as a float. The JSON text is,
-by contract, exactly json.dumps(doc, sort_keys=True, indent=2); it is written
+of --lambda / --lambda-plus-rho. A rational is an optional sign followed by
+digits with an optional /digits (3, -3/4), or by a decimal with a point
+(1.5, .5, 5.), in ASCII digits; underscores, spaces inside a token and
+exponents are usage errors, so every supported Python reads a token alike.
+Output is aligned text or, with --json, a single JSON document with sorted
+keys and deterministic entry order; every rational is serialized as "p/q"
+(or "p"), never as a float, whatever its number of digits (CPython's
+int <-> str digit limit is lifted for the request). The JSON text is, by
+contract, exactly json.dumps(doc, sort_keys=True, indent=2); it is written
 by _json, which produces that text with the C string encoder.
 
-The boxes (L(lambda), L(lambda) (x) spin) and the tables grid are rendered
-from per-axis data (modules.Axis): coordinate i of a class is top_i - o for
-o = 0..b_i, so each coordinate's strings (or, with --decimal, its _fmt
-renderings) are made once per axis value and the classes are their
-itertools.product, already in descending order. Dimensions come from the
-integer Weyl products of the same axes (modules.box_dimension) and the
-tables' P values from integer numerators over one common denominator
-(modules.grid_numerators); no Weight or Fraction is built per class. The
-cohomology and guaranteed classes, a few per request, go through Weight.
+classify, dirac and tables check one modules.Box per request and read
+everything from it. The boxes (L(lambda), L(lambda) (x) spin) and the
+tables grid are rendered from its per-axis data (weights.Axis): coordinate
+i of a class is top_i - o for o = 0..b_i, so each coordinate's strings (or,
+with --decimal, its _fmt renderings) are made once per axis value and the
+classes are their itertools.product, already in descending order.
+Dimensions come from the integer Weyl products of the same axes
+(weights.box_dimension) and the tables' P values from integer numerators
+over one common denominator (Box.grid); no Weight or Fraction is built per
+class. The cohomology (Box.cohomology) and guaranteed classes, a few per
+request, go through Weight.
 
 Exit codes: 0 success, 1 mathematical rejection (the weight heads no
 finite-dimensional module: error code "not-classified", or "not-dominant"
@@ -49,34 +56,35 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .modules import (
     MAX_GRID,
-    Axis,
+    Box,
     BoxTooLargeError,
     ModuleDecomposition,
-    box_axes,
-    box_dimension,
-    check_grid_size,
-    grid_axes,
-    grid_numerators,
     guaranteed_classes,
     membership_detail,
     nu_vector,
-    select_cohomology,
     shift_axes,
-    spin_axes,
-    spin_multiplicities,
 )
 from .polynomials import Poly, xi_to_density, xi_to_density_sum, xi_to_w
 from .verify import run_suites
-from .weights import CentralCharPoly, Weight, is_dominant, rho
+from .weights import Axis, CentralCharPoly, Weight, box_dimension, is_dominant, rho
 
 
 class UsageError(Exception):
     pass
 
 
+# The rationals every supported Python's Fraction reads alike: an optional
+# sign, then digits with an optional /digits, or a decimal with a point. No
+# underscores, inner spaces or exponents (an exponent's cost is exponential
+# in its length).
+RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
 def _parse_rational(tok: str) -> Fraction:
     tok = tok.strip()
     try:
+        if not RATIONAL.fullmatch(tok):
+            raise ValueError
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse {tok!r} as an exact rational") from None
@@ -159,7 +167,7 @@ def _decomp_rows(d: ModuleDecomposition, decimal: bool = False) -> Iterator[Row]
     return ((m, *_weight_strings(w, decimal)) for w, m in d.sorted_items())
 
 
-class Box(NamedTuple):
+class Block(NamedTuple):
     """The classes of L(lambda) or of L(lambda) (x) spin, rendered from their
     axes: the product of the axes, in product order (already descending),
     with the closed-form multiplicities and the total dimension."""
@@ -169,8 +177,9 @@ class Box(NamedTuple):
     dimension: int
 
     @staticmethod
-    def of(axes: list[Axis], multiplicities: list[int]) -> "Box":
-        return Box(axes, multiplicities, box_dimension(axes, multiplicities))
+    def of(axes: list[Axis], multiplicities: Iterable[int]) -> "Block":
+        multiplicities = list(multiplicities)
+        return Block(axes, multiplicities, box_dimension(axes, multiplicities))
 
     def rows(self, fmt: Callable[[Axis], list[str]]) -> Iterator[Row]:
         """(multiplicity, weight, weight + rho) per class, each coordinate
@@ -187,13 +196,12 @@ class Box(NamedTuple):
         _block_text(lines, title, self.dimension, self.rows(_axis_text(decimal)))
 
 
-def _L_box(lam: Weight, nu: tuple[int, ...]) -> Box:
-    axes = box_axes(lam, nu)
-    return Box.of(axes, [1] * prod(a.count for a in axes))
+def _L_block(box: Box) -> Block:
+    return Block.of(box.L_axes, [1] * prod(a.count for a in box.L_axes))
 
 
-def _spin_box(lam: Weight, nu: tuple[int, ...]) -> Box:
-    return Box.of(spin_axes(lam, nu), list(spin_multiplicities(nu)))
+def _spin_block(box: Box) -> Block:
+    return Block.of(box.spin_axes, box.spin_multiplicities())
 
 
 class Deformation:
@@ -388,12 +396,11 @@ REJECT_MESSAGE = ("no nonnegative integer v with "
 
 
 class Classified(NamedTuple):
-    """A weight that heads a finite-dimensional module with a box within
-    the grid budget, and the JSON document so far."""
+    """A weight that heads a finite-dimensional module, its box (within the
+    grid budget), and the JSON document so far."""
 
     P: CentralCharPoly
-    lam: Weight
-    nu: tuple[int, ...]
+    box: Box
     membership: tuple[int | None, bool]
     doc: dict
 
@@ -421,41 +428,41 @@ def _classified(args, command: str, derived: bool = True) -> Classified:
         raise Answered(_reject(args, doc, "not-classified", REJECT_MESSAGE))
     nu = nu_vector(P, lam, membership)
     try:
-        check_grid_size(nu)
+        box = Box(lam, nu)
     except BoxTooLargeError as exc:
         raise Answered(_too_large(args, doc, P, lam, exc)) from None
     doc["nu"] = list(nu)
-    return Classified(P, lam, nu, membership, doc)
+    return Classified(P, box, membership, doc)
 
 
 def cmd_classify(args) -> Outcome:
-    _, lam, nu, membership, doc = _classified(args, "classify")
-    L = _L_box(lam, nu)
+    _, box, membership, doc = _classified(args, "classify")
+    L = _L_block(box)
     if args.json:
         doc["L"] = L.json()
         return 0, _json(doc)
-    lines = [_member_line(nu, membership)]
+    lines = [_member_line(box.nu, membership)]
     L.text(lines, "L(lambda)", args.decimal)
     return 0, "\n".join(lines)
 
 
 def cmd_dirac(args) -> Outcome:
-    P, lam, nu, membership, doc = _classified(args, "dirac")
-    L = _L_box(lam, nu)
-    LS = _spin_box(lam, nu)
-    coh = select_cohomology(P, lam, nu)
+    P, box, membership, doc = _classified(args, "dirac")
+    L = _L_block(box)
+    LS = _spin_block(box)
+    coh = box.cohomology(P)
     if args.json:
         doc["L"] = L.json()
         doc["tensor_spin"] = LS.json()
         doc["cohomology"] = _block_json(coh.total_dimension(), _decomp_rows(coh))
-        doc["guaranteed"] = _guaranteed_json(P, lam, nu)
+        doc["guaranteed"] = _guaranteed_json(P, box.lam, box.nu)
         return 0, _json(doc)
-    lines = [_member_line(nu, membership)]
+    lines = [_member_line(box.nu, membership)]
     L.text(lines, "L(lambda)", args.decimal)
     LS.text(lines, "L(lambda) (x) spin", args.decimal)
     _block_text(lines, "Dirac cohomology", coh.total_dimension(),
                 _decomp_rows(coh, args.decimal))
-    lines.extend(_guaranteed_text(P, lam, nu, args.decimal))
+    lines.extend(_guaranteed_text(P, box.lam, box.nu, args.decimal))
     return 0, "\n".join(lines)
 
 
@@ -465,11 +472,10 @@ def _weight_json_input(lam: Weight) -> dict:
 
 
 def cmd_tables(args) -> Outcome:
-    P, lam, nu, _, doc = _classified(args, "tables", derived=False)
-    axes = grid_axes(lam, nu)
-    values, den = grid_numerators(P, axes)
-    multiplicities = spin_multiplicities(nu)
-    if lam.rank == 2:
+    P, box, _, doc = _classified(args, "tables", derived=False)
+    nu = box.nu
+    axes, multiplicities, values, den = box.grid(P)
+    if box.lam.rank == 2:
         # The grid runs the second coordinate fastest, so row k2 of the
         # layout (columns over the first coordinate) is every (nu_2 + 2)-th cell.
         step = nu[1] + 2
@@ -623,6 +629,12 @@ def _glue_negative_lists(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negative_lists(sys.argv[1:] if argv is None else argv))
+    # Exact answers can have more digits than CPython's int <-> str limit
+    # (4300 by default, absent before 3.10.7) allows; it is lifted for the
+    # request only.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code, out = args.func(args)
     except UsageError as exc:
@@ -630,6 +642,9 @@ def main(argv=None) -> int:
         return 2
     except Answered as early:
         code, out = early.outcome
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     try:
         print(out)
         sys.stdout.flush()

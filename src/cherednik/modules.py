@@ -20,18 +20,21 @@ For a deformation with central character polynomial P and a dominant weight
   nu_i = gap when there is none; for i = n the membership value (lowering
   the last coordinate never breaks dominance).
 * L(lam) = the box of weights lam - nu' for 0 <= nu' <= nu, multiplicity one.
-  Nothing is built over a box whose grid, prod(nu_i + 2) points, exceeds
-  MAX_GRID; BoxTooLargeError is raised instead. The grid is L (x) spin's
-  class set and the tables' P grid, the largest structure any request walks.
+  Box(lam, nu) is the one check on a box: nu has n nonnegative integer
+  entries, the box is dominant, and its grid, prod(nu_i + 2) points, is
+  within MAX_GRID (BoxTooLargeError otherwise). Nothing is built before it.
+  The grid is L (x) spin's class set and the tables' P grid, the largest
+  structure any request walks.
 * axes: every box and grid here is a product of per-coordinate axes
-  (Axis: the values top_i - o for o = 0..b_i), in itertools.product order,
-  which is descending lexicographic order. box_axes (L), spin_axes (the
-  classes of L (x) spin) and grid_axes (the spin grid's points) are the one
-  definition of them; L_decomposition, tensor_with_spin, spin_grid,
-  select_cohomology and the CLI all read their coordinates from these, as
-  Fractions, strings or scaled integers made once per axis value.
-  box_dimension sums the Weyl dimensions of a box's classes from the scaled
-  integer axes with the kernel of weights.weyl_dim_formal.
+  (weights.Axis: the values top_i - o for o = 0..b_i), in itertools.product
+  order, which is descending lexicographic order. A Box holds the axes of L
+  (L_axes) and of the classes of L (x) spin (spin_axes, with their
+  multiplicities), and gives the spin grid's points and P numerators
+  (Box.grid) and the cohomology (Box.cohomology). L_decomposition,
+  tensor_with_spin, spin_grid, select_cohomology and dirac_cohomology build
+  one Box each; the CLI builds one per request and reads everything from
+  it, as Fractions, strings or scaled integers made once per axis value.
+  Dimensions are weights.box_dimension of the axes.
 * the spin grid: L(lam) (x) spin is the grid of points lam + rho - o,
   0 <= o_i <= nu_i + 1, the class of mu = lam + 1/2 - o sitting over the
   point mu + rho - 1/2. Its multiplicity has the closed form
@@ -47,8 +50,9 @@ For a deformation with central character polynomial P and a dominant weight
   classes (repeated shifted coordinate) are genuine formal summands of
   dimension 0 and are retained so multiplicity grids close up;
   total-dimension accounting counts them as 0.
-* Dirac cohomology: the classes of the spin grid whose point mu + rho - 1/2
-  has P(lam + rho) = P(mu + rho - 1/2), with their multiplicities.
+* Dirac cohomology: the classes mu of the spin axes whose grid point
+  mu + rho - 1/2 has P(lam + rho) = P(mu + rho - 1/2), with their
+  multiplicities.
 """
 from __future__ import annotations
 
@@ -56,10 +60,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 from math import lcm, prod
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .polynomials import InvariantViolation, Poly, horner, least_positive_integer_root
 from .weights import (
+    Axis,
     CentralCharPoly,
     Weight,
     basis_weight,
@@ -68,9 +73,7 @@ from .weights import (
     is_shift_weakly_decreasing,
     line_coeffs,
     rho,
-    weyl_denominator,
     weyl_dim_formal,
-    weyl_quotient,
 )
 
 HALF = Fraction(1, 2)
@@ -196,67 +199,68 @@ def nu_vector(P: CentralCharPoly, lam: Weight,
     return tuple(nu)
 
 
-def _check_box(lam: Weight, nu: tuple[int, ...]) -> None:
-    """Every weight of the box below lam of nu is dominant exactly when lam is
-    dominant and nu_i <= lam_i - lam_{i+1} for each i < n (the minimality of
-    nu guarantees it); otherwise ValueError. A grid over MAX_GRID points
-    raises BoxTooLargeError. Nothing is built before this check."""
-    if not is_dominant(lam) or any(
-            v > lam.coords[i] - lam.coords[i + 1] for i, v in enumerate(nu[:-1])):
-        raise ValueError(f"nu = {nu} takes the box below {lam} out of the dominant chamber")
-    check_grid_size(nu)
+class Box:
+    """The box of nu below lam, checked once.
 
+    Building one is the only check on a box: nu has one entry per coordinate
+    of lam, each a nonnegative integer; every weight of the box is dominant,
+    which holds exactly when lam is dominant and nu_i <= lam_i - lam_{i+1}
+    for each i < n (the minimality of nu guarantees it); and the grid over
+    the box, prod(nu_i + 2) points, is within MAX_GRID. Otherwise ValueError,
+    or BoxTooLargeError for the grid, before anything is built.
 
-class Axis(NamedTuple):
-    """One coordinate of a box or grid: the values top - o, o = 0, ..., count - 1.
+    L_axes are the axes of L(lam): lam_i - o, 0 <= o <= nu_i. spin_axes are
+    those of the classes of L(lam) (x) spin: lam_i + 1/2 - o,
+    0 <= o <= nu_i + 1, with the closed-form spin_multiplicities. grid(P) is
+    the spin grid under P, and cohomology(P) the classes it selects.
+    """
 
-    The classes of a box or grid are the product of its axes, in
-    itertools.product order (the last coordinate fastest), which is
-    descending lexicographic order. Subtracting an integer keeps top's
-    reduced denominator, so every view of an axis is made in integers."""
+    def __init__(self, lam: Weight, nu: Sequence[int]):
+        nu = tuple(nu)
+        if len(nu) != lam.rank or not all(isinstance(v, int) and v >= 0 for v in nu):
+            raise ValueError(f"nu = {list(nu)} is not {lam.rank} nonnegative integers")
+        if not is_dominant(lam) or any(
+                v > lam.coords[i] - lam.coords[i + 1] for i, v in enumerate(nu[:-1])):
+            raise ValueError(f"nu = {nu} takes the box below {lam} out of the dominant chamber")
+        check_grid_size(nu)
+        self.lam, self.nu = lam, nu
+        self.L_axes = [Axis(c, v + 1) for c, v in zip(lam.coords, nu)]
+        self.spin_axes = [Axis(c + HALF, v + 2) for c, v in zip(lam.coords, nu)]
 
-    top: Fraction
-    count: int
+    def spin_multiplicities(self) -> Iterator[int]:
+        """The multiplicity of each class of L(lam) (x) spin, in product order:
+        prod_i (1 if o_i in {0, nu_i + 1} else 2)."""
+        return map(prod, product(*([1] + [2] * v + [1] for v in self.nu)))
 
-    def values(self) -> list[Fraction]:
-        return [self.top - o for o in range(self.count)]
+    def grid(self, P: CentralCharPoly
+             ) -> tuple[list[Axis], Iterator[int], Iterator[int], int]:
+        """The spin grid under P, in product order: (axes, multiplicities,
+        values, den). The axes give the point mu + rho - 1/2 under each class
+        mu of spin_axes, the multiplicities those of the classes, and P at
+        each point is its value over den (grid_numerators)."""
+        n = self.lam.rank
+        axes = shift_axes(self.spin_axes, (rho(n) - half_vector(n)).coords)
+        values, den = grid_numerators(P, axes)
+        return axes, self.spin_multiplicities(), values, den
 
-    def strings(self) -> list[str]:
-        """str() of each value, as num/den (or the integer) without a Fraction."""
-        num, den = self.top.numerator, self.top.denominator
-        if den == 1:
-            return list(map(str, range(num, num - self.count, -1)))
-        return [f"{num - den * o}/{den}" for o in range(self.count)]
-
-    def scaled(self, d: int) -> list[int]:
-        """d times each value, for d a multiple of top's denominator."""
-        y = self.top.numerator * (d // self.top.denominator)
-        return list(range(y, y - d * self.count, -d))
-
-
-def box_axes(lam: Weight, nu: tuple[int, ...]) -> list[Axis]:
-    """The axes of L(lam), the box of nu below lam: lam_i - o, 0 <= o <= nu_i.
-    Raises ValueError or BoxTooLargeError as _check_box does."""
-    _check_box(lam, nu)
-    return [Axis(c, v + 1) for c, v in zip(lam.coords, nu)]
-
-
-def spin_axes(lam: Weight, nu: tuple[int, ...]) -> list[Axis]:
-    """The axes of the classes of L(lam) (x) spin: lam_i + 1/2 - o,
-    0 <= o <= nu_i + 1. Raises as box_axes does."""
-    _check_box(lam, nu)
-    return [Axis(c + HALF, v + 2) for c, v in zip(lam.coords, nu)]
+    def cohomology(self, P: CentralCharPoly) -> ModuleDecomposition:
+        """The classes mu of spin_axes with P(lam + rho) = P(mu + rho - 1/2),
+        with their multiplicities. The grid's values are compared as
+        numerators over their common denominator; P(lam + rho), evaluated
+        apart, must be one of them."""
+        _, multiplicities, values, den = self.grid(P)
+        target = P.value(self.lam) * den
+        if target.denominator != 1:
+            raise InvariantViolation(f"P(lambda + rho) * {den} = {target} is not an integer")
+        return ModuleDecomposition(self.lam.rank, {
+            Weight(mu): mult
+            for mu, mult, value in zip(axis_points(self.spin_axes), multiplicities, values)
+            if value == target.numerator})
 
 
 def shift_axes(axes: list[Axis], by: Sequence[Fraction]) -> list[Axis]:
     """The axes moved by the vector ``by`` (rho, for the rho-shifted view)."""
     return [Axis(a.top + b, a.count) for a, b in zip(axes, by, strict=True)]
-
-
-def grid_axes(lam: Weight, nu: tuple[int, ...]) -> list[Axis]:
-    """The axes of the spin grid: lam + rho - o, 0 <= o_i <= nu_i + 1, the
-    point mu + rho - 1/2 of each class mu of L(lam) (x) spin."""
-    return shift_axes(spin_axes(lam, nu), (rho(lam.rank) - half_vector(lam.rank)).coords)
 
 
 def axis_points(axes: list[Axis]) -> Iterator[tuple[Fraction, ...]]:
@@ -265,31 +269,12 @@ def axis_points(axes: list[Axis]) -> Iterator[tuple[Fraction, ...]]:
     return product(*(a.values() for a in axes))
 
 
-def spin_multiplicities(nu: tuple[int, ...]) -> Iterator[int]:
-    """The multiplicity of each class of L(lam) (x) spin, in product order:
-    prod_i (1 if o_i in {0, nu_i + 1} else 2)."""
-    return map(prod, product(*([1] + [2] * v + [1] for v in nu)))
-
-
-def box_dimension(axes: list[Axis], multiplicities: Iterable[int]) -> int:
-    """sum m * weyl_dim_formal(w) over the classes w of the axes, in product
-    order, and their multiplicities m, in integers: with d the common
-    denominator of the tops, y_i = d * w_i - d * i is an integer axis, whose
-    differences are d times those of w + rho; each class is one weyl_quotient
-    by d^(n(n-1)/2) prod_{i<j} (j - i), checked exact."""
-    n = len(axes)
-    d = lcm(*(a.top.denominator for a in axes))
-    den = weyl_denominator(n, d)
-    scaled = [[y - d * i for y in a.scaled(d)] for i, a in enumerate(axes)]
-    return sum(m * weyl_quotient(y, den) for y, m in zip(product(*scaled), multiplicities))
-
-
 def L_decomposition(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
     """The box {lam - nu' : 0 <= nu' <= nu componentwise}, multiplicity one.
-    Raises ValueError or BoxTooLargeError as _check_box does; past that
-    check every weight of the box is dominant, so none is re-checked."""
+    Raises ValueError or BoxTooLargeError as Box does; past that check every
+    weight of the box is dominant, so none is re-checked."""
     return ModuleDecomposition(lam.rank, dict.fromkeys(
-        map(Weight, axis_points(box_axes(lam, nu))), 1))
+        map(Weight, axis_points(Box(lam, nu).L_axes)), 1))
 
 
 def grid_numerators(P: CentralCharPoly, axes: list[Axis]) -> tuple[Iterator[int], int]:
@@ -320,41 +305,30 @@ def spin_grid(P: CentralCharPoly, lam: Weight, nu: tuple[int, ...]
     The grid of L(lam) (x) spin: for each o in product(range(nu_1 + 2), ...,
     range(nu_n + 2)), in that order, the point lam + rho - o, the
     multiplicity of the class mu = lam + 1/2 - o over it, and P at the point.
-    Raises ValueError or BoxTooLargeError, as _check_box does, at the call.
+    Raises ValueError or BoxTooLargeError, as Box does, at the call.
     """
-    axes = grid_axes(lam, nu)
-    values, den = grid_numerators(P, axes)
-    return zip(axis_points(axes), spin_multiplicities(nu),
-               (Fraction(v, den) for v in values))
+    axes, multiplicities, values, den = Box(lam, nu).grid(P)
+    return zip(axis_points(axes), multiplicities, (Fraction(v, den) for v in values))
 
 
 def tensor_with_spin(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
     """
     Decomposition of L(lam) (x) spin, for L(lam) the box of nu below lam:
-    the classes of spin_axes with the closed-form multiplicities of
-    spin_multiplicities. On a dominant box every class has a weakly
-    decreasing rho-shift, so none is dropped.
+    the classes of the box's spin axes with their closed-form
+    multiplicities. On a dominant box every class has a weakly decreasing
+    rho-shift, so none is dropped.
     """
+    box = Box(lam, nu)
     return ModuleDecomposition(lam.rank, dict(zip(
-        map(Weight, axis_points(spin_axes(lam, nu))), spin_multiplicities(nu))))
+        map(Weight, axis_points(box.spin_axes)), box.spin_multiplicities())))
 
 
 def select_cohomology(P: CentralCharPoly, lam: Weight,
                       nu: tuple[int, ...]) -> ModuleDecomposition:
     """The part of L(lam) (x) spin, for the box of nu, whose classes mu
-    satisfy P(lam) = P(mu - (1/2,...,1/2)), with its multiplicities. The
-    grid's values are compared as numerators over their common
-    denominator; P(lam + rho), evaluated apart, must be one of them."""
-    axes = grid_axes(lam, nu)
-    values, den = grid_numerators(P, axes)
-    target = P.value(lam) * den
-    if target.denominator != 1:
-        raise InvariantViolation(f"P(lambda + rho) * {den} = {target} is not an integer")
-    shift = half_vector(lam.rank) - rho(lam.rank)
-    return ModuleDecomposition(lam.rank, {
-        Weight(point) + shift: mult
-        for point, mult, value in zip(axis_points(axes), spin_multiplicities(nu), values)
-        if value == target.numerator})
+    satisfy P(lam) = P(mu - (1/2,...,1/2)), with its multiplicities
+    (Box.cohomology)."""
+    return Box(lam, nu).cohomology(P)
 
 
 def dirac_cohomology(P: CentralCharPoly, lam: Weight) -> ModuleDecomposition:

@@ -11,6 +11,14 @@ the corresponding highest-weight module is the zero module. Boundary weights
 show up as formal summands when tensoring with the spin module and are kept
 (with formal dimension 0) so that multiplicity tables close up exactly.
 
+Weyl dimensions are computed in integers. weyl_scaled is the one scaling:
+with d the common denominator of a weight w, y_i = d w_i - d i has the
+differences of d (w + rho), so a dimension is the integer Weyl product of y
+over that of d rho, one exact division (weyl_quotient). weyl_dim_formal
+scales one weight; box_dimension scales the tops of a box's axes (Axis: the
+values top - o, o = 0..count - 1, of one coordinate), runs each axis down
+from its scaled top, and sums the quotients over the product of the axes.
+
 The central character polynomial P is stored by its coefficients in the basis
 of complete homogeneous symmetric polynomials: P(point) = sum_k c_k h_k(point),
 evaluated at rho-shifted rational points. The h_k come from one recurrence,
@@ -24,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial, lcm, prod
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .polynomials import InvariantViolation, Poly, Scalar, _as_fraction, xi_to_w
 
@@ -113,12 +122,17 @@ def weyl_dim(w: Weight) -> int:
 
 def weyl_dim_formal(w: Weight) -> int:
     """The Weyl dimension product without the dominance check; 0 on boundary
-    weights. In integers: with d the common denominator of w, y_i = d w_i - d i
-    has the differences of d (w + rho), so the dimension is one weyl_quotient
-    by weyl_denominator(n, d)."""
-    d = lcm(*(c.denominator for c in w.coords))
-    y = [c.numerator * (d // c.denominator) - d * i for i, c in enumerate(w.coords)]
+    weights: one weyl_quotient of the scaled integer point weyl_scaled(w)."""
+    y, d = weyl_scaled(w.coords)
     return weyl_quotient(y, weyl_denominator(w.rank, d))
+
+
+def weyl_scaled(coords: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(y, d) for d the common denominator of coords and y_i = d c_i - d i:
+    integers whose differences are d times those of coords + rho, so the
+    Weyl product of coords + rho is weyl_product(y) / d^(n(n-1)/2)."""
+    d = lcm(*(c.denominator for c in coords))
+    return [c.numerator * (d // c.denominator) - d * i for i, c in enumerate(coords)], d
 
 
 def weyl_product(y: Sequence[int]) -> int:
@@ -145,6 +159,44 @@ def weyl_quotient(y: Sequence[int], den: int) -> int:
         raise InvariantViolation(f"Weyl dimension product {Fraction(num, den)} "
                                  "is not an integer")
     return dim
+
+
+class Axis(NamedTuple):
+    """One coordinate of a box or grid: the values top - o, o = 0, ..., count - 1.
+
+    The classes of a box or grid are the product of its axes, in
+    itertools.product order (the last coordinate fastest), which is
+    descending lexicographic order. Subtracting an integer keeps top's
+    reduced denominator, so every view of an axis is made in integers."""
+
+    top: Fraction
+    count: int
+
+    def values(self) -> list[Fraction]:
+        return [self.top - o for o in range(self.count)]
+
+    def strings(self) -> list[str]:
+        """str() of each value, as num/den (or the integer) without a Fraction."""
+        num, den = self.top.numerator, self.top.denominator
+        if den == 1:
+            return list(map(str, range(num, num - self.count, -1)))
+        return [f"{num - den * o}/{den}" for o in range(self.count)]
+
+    def scaled(self, d: int) -> list[int]:
+        """d times each value, for d a multiple of top's denominator."""
+        y = self.top.numerator * (d // self.top.denominator)
+        return list(range(y, y - d * self.count, -d))
+
+
+def box_dimension(axes: Sequence[Axis], multiplicities: Iterable[int]) -> int:
+    """sum m * weyl_dim_formal(w) over the classes w of the axes, in product
+    order, and their multiplicities m, in integers: the tops scaled once by
+    weyl_scaled, each axis a row of integers from its scaled top, and each
+    class one weyl_quotient."""
+    tops, d = weyl_scaled([a.top for a in axes])
+    den = weyl_denominator(len(axes), d)
+    rows = [range(y, y - d * a.count, -d) for y, a in zip(tops, axes)]
+    return sum(m * weyl_quotient(y, den) for y, m in zip(product(*rows), multiplicities))
 
 
 def h_row(point: Sequence, K: int) -> list:

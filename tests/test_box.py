@@ -1,0 +1,132 @@
+"""The one checked box (modules.Box) and the one Weyl scaling behind
+weights.box_dimension and weights.weyl_dim_formal."""
+from fractions import Fraction
+from math import prod
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cherednik.modules import (
+    MAX_GRID,
+    Box,
+    BoxTooLargeError,
+    L_decomposition,
+    axis_points,
+    select_cohomology,
+    spin_grid,
+    tensor_with_spin,
+)
+from cherednik.weights import (
+    Axis,
+    CentralCharPoly,
+    Weight,
+    box_dimension,
+    is_dominant,
+    weyl_dim_formal,
+)
+
+F = Fraction
+P = CentralCharPoly.from_h_coeffs([0, 18, F(-9, 2), -2, F(1, 2)], 2)
+
+MALFORMED = [
+    (Weight.of(3, 1), (1,)),         # too short: used to give rank-1 weights
+    (Weight.of(2), (-1,)),           # negative: used to give the class 5/2
+    (Weight.of(3, 1), (1, 0, 5)),    # too long: used to raise IndexError
+    (Weight.of(3, 1), (1, F(1, 2))),  # not an integer
+]
+PUBLIC = [
+    ("Box", Box),
+    ("L_decomposition", L_decomposition),
+    ("tensor_with_spin", tensor_with_spin),
+    ("spin_grid", lambda lam, nu: spin_grid(P_of(lam.rank), lam, nu)),
+    ("select_cohomology", lambda lam, nu: select_cohomology(P_of(lam.rank), lam, nu)),
+]
+
+
+def P_of(rank: int) -> CentralCharPoly:
+    return CentralCharPoly.from_h_coeffs(P.h_coeffs, rank)
+
+
+@pytest.mark.parametrize("lam,nu", MALFORMED)
+@pytest.mark.parametrize("name,call", PUBLIC, ids=[name for name, _ in PUBLIC])
+def test_malformed_nu_is_rejected(name, call, lam, nu):
+    with pytest.raises(ValueError, match="nonnegative integers") as err:
+        call(lam, nu)
+    assert type(err.value) is ValueError
+
+
+def reference_check(lam: Weight, nu: tuple) -> type | None:
+    """The exception the box of nu below lam must raise, or None: the check
+    that _check_box and check_grid_size made before Box, with the
+    malformed-nu rule in front of it."""
+    if len(nu) != lam.rank or any(not isinstance(v, int) or v < 0 for v in nu):
+        return ValueError
+    if not is_dominant(lam) or any(
+            v > lam.coords[i] - lam.coords[i + 1] for i, v in enumerate(nu[:-1])):
+        return ValueError
+    if prod(v + 2 for v in nu) > MAX_GRID:
+        return BoxTooLargeError
+    return None
+
+
+@st.composite
+def requests(draw):
+    """A weight of rank 1-4, dominant or not, and a nu of any length 0-5
+    whose entries run past the gaps, below zero and past the grid budget."""
+    n = draw(st.integers(1, 4))
+    offset = draw(st.sampled_from((F(0), F(1, 2), F(1, 3))))
+    steps = [draw(st.one_of(st.integers(-1, 4), st.integers(990, 1010),
+                            st.just(F(1, 2)))) for _ in range(n - 1)]
+    lam = Weight(tuple(offset + sum(steps[i:]) for i in range(n)))
+    length = draw(st.sampled_from((n, n, n, n - 1, n + 1)))
+    nu = tuple(draw(st.one_of(st.integers(-2, 5), st.integers(990, 1010)))
+               for _ in range(length))
+    return lam, nu
+
+
+@settings(max_examples=400, deadline=None)
+@given(requests())
+def test_box_accepts_and_rejects_what_the_checks_did(request):
+    lam, nu = request
+    want = reference_check(lam, nu)
+    if want is None:
+        box = Box(lam, nu)
+        assert box.L_axes == [Axis(c, v + 1) for c, v in zip(lam.coords, nu)]
+        assert box.spin_axes == [Axis(c + F(1, 2), v + 2) for c, v in zip(lam.coords, nu)]
+        return
+    with pytest.raises(ValueError) as err:
+        Box(lam, nu)
+    assert type(err.value) is want
+
+
+def test_box_over_budget_reports_nu_and_the_grid_size():
+    with pytest.raises(BoxTooLargeError) as err:
+        Box(Weight.of(2000, 0), (998, 999))
+    assert err.value.nu == (998, 999) and err.value.grid_size == 1000 * 1001
+    assert Box(Weight.of(2000, 0), (998, 998)).nu == (998, 998)
+
+
+@st.composite
+def axes_and_multiplicities(draw):
+    """Axes of rank 1-4 whose tops share one coset of Z (so every class has
+    integral shifted differences), in any order: dominant classes, boundary
+    classes (a repeated shifted coordinate, dimension 0) and classes whose
+    shift is not weakly decreasing, with their multiplicities."""
+    n = draw(st.integers(1, 4))
+    offset = draw(st.sampled_from((F(0), F(1, 2), F(1, 3), F(2, 7))))
+    axes = [Axis(offset + draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+            for _ in range(n)]
+    size = prod(a.count for a in axes)
+    mults = draw(st.lists(st.integers(1, 5), min_size=size, max_size=size))
+    return axes, mults
+
+
+@settings(max_examples=200, deadline=None)
+@given(axes_and_multiplicities())
+def test_box_dimension_is_the_sum_of_weyl_dimensions(case):
+    axes, mults = case
+    classes = list(map(Weight, axis_points(axes)))
+    assert box_dimension(axes, mults) == sum(
+        m * weyl_dim_formal(w) for w, m in zip(classes, mults))
+

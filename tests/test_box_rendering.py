@@ -14,14 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cherednik.cli as cli
-from cherednik.modules import (
-    L_decomposition,
-    ModuleDecomposition,
-    box_axes,
-    spin_axes,
-    spin_multiplicities,
-    tensor_with_spin,
-)
+from cherednik.modules import Box, L_decomposition, ModuleDecomposition, tensor_with_spin
 from cherednik.weights import Weight
 
 F = Fraction
@@ -76,7 +69,7 @@ def as_json(block: dict) -> str:
 def test_blocks_equal_the_sorted_weight_rendering(box):
     lam, nu = box
     L, LS = L_decomposition(lam, nu), tensor_with_spin(lam, nu)
-    new_L, new_LS = cli._L_box(lam, nu), cli._spin_box(lam, nu)
+    new_L, new_LS = cli._L_block(Box(lam, nu)), cli._spin_block(Box(lam, nu))
     assert as_json(new_L.json()) == as_json(reference_json(L))
     assert as_json(new_LS.json()) == as_json(reference_json(LS))
     for decimal in (False, True):
@@ -95,8 +88,9 @@ def test_blocks_equal_the_sorted_weight_rendering(box):
 ])
 def test_blocks_at_rank_one_and_on_boundary_classes(lam, nu):
     LS = tensor_with_spin(lam, nu)
-    assert as_json(cli._L_box(lam, nu).json()) == as_json(reference_json(L_decomposition(lam, nu)))
-    assert as_json(cli._spin_box(lam, nu).json()) == as_json(reference_json(LS))
+    assert as_json(cli._L_block(Box(lam, nu)).json()) == as_json(
+        reference_json(L_decomposition(lam, nu)))
+    assert as_json(cli._spin_block(Box(lam, nu)).json()) == as_json(reference_json(LS))
     if lam.rank > 1:
         assert any(reference_dimension(w) == 0 for w in LS.entries)
 
@@ -115,11 +109,12 @@ def test_product_order_is_the_sorted_order(box):
 @given(boxes())
 def test_axis_strings_and_scaled_values_are_the_fractions(box):
     lam, nu = box
-    for axis in box_axes(lam, nu) + spin_axes(lam, nu):
+    checked = Box(lam, nu)
+    for axis in checked.L_axes + checked.spin_axes:
         assert axis.strings() == [str(v) for v in axis.values()]
         for d in (axis.top.denominator, 6 * axis.top.denominator):
             assert axis.scaled(d) == [v * d for v in axis.values()]
-    assert len(list(spin_multiplicities(nu))) == prod(a.count for a in spin_axes(lam, nu))
+    assert len(list(checked.spin_multiplicities())) == prod(a.count for a in checked.spin_axes)
 
 
 CORRUPT = """

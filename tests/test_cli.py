@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
@@ -243,16 +245,17 @@ def test_leading_negative_list_as_its_own_token(capsys, flag, negative, rest):
 
 
 def _count_calls(monkeypatch, names):
-    """Wrap modules-level functions wherever the CLI or modules reach them."""
+    """Wrap modules- or weights-level callables wherever the CLI, modules or
+    weights reach them."""
     counts = Counter()
     for name in names:
-        orig = getattr(modules, name)
+        orig = getattr(modules, name, None) or getattr(weights, name)
 
         def wrapper(*args, _orig=orig, _name=name, **kwargs):
             counts[_name] += 1
             return _orig(*args, **kwargs)
 
-        for mod in (cli, modules):
+        for mod in (cli, modules, weights):
             if getattr(mod, name, None) is orig:
                 monkeypatch.setattr(mod, name, wrapper)
     return counts
@@ -260,17 +263,19 @@ def _count_calls(monkeypatch, names):
 
 STAGES = ["membership_detail", "nu_vector", "L_decomposition", "tensor_with_spin",
           "dirac_cohomology", "select_cohomology", "spin_grid", "guaranteed_classes",
-          "box_dimension", "grid_numerators"]
+          "box_dimension", "grid_numerators", "Box"]
 
 
-# The CLI renders the L and L (x) spin blocks from their axes: one dimension
-# walk per box, and no ModuleDecomposition (L_decomposition, tensor_with_spin)
-# or Fraction-valued spin_grid; the P values are walked once, as numerators.
+# The CLI checks one Box per request and reads everything from it: the L and
+# L (x) spin blocks from its axes, one dimension walk per block, and no
+# ModuleDecomposition (L_decomposition, tensor_with_spin) or Fraction-valued
+# spin_grid; the P values are walked once, as numerators, and the cohomology
+# is selected on that Box (Box.cohomology, not select_cohomology's own Box).
 @pytest.mark.parametrize("cmd,want", [
-    ("classify", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 1}),
-    ("dirac", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 2,
-               "select_cohomology": 1, "grid_numerators": 1, "guaranteed_classes": 1}),
-    ("tables", {"membership_detail": 1, "nu_vector": 1, "grid_numerators": 1}),
+    ("classify", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 1, "Box": 1}),
+    ("dirac", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 2, "Box": 1,
+               "grid_numerators": 1, "guaranteed_classes": 1}),
+    ("tables", {"membership_detail": 1, "nu_vector": 1, "grid_numerators": 1, "Box": 1}),
 ])
 def test_each_stage_runs_once_per_request(monkeypatch, capsys, cmd, want):
     counts = _count_calls(monkeypatch, STAGES)
@@ -454,3 +459,65 @@ def test_verify_jacobi_rank_three_degree_three(capsys):
     assert rc == 0 and doc["ok"] and len(doc["results"]) == 47
     names = {r["name"] for r in doc["results"]}
     assert {"wedge-identities n=3 xi=z^3", "all-certificates n=3 dense-xi deg=3"} <= names
+
+
+
+@pytest.mark.parametrize("tok", ["1_000", "2 / 3", "1e5000", "1E5", "2.5e-1", "1/2e3",
+                                 "1.5e3", "0x10", "nan", "inf", ".", "1/", "/2", "1.5/2",
+                                 "1/0"])
+def test_rational_grammar_rejects_what_interpreters_read_differently(capsys, tok):
+    rc = cli.main(["classify", "--n", "1", "--P-h", "0,1", "--lambda", tok])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert f"cannot parse {tok!r}" in err
+
+
+@pytest.mark.parametrize("tok,value", [
+    ("3", 3), ("+3", 3), ("-3/4", Fraction(-3, 4)), ("6/4", Fraction(3, 2)),
+    ("1.5", Fraction(3, 2)), (".5", Fraction(1, 2)), ("-5.", -5), ("007", 7),
+    (" 2/3 ", Fraction(2, 3)),
+])
+def test_rational_grammar_accepts_sign_digits_slash_and_point(tok, value):
+    assert cli._parse_rational(tok) == value
+
+
+@contextmanager
+def int_str_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+needs_int_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                     reason="no int <-> str digit limit before 3.10.7")
+
+
+@needs_int_limit
+def test_big_exact_answers_print():
+    # P = C h_1 + h_2 at n = 1 with lam = 10^3000 and C = 1 - 2 lam: nu = 0,
+    # and the two grid values have about 6000 digits, past the default limit.
+    lam = 10 ** 3000
+    C = 1 - 2 * lam
+    with int_str_limit(0):
+        argv = ["tables", "--n", "1", "--P-h", f"0,{C},1", "--lambda", str(lam)]
+        want = "\n".join([
+            "nu = [0]",
+            f"mu+rho ({lam})  P = {C * lam + lam ** 2}  multiplicity 1",
+            f"mu+rho ({lam - 1})  P = {C * (lam - 1) + (lam - 1) ** 2}  multiplicity 1", ""])
+    res = run_cli(*argv)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == want
+
+
+@needs_int_limit
+def test_long_literal_parses_and_the_limit_is_restored(capsys):
+    tok = "1" * 5001
+    with int_str_limit(5000):
+        rc = cli.main(["classify", "--n", "1", "--P-h", "0,1", "--lambda", tok, "--json"])
+        assert sys.get_int_max_str_digits() == 5000
+    out, err = capsys.readouterr()
+    assert (rc, err) == (1, "")
+    assert json.loads(out)["input"]["lambda"] == [tok]

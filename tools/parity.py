@@ -12,8 +12,13 @@ The corpus: the benchmark's dirac-grid and classify-roots CLI queries at
 seeds 1-3, each in --json, text and --decimal mode; the worked example,
 thirds and sixths, a degenerate deformation, tables at ranks 1-3 with a
 rational lambda, the rejection, not-dominant and box-too-large diagnostics,
-transform, verify at four seeds, and the four demos. Every request runs in
-process except the demos, which run as scripts under the same interpreter.
+transform, verify at four seeds, the rational tokens that Fraction reads
+differently across interpreters (underscores, inner spaces, exponents), a
+5001-digit literal, a tables request whose P values have about 6000
+digits, and the four demos. Every request runs in process except the
+demos, which run as scripts under the same interpreter; a request that
+raises is recorded with exit code 1 and the stdout it wrote, as the
+interpreter would end it.
 
 For every --json output, the parsed document must render through
 cli._json and through json.dumps(sort_keys=True, indent=2) to the output
@@ -59,6 +64,12 @@ for rank, lam in ((1, "3/2"), (2, "19/6,7/6"), (3, "13/4,9/4,5/4")):
 for seed in (1, 2, 3, 7):
     EXTRA.append(["verify", "--suite", "all", "--max-n", "2", "--max-deg", "3",
                   "--seed", str(seed), "--json"])
+for tok in ("1_000", "2 / 3", "1e5000", "1" * 5001):
+    EXTRA.append(["classify", "--n", "1", "--P-h", "0,1", "--lambda", tok])
+# lam = 10^3000 and C = 1 - 2 lam, spelled out without int <-> str conversion.
+BIG_LAM, BIG_C = "1" + "0" * 3000, "-1" + "9" * 3000
+for mode in ([], ["--json"]):
+    EXTRA.append(["tables", "--n", "1", "--P-h", f"0,{BIG_C},1", "--lambda", BIG_LAM, *mode])
 
 
 def bench_queries() -> list[list[str]]:
@@ -79,8 +90,11 @@ def bench_queries() -> list[list[str]]:
 
 def run(cli, argv: list[str]) -> tuple[int, str]:
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = cli.main(argv)
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = cli.main(argv)
+        except Exception:  # an uncaught exception ends the interpreter with 1
+            rc = 1
     return rc, buf.getvalue()
 
 
@@ -98,7 +112,7 @@ def main() -> int:
     for argv in bench_queries() + EXTRA:
         label = " ".join(argv)
         rc, out = outputs[label] = run(cli, argv)
-        if "--json" in argv:
+        if "--json" in argv and out:
             doc = json.loads(out)
             text = out[:-1]  # print's newline
             if json.dumps(doc, sort_keys=True, indent=2) != text:
