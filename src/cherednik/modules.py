@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 from math import lcm, prod
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .polynomials import InvariantViolation, Poly, horner, least_positive_integer_root
 from .weights import (

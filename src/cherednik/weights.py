@@ -17,7 +17,8 @@ differences of d (w + rho), so a dimension is the integer Weyl product of y
 over that of d rho, one exact division (weyl_quotient). weyl_dim_formal
 scales one weight; box_dimension scales the tops of a box's axes (Axis: the
 values top - o, o = 0..count - 1, of one coordinate), runs each axis down
-from its scaled top, and sums the quotients over the product of the axes.
+from its scaled top (Axis.row, the one descent, which Axis.scaled also
+uses), and sums the quotients over the product of the axes.
 
 The central character polynomial P is stored by its coefficients in the basis
 of complete homogeneous symmetric polynomials: P(point) = sum_k c_k h_k(point),
@@ -184,8 +185,12 @@ class Axis(NamedTuple):
 
     def scaled(self, d: int) -> list[int]:
         """d times each value, for d a multiple of top's denominator."""
-        y = self.top.numerator * (d // self.top.denominator)
-        return list(range(y, y - d * self.count, -d))
+        return list(self.row(self.top.numerator * (d // self.top.denominator), d))
+
+    def row(self, y: int, d: int) -> range:
+        """y, y - d, ..., y - d (count - 1): the axis's descent in steps of d
+        from a scaled top y."""
+        return range(y, y - d * self.count, -d)
 
 
 def box_dimension(axes: Sequence[Axis], multiplicities: Iterable[int]) -> int:
@@ -195,7 +200,7 @@ def box_dimension(axes: Sequence[Axis], multiplicities: Iterable[int]) -> int:
     class one weyl_quotient."""
     tops, d = weyl_scaled([a.top for a in axes])
     den = weyl_denominator(len(axes), d)
-    rows = [range(y, y - d * a.count, -d) for y, a in zip(tops, axes)]
+    rows = [a.row(y, d) for y, a in zip(tops, axes)]
     return sum(m * weyl_quotient(y, den) for y, m in zip(product(*rows), multiplicities))
 
 

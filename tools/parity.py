@@ -16,9 +16,11 @@ transform, verify at four seeds, the rational tokens that Fraction reads
 differently across interpreters (underscores, inner spaces, exponents), a
 5001-digit literal, a tables request whose P values have about 6000
 digits, and the four demos. Every request runs in process except the
-demos, which run as scripts under the same interpreter; a request that
-raises is recorded with exit code 1 and the stdout it wrote, as the
-interpreter would end it.
+demos, which run as scripts under the same interpreter. A request that
+raises prints its traceback, is recorded with exit code 1 and the stdout it
+wrote, as the interpreter would end it, and counts as a problem: --write
+still records it, so a checkout whose requests crash can be compared with,
+but the run fails.
 
 For every --json output, the parsed document must render through
 cli._json and through json.dumps(sort_keys=True, indent=2) to the output
@@ -35,6 +37,7 @@ import json
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,14 +91,15 @@ def bench_queries() -> list[list[str]]:
     return out
 
 
-def run(cli, argv: list[str]) -> tuple[int, str]:
+def run(cli, argv: list[str]) -> tuple[int, str, str | None]:
+    """(exit code, stdout, the name of the exception raised or None)."""
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(buf):
         try:
-            rc = cli.main(argv)
-        except Exception:  # an uncaught exception ends the interpreter with 1
-            rc = 1
-    return rc, buf.getvalue()
+            return cli.main(argv), buf.getvalue(), None
+        except Exception as exc:  # an uncaught exception ends the interpreter with 1
+            traceback.print_exc()
+            return 1, buf.getvalue(), type(exc).__name__
 
 
 def main() -> int:
@@ -111,8 +115,11 @@ def main() -> int:
     outputs = {}
     for argv in bench_queries() + EXTRA:
         label = " ".join(argv)
-        rc, out = outputs[label] = run(cli, argv)
-        if "--json" in argv and out:
+        rc, out, raised = run(cli, argv)
+        outputs[label] = rc, out
+        if raised:
+            problems.append(f"raised {raised}: {label}")
+        elif "--json" in argv:
             doc = json.loads(out)
             text = out[:-1]  # print's newline
             if json.dumps(doc, sort_keys=True, indent=2) != text:
