@@ -19,16 +19,17 @@ contract, exactly json.dumps(doc, sort_keys=True, indent=2); it is written
 by _json, which produces that text with the C string encoder.
 
 classify, dirac and tables check one modules.Box per request and read
-everything from it. The boxes (L(lambda), L(lambda) (x) spin) and the
-tables grid are rendered from its per-axis data (weights.Axis): coordinate
-i of a class is top_i - o for o = 0..b_i, so each coordinate's strings (or,
-with --decimal, its _fmt renderings) are made once per axis value and the
-classes are their itertools.product, already in descending order.
-Dimensions come from the integer Weyl products of the same axes
-(weights.box_dimension) and the tables' P values from integer numerators
-over one common denominator (Box.grid); no Weight or Fraction is built per
-class. The cohomology (Box.cohomology) and guaranteed classes, a few per
-request, go through Weight.
+everything from it. Its class lists (modules.Block: L(lambda),
+L(lambda) (x) spin and the Dirac cohomology) are rendered by one _rows from
+their per-axis data (weights.Axis): coordinate i of a class is top_i - o
+for o = 0..b_i, so each coordinate's strings (or, with --decimal, its _fmt
+renderings) are made once per axis value and the classes are their
+itertools.product, already in descending order, with the classes of
+multiplicity 0 dropped. Dimensions come from the integer Weyl products of
+the same axes (Block.dimension) and the tables' P values from integer
+numerators over one common denominator (Box.grid); no Weight or Fraction is
+built per class. Only the guaranteed classes, a few per request, go
+through Weight.
 
 Exit codes: 0 success, 1 mathematical rejection (the weight heads no
 finite-dimensional module: error code "not-classified", or "not-dominant"
@@ -47,18 +48,19 @@ import argparse
 import os
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd, prod
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from math import gcd
+from typing import Callable, Iterator, NamedTuple
 
 from .modules import (
     MAX_GRID,
+    Block,
     Box,
     BoxTooLargeError,
-    ModuleDecomposition,
     guaranteed_classes,
     membership_detail,
     nu_vector,
@@ -66,7 +68,7 @@ from .modules import (
 )
 from .polynomials import Poly, xi_to_density, xi_to_density_sum, xi_to_w
 from .verify import run_suites
-from .weights import Axis, CentralCharPoly, Weight, box_dimension, is_dominant, rho
+from .weights import Axis, CentralCharPoly, Weight, is_dominant, rho
 
 
 class UsageError(Exception):
@@ -145,122 +147,68 @@ def _weight_text(weight: list[str], plus_rho: list[str]) -> str:
     return f"({', '.join(weight)})  [mu+rho ({', '.join(plus_rho)})]"
 
 
-# One class of a block: (multiplicity, weight, weight + rho), the weights as
-# rendered coordinates. A box makes its rows from its axes, a
-# ModuleDecomposition from its sorted items; _block_json and _block_text are
-# the one JSON and the one text format of a block.
-Row = tuple[int, Sequence[str], Sequence[str]]
+def _rows(block: Block, fmt: Callable[[Axis], list[str]]) -> Iterator[tuple]:
+    """(multiplicity, weight, weight + rho) per class of nonzero
+    multiplicity, each coordinate taken from fmt's rendering of its axis, so
+    nothing is made per class but the tuples of strings."""
+    plus_rho = shift_axes(block.axes, rho(len(block.axes)).coords)
+    return compress(zip(block.multiplicities, product(*map(fmt, block.axes)),
+                        product(*map(fmt, plus_rho))), block.multiplicities)
 
 
-def _block_json(dimension: int, rows: Iterable[Row]) -> dict:
-    return {"dimension": dimension,
+def _block_json(block: Block) -> dict:
+    return {"dimension": block.dimension(),
             "entries": [{"multiplicity": m, "weight": w, "weight_plus_rho": s}
-                        for m, w, s in rows]}
+                        for m, w, s in _rows(block, Axis.strings)]}
 
 
-def _block_text(lines: list[str], title: str, dimension: int, rows: Iterable[Row]) -> None:
-    lines.append(f"{title}  (dimension {dimension})")
-    lines.extend(f"  {m} x {_weight_text(w, s)}" for m, w, s in rows)
+def _block_text(lines: list[str], title: str, block: Block, decimal: bool) -> None:
+    lines.append(f"{title}  (dimension {block.dimension()})")
+    lines.extend(f"  {m} x {_weight_text(w, s)}"
+                 for m, w, s in _rows(block, _axis_text(decimal)))
 
 
-def _decomp_rows(d: ModuleDecomposition, decimal: bool = False) -> Iterator[Row]:
-    return ((m, *_weight_strings(w, decimal)) for w, m in d.sorted_items())
-
-
-class Block(NamedTuple):
-    """The classes of L(lambda) or of L(lambda) (x) spin, rendered from their
-    axes: the product of the axes, in product order (already descending),
-    with the closed-form multiplicities and the total dimension."""
-
-    axes: list[Axis]
-    multiplicities: list[int]
-    dimension: int
-
-    @staticmethod
-    def of(axes: list[Axis], multiplicities: Iterable[int]) -> "Block":
-        multiplicities = list(multiplicities)
-        return Block(axes, multiplicities, box_dimension(axes, multiplicities))
-
-    def rows(self, fmt: Callable[[Axis], list[str]]) -> Iterator[Row]:
-        """(multiplicity, weight, weight + rho) per class, each coordinate
-        taken from fmt's rendering of its axis, so nothing is made per class
-        but the tuples of strings."""
-        plus_rho = shift_axes(self.axes, rho(len(self.axes)).coords)
-        return zip(self.multiplicities, product(*map(fmt, self.axes)),
-                   product(*map(fmt, plus_rho)))
-
-    def json(self) -> dict:
-        return _block_json(self.dimension, self.rows(Axis.strings))
-
-    def text(self, lines: list[str], title: str, decimal: bool) -> None:
-        _block_text(lines, title, self.dimension, self.rows(_axis_text(decimal)))
-
-
-def _L_block(box: Box) -> Block:
-    return Block.of(box.L_axes, [1] * prod(a.count for a in box.L_axes))
-
-
-def _spin_block(box: Box) -> Block:
-    return Block.of(box.spin_axes, box.spin_multiplicities())
-
-
+@dataclass(frozen=True)
 class Deformation:
-    """Parsed deformation input: exactly one of xi / w / P_h, plus the rank."""
+    """Parsed deformation input: the rank, the variant given (its JSON key:
+    "xi", "w" or "P_h") and its coefficients, xi and w trimmed as Poly.of
+    trims them, P_h as given."""
 
-    def __init__(self, n: int, xi: Poly | None, w: Poly | None,
-                 p_h: list[Fraction] | None):
-        self.n = n
-        self.xi = xi
-        self.w = w
-        self.p_h = p_h
-        if n < 1:
-            raise UsageError("--n must be a positive integer")
+    n: int
+    kind: str
+    coeffs: tuple[Fraction, ...]
 
     @staticmethod
     def from_args(args) -> "Deformation":
         given = [name for name in ("xi", "w", "P_h") if getattr(args, name) is not None]
         if len(given) != 1:
             raise UsageError("give exactly one of --xi, --w, --P-h")
-        xi = w = p_h = None
-        if args.xi is not None:
-            xi = Poly.of(*_parse_rational_list(args.xi))
-        elif args.w is not None:
-            w = Poly.of(*_parse_rational_list(args.w))
-        else:
-            p_h = _parse_rational_list(args.P_h)
-        return Deformation(args.n, xi, w, p_h)
+        kind = given[0]
+        coeffs = tuple(_parse_rational_list(getattr(args, kind)))
+        if args.n < 1:
+            raise UsageError("--n must be a positive integer")
+        return Deformation(args.n, kind, coeffs if kind == "P_h" else Poly.of(*coeffs).coeffs)
 
     @cached_property
-    def xi_w(self) -> Poly:
-        """xi_to_w of the --xi variant, computed once per request."""
-        return xi_to_w(self.xi, self.n)
+    def h_coeffs(self) -> tuple[Fraction, ...]:
+        """P's h-basis coefficients: w, through xi_to_w (once per request)
+        for the --xi variant."""
+        return xi_to_w(Poly(self.coeffs), self.n).coeffs if self.kind == "xi" else self.coeffs
 
     def central_char(self) -> CentralCharPoly:
-        if self.xi is not None:
-            return CentralCharPoly.from_w(self.xi_w, self.n)
-        if self.w is not None:
-            return CentralCharPoly.from_w(self.w, self.n)
-        return CentralCharPoly.from_h_coeffs(self.p_h, self.n)
+        return CentralCharPoly.from_h_coeffs(self.h_coeffs, self.n)
 
     def input_json(self) -> dict:
-        doc = {"n": self.n}
-        if self.xi is not None:
-            doc["xi"] = [str(c) for c in self.xi.coeffs]
-        if self.w is not None:
-            doc["w"] = [str(c) for c in self.w.coeffs]
-        if self.p_h is not None:
-            doc["P_h"] = [str(c) for c in self.p_h]
-        return doc
+        return {"n": self.n, self.kind: [str(c) for c in self.coeffs]}
 
-    def derived_json(self) -> dict | None:
-        if self.xi is None:
-            return None
-        w = self.xi_w
+    def derived_json(self) -> dict:
+        """The --xi ladder: density, density sum, and w, which is P_h."""
+        xi, w = Poly(self.coeffs), [str(c) for c in self.h_coeffs]
         return {
-            "density": [str(c) for c in xi_to_density(self.xi, self.n).coeffs],
-            "density_sum": [str(c) for c in xi_to_density_sum(self.xi, self.n).coeffs],
-            "w": [str(c) for c in w.coeffs],
-            "P_h": [str(c) for c in w.coeffs],
+            "density": [str(c) for c in xi_to_density(xi, self.n).coeffs],
+            "density_sum": [str(c) for c in xi_to_density_sum(xi, self.n).coeffs],
+            "w": w,
+            "P_h": w,
         }
 
 
@@ -360,7 +308,7 @@ def _too_large(args, doc: dict, P: CentralCharPoly, lam: Weight,
 
 def cmd_transform(args) -> Outcome:
     deformation = Deformation.from_args(args)
-    if deformation.xi is None:
+    if deformation.kind != "xi":
         raise UsageError("transform requires the --xi variant")
     doc = {
         "command": "transform",
@@ -410,13 +358,14 @@ def _classified(args, command: str, derived: bool = True) -> Classified:
     deformation and the weight, dominance, membership, nu and the grid
     budget. A non-dominant weight, a non-member or a box over budget ends
     the request in its diagnostic (Answered). ``derived`` adds the --xi
-    ladder to the document."""
+    ladder to the document. The weight is parsed and checked before P is
+    computed, whose --xi ladder can cost far more."""
     deformation = Deformation.from_args(args)
-    P = deformation.central_char()
     lam = _parse_weight(args, deformation.n)
+    P = deformation.central_char()
     doc = {"command": command, "input": dict(deformation.input_json(),
                                              **_weight_json_input(lam))}
-    if derived and deformation.xi is not None:
+    if derived and deformation.kind == "xi":
         doc["derived"] = deformation.derived_json()
     if not is_dominant(lam):
         raise Answered(_reject(args, doc, "not-dominant", (
@@ -437,38 +386,32 @@ def _classified(args, command: str, derived: bool = True) -> Classified:
 
 def cmd_classify(args) -> Outcome:
     _, box, membership, doc = _classified(args, "classify")
-    L = _L_block(box)
     if args.json:
-        doc["L"] = L.json()
+        doc["L"] = _block_json(box.L)
         return 0, _json(doc)
     lines = [_member_line(box.nu, membership)]
-    L.text(lines, "L(lambda)", args.decimal)
+    _block_text(lines, "L(lambda)", box.L, args.decimal)
     return 0, "\n".join(lines)
 
 
 def cmd_dirac(args) -> Outcome:
     P, box, membership, doc = _classified(args, "dirac")
-    L = _L_block(box)
-    LS = _spin_block(box)
-    coh = box.cohomology(P)
+    blocks = (("L", "L(lambda)", box.L), ("tensor_spin", "L(lambda) (x) spin", box.spin),
+              ("cohomology", "Dirac cohomology", box.cohomology(P)))
     if args.json:
-        doc["L"] = L.json()
-        doc["tensor_spin"] = LS.json()
-        doc["cohomology"] = _block_json(coh.total_dimension(), _decomp_rows(coh))
+        for key, _, block in blocks:
+            doc[key] = _block_json(block)
         doc["guaranteed"] = _guaranteed_json(P, box.lam, box.nu)
         return 0, _json(doc)
     lines = [_member_line(box.nu, membership)]
-    L.text(lines, "L(lambda)", args.decimal)
-    LS.text(lines, "L(lambda) (x) spin", args.decimal)
-    _block_text(lines, "Dirac cohomology", coh.total_dimension(),
-                _decomp_rows(coh, args.decimal))
+    for _, title, block in blocks:
+        _block_text(lines, title, block, args.decimal)
     lines.extend(_guaranteed_text(P, box.lam, box.nu, args.decimal))
     return 0, "\n".join(lines)
 
 
 def _weight_json_input(lam: Weight) -> dict:
-    return {"lambda": [str(c) for c in lam.coords],
-            "lambda_plus_rho": [str(c) for c in lam.shifted()]}
+    return dict(zip(("lambda", "lambda_plus_rho"), _weight_strings(lam)))
 
 
 def cmd_tables(args) -> Outcome:

@@ -25,16 +25,18 @@ For a deformation with central character polynomial P and a dominant weight
   within MAX_GRID (BoxTooLargeError otherwise). Nothing is built before it.
   The grid is L (x) spin's class set and the tables' P grid, the largest
   structure any request walks.
-* axes: every box and grid here is a product of per-coordinate axes
+* class lists: every box and grid here is a product of per-coordinate axes
   (weights.Axis: the values top_i - o for o = 0..b_i), in itertools.product
-  order, which is descending lexicographic order. A Box holds the axes of L
-  (L_axes) and of the classes of L (x) spin (spin_axes, with their
-  multiplicities), and gives the spin grid's points and P numerators
-  (Box.grid) and the cohomology (Box.cohomology). L_decomposition,
-  tensor_with_spin, spin_grid, select_cohomology and dirac_cohomology build
-  one Box each; the CLI builds one per request and reads everything from
-  it, as Fractions, strings or scaled integers made once per axis value.
-  Dimensions are weights.box_dimension of the axes.
+  order, which is descending lexicographic order. Block(axes,
+  multiplicities) is the one class list: one multiplicity per class of the
+  product, 0 for a class the list leaves out. Its dimension is
+  weights.box_dimension, and decomposition() gives the ModuleDecomposition.
+  A Box gives three Blocks: L, the classes of L (x) spin (spin), and the
+  cohomology (Box.cohomology(P), the spin block with the classes P does not
+  select at 0), plus the spin grid's points and P numerators (Box.grid).
+  L_decomposition, tensor_with_spin, spin_grid, select_cohomology and
+  dirac_cohomology build one Box each; the CLI builds one per request and
+  renders its Blocks from strings made once per axis value.
 * the spin grid: L(lam) (x) spin is the grid of points lam + rho - o,
   0 <= o_i <= nu_i + 1, the class of mu = lam + 1/2 - o sitting over the
   point mu + rho - 1/2. Its multiplicity has the closed form
@@ -50,17 +52,18 @@ For a deformation with central character polynomial P and a dominant weight
   classes (repeated shifted coordinate) are genuine formal summands of
   dimension 0 and are retained so multiplicity grids close up;
   total-dimension accounting counts them as 0.
-* Dirac cohomology: the classes mu of the spin axes whose grid point
+* Dirac cohomology: the classes mu of L (x) spin whose grid point
   mu + rho - 1/2 has P(lam + rho) = P(mu + rho - 1/2), with their
-  multiplicities.
+  multiplicities; the selection is written once, in Box.cohomology.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
+from functools import cached_property
+from itertools import chain, compress, product
 from math import lcm, prod
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .polynomials import InvariantViolation, Poly, horner, least_positive_integer_root
 from .weights import (
@@ -68,6 +71,7 @@ from .weights import (
     CentralCharPoly,
     Weight,
     basis_weight,
+    box_dimension,
     half_vector,
     is_dominant,
     is_shift_weakly_decreasing,
@@ -199,6 +203,25 @@ def nu_vector(P: CentralCharPoly, lam: Weight,
     return tuple(nu)
 
 
+class Block(NamedTuple):
+    """A class list: the classes are the product of the axes, in product
+    order (already descending), with one multiplicity each; a class the list
+    leaves out has multiplicity 0."""
+
+    axes: list[Axis]
+    multiplicities: list[int]
+
+    def dimension(self) -> int:
+        """sum m * weyl_dim_formal(w) over the classes (box_dimension)."""
+        return box_dimension(self.axes, self.multiplicities)
+
+    def decomposition(self) -> ModuleDecomposition:
+        """The classes of nonzero multiplicity, in product order."""
+        return ModuleDecomposition(len(self.axes), dict(zip(
+            map(Weight, compress(axis_points(self.axes), self.multiplicities)),
+            filter(None, self.multiplicities))))
+
+
 class Box:
     """The box of nu below lam, checked once.
 
@@ -209,10 +232,11 @@ class Box:
     the box, prod(nu_i + 2) points, is within MAX_GRID. Otherwise ValueError,
     or BoxTooLargeError for the grid, before anything is built.
 
-    L_axes are the axes of L(lam): lam_i - o, 0 <= o <= nu_i. spin_axes are
-    those of the classes of L(lam) (x) spin: lam_i + 1/2 - o,
-    0 <= o <= nu_i + 1, with the closed-form spin_multiplicities. grid(P) is
-    the spin grid under P, and cohomology(P) the classes it selects.
+    Its class lists are Blocks, each made on first use: L, the classes
+    lam_i - o, 0 <= o <= nu_i, of multiplicity one; spin, those of
+    L(lam) (x) spin, lam_i + 1/2 - o, 0 <= o <= nu_i + 1, with their
+    closed-form multiplicities; and cohomology(P), the spin block with the
+    classes P does not select at 0. grid(P) is the spin grid under P.
     """
 
     def __init__(self, lam: Weight, nu: Sequence[int]):
@@ -224,38 +248,42 @@ class Box:
             raise ValueError(f"nu = {nu} takes the box below {lam} out of the dominant chamber")
         check_grid_size(nu)
         self.lam, self.nu = lam, nu
-        self.L_axes = [Axis(c, v + 1) for c, v in zip(lam.coords, nu)]
-        self.spin_axes = [Axis(c + HALF, v + 2) for c, v in zip(lam.coords, nu)]
 
-    def spin_multiplicities(self) -> Iterator[int]:
-        """The multiplicity of each class of L(lam) (x) spin, in product order:
-        prod_i (1 if o_i in {0, nu_i + 1} else 2)."""
-        return map(prod, product(*([1] + [2] * v + [1] for v in self.nu)))
+    @cached_property
+    def L(self) -> Block:
+        return Block([Axis(c, v + 1) for c, v in zip(self.lam.coords, self.nu)],
+                     [1] * prod(v + 1 for v in self.nu))
+
+    @cached_property
+    def spin(self) -> Block:
+        """The multiplicity of a class is prod_i (1 if o_i in {0, nu_i + 1}
+        else 2)."""
+        return Block([Axis(c + HALF, v + 2) for c, v in zip(self.lam.coords, self.nu)],
+                     list(map(prod, product(*([1] + [2] * v + [1] for v in self.nu)))))
 
     def grid(self, P: CentralCharPoly
-             ) -> tuple[list[Axis], Iterator[int], Iterator[int], int]:
+             ) -> tuple[list[Axis], list[int], Iterator[int], int]:
         """The spin grid under P, in product order: (axes, multiplicities,
         values, den). The axes give the point mu + rho - 1/2 under each class
-        mu of spin_axes, the multiplicities those of the classes, and P at
-        each point is its value over den (grid_numerators)."""
+        mu of the spin block, the multiplicities those of the classes, and P
+        at each point is its value over den (grid_numerators)."""
         n = self.lam.rank
-        axes = shift_axes(self.spin_axes, (rho(n) - half_vector(n)).coords)
+        axes = shift_axes(self.spin.axes, (rho(n) - half_vector(n)).coords)
         values, den = grid_numerators(P, axes)
-        return axes, self.spin_multiplicities(), values, den
+        return axes, self.spin.multiplicities, values, den
 
-    def cohomology(self, P: CentralCharPoly) -> ModuleDecomposition:
-        """The classes mu of spin_axes with P(lam + rho) = P(mu + rho - 1/2),
-        with their multiplicities. The grid's values are compared as
+    def cohomology(self, P: CentralCharPoly) -> Block:
+        """The spin block with multiplicity 0 at every class mu that fails
+        P(lam + rho) = P(mu + rho - 1/2). The grid's values are compared as
         numerators over their common denominator; P(lam + rho), evaluated
-        apart, must be one of them."""
+        apart, must be one of them (at mu = lam + 1/2 it is)."""
         _, multiplicities, values, den = self.grid(P)
         target = P.value(self.lam) * den
         if target.denominator != 1:
             raise InvariantViolation(f"P(lambda + rho) * {den} = {target} is not an integer")
-        return ModuleDecomposition(self.lam.rank, {
-            Weight(mu): mult
-            for mu, mult, value in zip(axis_points(self.spin_axes), multiplicities, values)
-            if value == target.numerator})
+        t = target.numerator
+        return Block(self.spin.axes,
+                     [m if value == t else 0 for m, value in zip(multiplicities, values)])
 
 
 def shift_axes(axes: list[Axis], by: Sequence[Fraction]) -> list[Axis]:
@@ -273,8 +301,7 @@ def L_decomposition(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
     """The box {lam - nu' : 0 <= nu' <= nu componentwise}, multiplicity one.
     Raises ValueError or BoxTooLargeError as Box does; past that check every
     weight of the box is dominant, so none is re-checked."""
-    return ModuleDecomposition(lam.rank, dict.fromkeys(
-        map(Weight, axis_points(Box(lam, nu).L_axes)), 1))
+    return Box(lam, nu).L.decomposition()
 
 
 def grid_numerators(P: CentralCharPoly, axes: list[Axis]) -> tuple[Iterator[int], int]:
@@ -314,13 +341,11 @@ def spin_grid(P: CentralCharPoly, lam: Weight, nu: tuple[int, ...]
 def tensor_with_spin(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
     """
     Decomposition of L(lam) (x) spin, for L(lam) the box of nu below lam:
-    the classes of the box's spin axes with their closed-form
+    the box's spin block, the classes with their closed-form
     multiplicities. On a dominant box every class has a weakly decreasing
     rho-shift, so none is dropped.
     """
-    box = Box(lam, nu)
-    return ModuleDecomposition(lam.rank, dict(zip(
-        map(Weight, axis_points(box.spin_axes)), box.spin_multiplicities())))
+    return Box(lam, nu).spin.decomposition()
 
 
 def select_cohomology(P: CentralCharPoly, lam: Weight,
@@ -328,7 +353,7 @@ def select_cohomology(P: CentralCharPoly, lam: Weight,
     """The part of L(lam) (x) spin, for the box of nu, whose classes mu
     satisfy P(lam) = P(mu - (1/2,...,1/2)), with its multiplicities
     (Box.cohomology)."""
-    return Box(lam, nu).cohomology(P)
+    return Box(lam, nu).cohomology(P).decomposition()
 
 
 def dirac_cohomology(P: CentralCharPoly, lam: Weight) -> ModuleDecomposition:

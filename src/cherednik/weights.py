@@ -18,7 +18,8 @@ over that of d rho, one exact division (weyl_quotient). weyl_dim_formal
 scales one weight; box_dimension scales the tops of a box's axes (Axis: the
 values top - o, o = 0..count - 1, of one coordinate), runs each axis down
 from its scaled top (Axis.row, the one descent, which Axis.scaled also
-uses), and sums the quotients over the product of the axes.
+uses), and sums the quotients over the classes of the product of the
+axes whose multiplicity is not 0.
 
 The central character polynomial P is stored by its coefficients in the basis
 of complete homogeneous symmetric polynomials: P(point) = sum_k c_k h_k(point),
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from math import factorial, lcm, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -193,15 +194,16 @@ class Axis(NamedTuple):
         return range(y, y - d * self.count, -d)
 
 
-def box_dimension(axes: Sequence[Axis], multiplicities: Iterable[int]) -> int:
+def box_dimension(axes: Sequence[Axis], multiplicities: Sequence[int]) -> int:
     """sum m * weyl_dim_formal(w) over the classes w of the axes, in product
     order, and their multiplicities m, in integers: the tops scaled once by
     weyl_scaled, each axis a row of integers from its scaled top, and each
-    class one weyl_quotient."""
+    class of nonzero multiplicity (itertools.compress) one weyl_quotient."""
     tops, d = weyl_scaled([a.top for a in axes])
     den = weyl_denominator(len(axes), d)
     rows = [a.row(y, d) for y, a in zip(tops, axes)]
-    return sum(m * weyl_quotient(y, den) for y, m in zip(product(*rows), multiplicities))
+    return sum(m * weyl_quotient(y, den) for y, m in zip(
+        compress(product(*rows), multiplicities), filter(None, multiplicities)))
 
 
 def h_row(point: Sequence, K: int) -> list:

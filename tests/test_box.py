@@ -1,5 +1,6 @@
-"""The one checked box (modules.Box) and the one Weyl scaling behind
-weights.box_dimension and weights.weyl_dim_formal."""
+"""The one checked box (modules.Box), the one class list (modules.Block) and
+the one Weyl scaling behind weights.box_dimension and
+weights.weyl_dim_formal."""
 from fractions import Fraction
 from math import prod
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cherednik.modules import (
     MAX_GRID,
+    Block,
     Box,
     BoxTooLargeError,
     L_decomposition,
@@ -92,8 +94,8 @@ def test_box_accepts_and_rejects_what_the_checks_did(request):
     want = reference_check(lam, nu)
     if want is None:
         box = Box(lam, nu)
-        assert box.L_axes == [Axis(c, v + 1) for c, v in zip(lam.coords, nu)]
-        assert box.spin_axes == [Axis(c + F(1, 2), v + 2) for c, v in zip(lam.coords, nu)]
+        assert box.L.axes == [Axis(c, v + 1) for c, v in zip(lam.coords, nu)]
+        assert box.spin.axes == [Axis(c + F(1, 2), v + 2) for c, v in zip(lam.coords, nu)]
         return
     with pytest.raises(ValueError) as err:
         Box(lam, nu)
@@ -130,3 +132,30 @@ def test_box_dimension_is_the_sum_of_weyl_dimensions(case):
     assert box_dimension(axes, mults) == sum(
         m * weyl_dim_formal(w) for w, m in zip(classes, mults))
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(axes_and_multiplicities(), st.data())
+def test_block_dimension_is_the_sum_over_its_decomposition(case, data):
+    # Some classes are set to 0: the list leaves them out, so they add
+    # nothing to the dimension and are not in the decomposition.
+    axes, mults = case
+    keep = data.draw(st.lists(st.booleans(), min_size=len(mults), max_size=len(mults)))
+    mults = [m if k else 0 for m, k in zip(mults, keep)]
+    block = Block(axes, mults)
+    decomposition = block.decomposition()
+    assert decomposition.rank == len(axes)
+    assert decomposition.entries == {
+        w: m for w, m in zip(map(Weight, axis_points(axes)), mults) if m}
+    assert block.dimension() == sum(
+        m * weyl_dim_formal(w) for w, m in decomposition.entries.items())
+
+
+def test_cohomology_block_keeps_the_spin_classes_with_zeros():
+    # The worked example: 5 of the 16 classes of L (x) spin are selected.
+    box = Box(Weight.of(F(5, 2), F(1, 2)), (2, 2))
+    coh = box.cohomology(P)
+    assert coh.axes == box.spin.axes and len(coh.multiplicities) == 16
+    assert sum(1 for m in coh.multiplicities if m) == 5
+    assert coh.dimension() == coh.decomposition().total_dimension() == 24
+    assert Block(coh.axes, [0] * 16).dimension() == 0

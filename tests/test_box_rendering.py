@@ -1,7 +1,7 @@
-"""The CLI's L and L (x) spin blocks, rendered from per-axis strings and
-integer Weyl products, against the rendering they replace: the entries of
-L_decomposition / tensor_with_spin, sorted, one Weight at a time, with a
-dimension from a Fraction Weyl product."""
+"""The CLI's L, L (x) spin and cohomology blocks, rendered from per-axis
+strings and integer Weyl products, against the rendering they replace: the
+entries of L_decomposition / tensor_with_spin / select_cohomology, sorted,
+one Weight at a time, with a dimension from a Fraction Weyl product."""
 import json
 import os
 import subprocess
@@ -14,8 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cherednik.cli as cli
-from cherednik.modules import Box, L_decomposition, ModuleDecomposition, tensor_with_spin
-from cherednik.weights import Weight
+from cherednik.modules import (
+    Box,
+    L_decomposition,
+    ModuleDecomposition,
+    select_cohomology,
+    tensor_with_spin,
+)
+from cherednik.weights import CentralCharPoly, Weight
 
 F = Fraction
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -69,13 +75,13 @@ def as_json(block: dict) -> str:
 def test_blocks_equal_the_sorted_weight_rendering(box):
     lam, nu = box
     L, LS = L_decomposition(lam, nu), tensor_with_spin(lam, nu)
-    new_L, new_LS = cli._L_block(Box(lam, nu)), cli._spin_block(Box(lam, nu))
-    assert as_json(new_L.json()) == as_json(reference_json(L))
-    assert as_json(new_LS.json()) == as_json(reference_json(LS))
+    new_L, new_LS = Box(lam, nu).L, Box(lam, nu).spin
+    assert as_json(cli._block_json(new_L)) == as_json(reference_json(L))
+    assert as_json(cli._block_json(new_LS)) == as_json(reference_json(LS))
     for decimal in (False, True):
         lines: list[str] = []
-        new_L.text(lines, "L(lambda)", decimal)
-        new_LS.text(lines, "L(lambda) (x) spin", decimal)
+        cli._block_text(lines, "L(lambda)", new_L, decimal)
+        cli._block_text(lines, "L(lambda) (x) spin", new_LS, decimal)
         assert lines == (reference_text("L(lambda)", L, decimal)
                          + reference_text("L(lambda) (x) spin", LS, decimal))
 
@@ -88,11 +94,31 @@ def test_blocks_equal_the_sorted_weight_rendering(box):
 ])
 def test_blocks_at_rank_one_and_on_boundary_classes(lam, nu):
     LS = tensor_with_spin(lam, nu)
-    assert as_json(cli._L_block(Box(lam, nu)).json()) == as_json(
+    assert as_json(cli._block_json(Box(lam, nu).L)) == as_json(
         reference_json(L_decomposition(lam, nu)))
-    assert as_json(cli._spin_block(Box(lam, nu)).json()) == as_json(reference_json(LS))
+    assert as_json(cli._block_json(Box(lam, nu).spin)) == as_json(reference_json(LS))
     if lam.rank > 1:
         assert any(reference_dimension(w) == 0 for w in LS.entries)
+
+
+# P with small integer h-coefficients (the empty list is P = 0), or a
+# nonzero constant P, under which every class is selected.
+h_coeffs = st.one_of(st.lists(st.integers(-4, 4), max_size=5),
+                     st.integers(1, 9).map(lambda c: [c]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxes(), h_coeffs)
+def test_cohomology_block_equals_the_sorted_weight_rendering(box, coeffs):
+    # The class lam + 1/2 is always selected, so the block is never empty.
+    lam, nu = box
+    P = CentralCharPoly.from_h_coeffs(coeffs, lam.rank)
+    coh, block = select_cohomology(P, lam, nu), Box(lam, nu).cohomology(P)
+    assert as_json(cli._block_json(block)) == as_json(reference_json(coh))
+    for decimal in (False, True):
+        lines: list[str] = []
+        cli._block_text(lines, "Dirac cohomology", block, decimal)
+        assert lines == reference_text("Dirac cohomology", coh, decimal)
 
 
 @settings(max_examples=100, deadline=None)
@@ -110,11 +136,11 @@ def test_product_order_is_the_sorted_order(box):
 def test_axis_strings_and_scaled_values_are_the_fractions(box):
     lam, nu = box
     checked = Box(lam, nu)
-    for axis in checked.L_axes + checked.spin_axes:
+    for axis in checked.L.axes + checked.spin.axes:
         assert axis.strings() == [str(v) for v in axis.values()]
         for d in (axis.top.denominator, 6 * axis.top.denominator):
             assert axis.scaled(d) == [v * d for v in axis.values()]
-    assert len(list(checked.spin_multiplicities())) == prod(a.count for a in checked.spin_axes)
+    assert len(checked.spin.multiplicities) == prod(a.count for a in checked.spin.axes)
 
 
 CORRUPT = """

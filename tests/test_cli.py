@@ -266,14 +266,14 @@ STAGES = ["membership_detail", "nu_vector", "L_decomposition", "tensor_with_spin
           "box_dimension", "grid_numerators", "Box"]
 
 
-# The CLI checks one Box per request and reads everything from it: the L and
-# L (x) spin blocks from its axes, one dimension walk per block, and no
+# The CLI checks one Box per request and reads everything from it: the L,
+# L (x) spin and cohomology blocks, one dimension walk per block, and no
 # ModuleDecomposition (L_decomposition, tensor_with_spin) or Fraction-valued
 # spin_grid; the P values are walked once, as numerators, and the cohomology
 # is selected on that Box (Box.cohomology, not select_cohomology's own Box).
 @pytest.mark.parametrize("cmd,want", [
     ("classify", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 1, "Box": 1}),
-    ("dirac", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 2, "Box": 1,
+    ("dirac", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 3, "Box": 1,
                "grid_numerators": 1, "guaranteed_classes": 1}),
     ("tables", {"membership_detail": 1, "nu_vector": 1, "grid_numerators": 1, "Box": 1}),
 ])
@@ -297,6 +297,35 @@ def test_dimensions_computed_once_and_text_only_when_printed(monkeypatch, capsys
     # cohomology (5); the text lines are built only in text mode
     assert len(calls) == 9 + 16 + 5
     assert bool(rendered) == (not mode)
+
+
+@pytest.mark.parametrize("command", ["classify", "dirac"])
+def test_weight_is_checked_before_the_xi_ladder(command):
+    # The ladder at n = 400 takes minutes; a weight of the wrong length is a
+    # usage error found before it.
+    res = subprocess.run([sys.executable, "-m", "cherednik", command, "--n", "400",
+                          "--xi", "0,1", "--lambda", "0"],
+                         capture_output=True, text=True, timeout=10, env=CHILD_ENV)
+    assert res.returncode == 2
+    assert res.stderr == "error: weight has 1 coordinates, expected n = 400\n"
+
+
+@pytest.mark.parametrize("flag,value,key,echo", [
+    ("--xi", "0,1,0", "xi", ["0", "1"]),                  # trimmed as Poly.of trims
+    ("--w", "0,1,0", "w", ["0", "1"]),
+    ("--P-h", "0,1,0,1", "P_h", ["0", "1", "0", "1"]),    # kept as given
+])
+def test_input_echo_of_each_deformation(capsys, flag, value, key, echo):
+    rc, out = run_main(capsys, "classify", "--n", "1", flag, value, "--lambda", "0", "--json")
+    assert json.loads(out)["input"][key] == echo
+
+
+def test_xi_ladder_runs_once_per_request(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "xi_to_w", lambda *a: calls.append(a) or polynomials.xi_to_w(*a))
+    rc, out = run_main(capsys, "dirac", "--n", "1", "--xi", "0,1", "--lambda", "1", "--json")
+    assert rc == 0 and json.loads(out)["derived"]["w"] == ["0", "1", "1"]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command,p_h,nu", [

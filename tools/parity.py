@@ -10,8 +10,9 @@ the package supports can run it without pytest, hypothesis or sympy.
 
 The corpus: the benchmark's dirac-grid and classify-roots CLI queries at
 seeds 1-3, each in --json, text and --decimal mode; the worked example,
-thirds and sixths, a degenerate deformation, tables at ranks 1-3 with a
-rational lambda, the rejection, not-dominant and box-too-large diagnostics,
+thirds and sixths, two degenerate deformations (one whose cohomology is
+the whole of L (x) spin), the input echo of each deformation flag, tables at
+ranks 1-3 with a rational lambda, the rejection, not-dominant and box-too-large diagnostics,
 transform, verify at four seeds, the rational tokens that Fraction reads
 differently across interpreters (underscores, inner spaces, exponents), a
 5001-digit literal, a tables request whose P values have about 6000
@@ -67,6 +68,13 @@ for rank, lam in ((1, "3/2"), (2, "19/6,7/6"), (3, "13/4,9/4,5/4")):
 for seed in (1, 2, 3, 7):
     EXTRA.append(["verify", "--suite", "all", "--max-n", "2", "--max-deg", "3",
                   "--seed", str(seed), "--json"])
+# A degenerate deformation: the cohomology is all 8 classes of L (x) spin,
+# boundary classes included.
+for mode in ([], ["--json"], ["--decimal"]):
+    EXTRA.append(["dirac", "--n", "3", "--P-h", "5", "--lambda", "2,1,0", *mode])
+# The input echo: xi and w trimmed, P_h as given.
+for flag in ("--xi", "--w", "--P-h"):
+    EXTRA.append(["classify", "--n", "1", flag, "0,1,0", "--lambda", "0", "--json"])
 for tok in ("1_000", "2 / 3", "1e5000", "1" * 5001):
     EXTRA.append(["classify", "--n", "1", "--P-h", "0,1", "--lambda", tok])
 # lam = 10^3000 and C = 1 - 2 lam, spelled out without int <-> str conversion.
