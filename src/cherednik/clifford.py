@@ -31,13 +31,11 @@ from .weights import Weight
 ClMono = tuple[VBasis, ...]           # strictly increasing
 
 
-def _pairing(a: VBasis, b: VBasis) -> Fraction:
-    if a[0] != b[0] and a[1] == b[1]:
-        return Fraction(1)
-    return Fraction(0)
+def _pairing(a: VBasis, b: VBasis) -> int:
+    return 1 if a[0] != b[0] and a[1] == b[1] else 0
 
 
-def _clifford_rule(a: VBasis, b: VBasis) -> list[tuple[ClMono, Fraction]] | None:
+def _clifford_rule(a: VBasis, b: VBasis) -> list[tuple[ClMono, int]] | None:
     """v w = 2<v, w> - w v for v > w, and v v = <v, v> = 0 for every basis
     vector."""
     if a < b:
@@ -53,7 +51,7 @@ _cl_normalize = rewriting(_clifford_rule)
 
 
 class CliffordElement(LinComb):
-    """Combination of squarefree ordered monomials with Fraction
+    """Combination of squarefree ordered monomials with exact
     coefficients."""
 
     __slots__ = ()

@@ -21,9 +21,13 @@ through exp of the power-sum series; each commutative monomial is sent to
 U(gl_n) by a_kl -> E_lk (the trace pairing) followed by symmetrization, the
 average over all factor orderings. That average is computed as a sum over
 the orderings memoised on sorted sub-multisets, T(S) = sum over distinct a in
-S of mult(a) a T(S - a), so no ordering is visited one by one. Then
-kappa(y_j, x_i) = sum_m xi_m r_m, kappa vanishes on pairs of the same
-species, and extends skew-symmetrically.
+S of mult(a) a T(S - a), so no ordering is visited one by one. The series,
+the ordering sums and the PBW rewriting all run in Python ints: m! times the
+tau^m coefficient is an integer polynomial, every monomial of it has length
+m, so r_m is an integer combination over (m!)^2, and each of its
+coefficients becomes one Fraction at the end. Then kappa(y_j, x_i) =
+sum_m xi_m r_m, kappa vanishes on pairs of the same species, and extends
+skew-symmetrically.
 
 The certificates share one leg invariant (v_1..v_k | h): deal the PBW
 positions of h into k+1 coproduct legs, act with the first k on v_1..v_k
@@ -42,7 +46,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import factorial
+from math import factorial, perm
+from types import MappingProxyType
+from typing import Mapping
 
 from .lincomb import ONE, LinComb, add_terms, rewriting
 from .polynomials import Poly
@@ -52,7 +58,7 @@ Monomial = tuple[Gen, ...]            # non-decreasing in lexicographic order
 VBasis = tuple[str, int]              # ('x', i) or ('y', i)
 
 
-def _pbw_rule(a: Gen, b: Gen) -> list[tuple[Monomial, Fraction]] | None:
+def _pbw_rule(a: Gen, b: Gen) -> list[tuple[Monomial, int]] | None:
     """E_a E_b = E_b E_a + [E_a, E_b] for a > b."""
     if a <= b:
         return None
@@ -69,7 +75,7 @@ _normalize = rewriting(_pbw_rule)     # PBW normal form of a generator word
 
 
 class UEAElement(LinComb):
-    """Linear combination of PBW monomials with Fraction coefficients."""
+    """Linear combination of PBW monomials with exact coefficients."""
 
     __slots__ = ()
     _reduce = staticmethod(_normalize)
@@ -151,7 +157,7 @@ class CPoly(LinComb):
     __slots__ = ()
 
     @staticmethod
-    def _reduce(word: CMono) -> tuple[tuple[CMono, Fraction], ...]:
+    def _reduce(word: CMono) -> tuple[tuple[CMono, int], ...]:
         return ((tuple(sorted(word)), ONE),)
 
 
@@ -168,29 +174,23 @@ def _ordering_sum(gens: Monomial) -> tuple[tuple[Monomial, int], ...]:
         if idx and gens[idx - 1] == a:
             continue
         mult = gens.count(a)
-        add_terms(acc, ((m, mult * c * cc.numerator)
+        add_terms(acc, ((m, mult * c * cc)
                         for mono, c in _ordering_sum(gens[:idx] + gens[idx + 1:])
                         for m, cc in _normalize((a,) + mono)))
     return tuple((m, c) for m, c in acc.items() if c)
-
-
-def _symmetrize_to_uea(p: dict[CMono, Fraction]) -> UEAElement:
-    """a_kl -> E_lk on each factor of the terms of a CPoly, averaged over all
-    factor orderings through the memoised ordering sum."""
-    out: list[tuple[Monomial, Fraction]] = []
-    for mono, c in p.items():
-        scale = Fraction(c) / factorial(len(mono))
-        out.extend((m, scale * t) for m, t in
-                   _ordering_sum(tuple(sorted((l, k) for k, l in mono))))
-    return UEAElement.collect(out)
 
 
 @lru_cache(maxsize=None)
 def r_matrix(n: int, m: int) -> tuple[tuple[UEAElement, ...], ...]:
     """Entry (i, j) [0-based] is r_m(x_{i+1}, y_{j+1}) in U(gl_n).
 
-    Each commutative monomial is symmetrized through _ordering_sum, which
-    visits each sorted sub-multiset once instead of the m! factor orderings."""
+    In integers: E_k = k! e_k for the tau^k coefficients e_k of
+    det(1 - tau A)^{-1}, so k e_k = sum_l tr_l e_{k-l} reads
+    E_k = sum_l tr_l (k-1)!/(k-l)! E_{k-l}, and m! times the tau^m coefficient
+    of entry (i, j) is sum_k (A^k)_ij E_{m-k} m!/(m-k)!. Each of its monomials
+    has length m, so a_kl -> E_lk and the average over orderings is its
+    integer _ordering_sum over m!; every coefficient is one integer over
+    (m!)^2."""
     one = CPoly({(): ONE})
     a = [[CPoly({((k + 1, l + 1),): ONE}) for l in range(n)] for k in range(n)]
 
@@ -201,17 +201,20 @@ def r_matrix(n: int, m: int) -> tuple[tuple[UEAElement, ...], ...]:
                         for j in range(n)] for i in range(n)])
     traces = [sum((pw[i][i] for i in range(n)), CPoly()) for pw in powers]
 
-    # det(1 - tau A)^{-1} = exp(sum_k Tr(A^k) tau^k / k): e_m = (1/m) sum tr_k e_{m-k}
-    det_inv = [one]
+    dets = [one]                      # E_0..E_m
     for mm in range(1, m + 1):
-        acc = sum((traces[k] * det_inv[mm - k] for k in range(1, mm + 1)), CPoly())
-        det_inv.append(acc * Fraction(1, mm))
+        dets.append(sum((traces[k] * dets[mm - k] * perm(mm - 1, k - 1)
+                         for k in range(1, mm + 1)), CPoly()))
 
-    return tuple(
-        tuple(_symmetrize_to_uea(sum((powers[k][i][j] * det_inv[m - k]
-                                      for k in range(m + 1)), CPoly()).terms)
-              for j in range(n))
-        for i in range(n))
+    scale = factorial(m) ** 2
+
+    def entry(i: int, j: int) -> UEAElement:
+        series = sum((powers[k][i][j] * dets[m - k] * perm(m, k) for k in range(m + 1)), CPoly())
+        acc = add_terms({}, ((w, c * t) for mono, c in series.terms.items()
+                             for w, t in _ordering_sum(tuple(sorted((l, k) for k, l in mono)))))
+        return UEAElement({w: Fraction(c, scale) for w, c in acc.items() if c})
+
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +224,23 @@ def r_matrix(n: int, m: int) -> tuple[tuple[UEAElement, ...], ...]:
 @dataclass
 class KappaMap:
     """Skew map on V-basis pairs valued in U(gl_n); zero on same-species
-    pairs, stored on the (y_j, x_i) side."""
+    pairs, stored on the (y_j, x_i) side. The entries are read once: both
+    orientations of each are built at construction, and the stored mapping
+    is read-only."""
 
     n: int
-    entries: dict[tuple[VBasis, VBasis], UEAElement] = field(default_factory=dict)
+    entries: Mapping[tuple[VBasis, VBasis], UEAElement] = field(default_factory=dict)
+    _pairs: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.entries = MappingProxyType(dict(self.entries))
+        self._pairs = {}
+        for (a, b), e in self.entries.items():
+            if a[0] == "y" and b[0] == "x":
+                self._pairs[a, b], self._pairs[b, a] = e, -e
 
     def pair(self, a: VBasis, b: VBasis) -> UEAElement:
-        if a[0] == b[0]:
-            return UEAElement.zero()
-        if a[0] == "y":
-            return self.entries.get((a, b), UEAElement.zero())
-        return -self.entries.get((b, a), UEAElement.zero())
+        return self._pairs.get((a, b)) or UEAElement()
 
 
 def kappa_from_r_matrices(xi: Poly, rmats, n: int) -> KappaMap:
@@ -257,7 +266,7 @@ class CheckReport:
         return self.ok
 
 
-def _exterior_rule(a: VBasis, b: VBasis) -> list[tuple[tuple, Fraction]] | None:
+def _exterior_rule(a: VBasis, b: VBasis) -> list[tuple[tuple, int]] | None:
     """v w = -w v and v v = 0 in the exterior algebra."""
     if a < b:
         return None
@@ -277,7 +286,7 @@ def _wedged_picks(legs: tuple) -> tuple[tuple[tuple[VBasis, ...], tuple], ...]:
         sign = 1
         for _, _, s in picks:
             sign *= s
-        wedge = tuple((vec, sign * ws.numerator) for vec, ws in
+        wedge = tuple((vec, sign * ws) for vec, ws in
                       _wedge_normalize(tuple(image for _, image, _ in picks)))
         if wedge:
             out.append((tuple(v for v, _, _ in picks), wedge))
@@ -372,8 +381,8 @@ def higher_jacobi_checks(kappa: KappaMap, n: int) -> CheckReport:
 def _generator_bracket(gen: Gen, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     """[E_gen, mono] in PBW normal form, with integer coefficients; once per
     pair, since the entries of kappa share their monomials."""
-    acc = add_terms({}, ((m, c.numerator) for m, c in _normalize((gen,) + mono)))
-    add_terms(acc, ((m, -c.numerator) for m, c in _normalize(mono + (gen,))))
+    acc = add_terms({}, _normalize((gen,) + mono))
+    add_terms(acc, ((m, -c) for m, c in _normalize(mono + (gen,))))
     return tuple((m, c) for m, c in acc.items() if c)
 
 

@@ -1,20 +1,22 @@
 """
 Sparse linear combinations with exact coefficients, and one rewriting core.
 
-``LinComb`` is a finite sum of hashable keys with Fraction coefficients,
-stored as a zero-free ``terms`` dict. Its arithmetic (sum, difference,
-negation, scalar multiple, equality, hash) is defined here once. When the
-keys are words (tuples), two combinations multiply by concatenating keys
-and reducing each concatenation through the class's ``_reduce`` hook, which
-maps a word to its normal form as (word, coefficient) pairs; a class without
-the hook has no product.
+``LinComb`` is a finite sum of hashable keys with exact coefficients (ints
+or Fractions, never floats), stored as a zero-free ``terms`` dict. Its
+arithmetic (sum, difference, negation, scalar multiple, equality, hash) is
+defined here once. When the keys are words (tuples), two combinations
+multiply by concatenating keys and reducing each concatenation through the
+class's ``_reduce`` hook, which maps a word to its normal form as (word,
+coefficient) pairs; a class without the hook has no product.
 
 ``rewriting(rule)`` builds such a hook from a rule on adjacent letters.
 ``rule(a, b)`` returns None when the pair is in order; otherwise the
 (subword, coefficient) terms that replace the pair, an empty list meaning
 the word is 0. The leftmost out-of-order pair is rewritten and every
 resulting word is reduced again through the cache, so each replacement must
-be closer to normal form (fewer inversions or a shorter word).
+be closer to normal form (fewer inversions or a shorter word). Every rule of
+the package has integer coefficients, so normal forms stay in Python ints;
+a Fraction enters only where a caller scales a result.
 """
 from __future__ import annotations
 
@@ -23,13 +25,14 @@ from functools import lru_cache
 from typing import Callable, Hashable, Iterable
 
 Word = tuple
-NormalForm = tuple[tuple[Word, Fraction], ...]
-Rule = Callable[[Hashable, Hashable], "list[tuple[Word, Fraction]] | None"]
+Scalar = int | Fraction
+NormalForm = tuple[tuple[Word, int], ...]
+Rule = Callable[[Hashable, Hashable], "list[tuple[Word, int]] | None"]
 
-ONE = Fraction(1)
+ONE = 1
 
 
-def add_terms(acc: dict, pairs: Iterable[tuple[Hashable, Fraction]]) -> dict:
+def add_terms(acc: dict, pairs: Iterable[tuple[Hashable, Scalar]]) -> dict:
     """Add (key, coefficient) pairs into ``acc`` in place; zeros stay."""
     for k, c in pairs:
         acc[k] = acc[k] + c if k in acc else c
@@ -55,10 +58,11 @@ def rewriting(rule: Rule) -> Callable[[Word], NormalForm]:
 
 
 class LinComb:
-    """Zero-free combination of hashable keys with Fraction coefficients."""
+    """Zero-free combination of hashable keys with exact (int or Fraction)
+    coefficients."""
 
     __slots__ = ("terms",)
-    _reduce: Callable[[Word], Iterable[tuple[Word, Fraction]]] | None = None
+    _reduce: Callable[[Word], Iterable[tuple[Word, Scalar]]] | None = None
 
     def __init__(self, terms: dict | None = None):
         self.terms = {k: c for k, c in (terms or {}).items() if c}
@@ -68,7 +72,7 @@ class LinComb:
         return cls()
 
     @classmethod
-    def collect(cls, pairs: Iterable[tuple[Hashable, Fraction]]):
+    def collect(cls, pairs: Iterable[tuple[Hashable, Scalar]]):
         """The sum of the given (key, coefficient) pairs."""
         return cls(add_terms({}, pairs))
 

@@ -34,8 +34,11 @@ on, together with the discrete calculus used to turn a deformation polynomial
   grid of modules.grid_numerators (integers, one call per line of points)
   and verify's substitution of a Clifford gamma for the twist variable.
 
-All ``Poly`` coefficients are ``fractions.Fraction``; nothing here ever
-touches a float.
+All ``Poly`` coefficients are ``fractions.Fraction``. The Taylor shift
+and the step-difference calculus run inside on scaled Python ints (one
+shift, ``_taylor_shift``, and Bernoulli rows cached per index as a
+denominator and an integer row) and build one Fraction per output
+coefficient. Nothing here ever touches a float.
 """
 from __future__ import annotations
 
@@ -156,22 +159,13 @@ class Poly:
     def shift(self, c: Scalar) -> Poly:
         """Compose with z + c, i.e. return p(z + c).
 
-        A Taylor shift in scaled integers: with D the common denominator of
-        the coefficients and c = u/v, the integer polynomial
-        P(w) = D v^d p(w/v) is shifted by u through synthetic division, and
-        P(w + u) = D v^d p((w + u)/v) gives the z^i coefficient of p(z + c)
-        as its w^i coefficient over D v^(d-i)."""
+        A Taylor shift in scaled integers (``_taylor_shift``): with D the
+        common denominator of the coefficients and c = u/v, the z^i
+        coefficient of p(z + c) is the w^i coefficient of P(w + u), for
+        P(w) = D v^d p(w/v), over D v^(d-i)."""
         c = _as_fraction(c)
-        if not self.coeffs:
-            return self
-        d, u, v = self.degree, c.numerator, c.denominator
-        den = lcm(*(a.denominator for a in self.coeffs))
-        ints = [a.numerator * (den // a.denominator) * v ** (d - i)
-                for i, a in enumerate(self.coeffs)]
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                ints[j] += u * ints[j + 1]
-        return Poly(tuple(Fraction(a, den * v ** (d - i)) for i, a in enumerate(ints)))
+        den, ints = _scaled_ints(self.coeffs, c.denominator)
+        return _over(_taylor_shift(ints, c.numerator), den, c.denominator)
 
     def __call__(self, z: Scalar) -> Fraction:
         return horner(self.coeffs, (_as_fraction(z),))[0]
@@ -193,6 +187,40 @@ class Poly:
             num = "" if (mag == 1 and var) else str(mag)
             parts.append(f"{sign}{num}{var}")
         return f"Poly('{''.join(parts)}')"
+
+
+def _scaled_ints(coeffs: Sequence[Scalar], v: int) -> tuple[int, list[int]]:
+    """(D, P) for p(z) = sum coeffs[i] z^i of degree d, ints or Fractions:
+    D the common denominator of the coefficients and P(w) = D v^d p(w/v),
+    with integer coefficients."""
+    den = lcm(*(a.denominator for a in coeffs))
+    ints, scale = [], 1
+    for a in reversed(coeffs):
+        ints.append(a.numerator * (den // a.denominator) * scale)
+        scale *= v
+    return den, ints[::-1]
+
+
+def _taylor_shift(ints: Sequence[int], u: int) -> list[int]:
+    """The coefficients of P(w + u) for P(w) = sum ints[i] w^i, by synthetic
+    division in integers: the package's one Taylor shift."""
+    out = list(ints)
+    d = len(out) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            out[j] += u * out[j + 1]
+    return out
+
+
+def _over(ints: Sequence[int], den: int, v: int) -> Poly:
+    """The polynomial with z^i coefficient ints[i] / (den v^(d-i)), one
+    Fraction per coefficient: the way back from the scaled integers of
+    _scaled_ints."""
+    out, scale = [], den
+    for a in reversed(ints):
+        out.append(Fraction(a, scale))
+        scale *= v
+    return Poly.of(*out[::-1])
 
 
 def _integer_coeffs(p: Poly) -> list[int]:
@@ -302,6 +330,15 @@ def _bernoulli_number(j: int) -> Fraction:
     return -sum(comb(j + 1, i) * _bernoulli_number(i) for i in range(j)) / (j + 1)
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_row(i: int) -> tuple[int, tuple[int, ...]]:
+    """B_{i+1}(z) / (i+1) as (denominator, integer coefficients from z^0 up),
+    built once per index: sum_j C(i+1, j) B_j / (i+1) z^(i+1-j)."""
+    row = [comb(i + 1, j) * _bernoulli_number(j) / (i + 1) for j in range(i + 1, -1, -1)]
+    den = lcm(*(c.denominator for c in row))
+    return den, tuple(c.numerator * (den // c.denominator) for c in row)
+
+
 def bernoulli(k: int) -> Poly:
     """
     The k-th Bernoulli polynomial B_k(z).
@@ -317,29 +354,35 @@ def bernoulli(k: int) -> Poly:
 
 
 def nabla(eps: Scalar, f: Poly) -> Poly:
-    """The step difference f(z + eps) - f(z + eps - 1)."""
+    """The step difference f(z + eps) - f(z + eps - 1): with eps = u/v, two
+    Taylor shifts (by u and by u - v) of one scaled integer polynomial."""
     eps = _as_fraction(eps)
-    return f.shift(eps) - f.shift(eps - 1)
+    u, v = eps.numerator, eps.denominator
+    den, ints = _scaled_ints(f.coeffs, v)
+    return _over([a - b for a, b in zip(_taylor_shift(ints, u), _taylor_shift(ints, u - v))],
+                 den, v)
 
 
 def nabla_inverse(eps: Scalar, p: Poly) -> Poly:
     """
     The unique f with nabla(eps, f) = p and constant term 0.
 
-    Built as sum_i p_i/(i+1) * B_{i+1}(z + 1 - eps), from one table of
-    Bernoulli numbers and one shift, then the constant is dropped; nabla
-    kills constants, so this normalization is free.
+    Built as sum_i p_i/(i+1) * B_{i+1}(z + 1 - eps) in integers: the
+    Bernoulli rows (_bernoulli_row) and p's coefficients brought to one
+    common denominator, one Taylor shift by 1 - eps, then the constant is
+    dropped; nabla kills constants, so this normalization is free.
     """
-    eps = _as_fraction(eps)
-    nums = [_bernoulli_number(j) for j in range(len(p.coeffs) + 1)]
-    out = [Fraction(0)] * (len(p.coeffs) + 1)
-    for i, c in enumerate(p.coeffs):
-        if c:
-            scale = c / (i + 1)
-            for j in range(i + 2):
-                if nums[j]:  # B_j vanishes at every odd j >= 3
-                    out[i + 1 - j] += scale * comb(i + 1, j) * nums[j]
-    return Poly.of(*out).shift(1 - eps).with_constant_zero()
+    shift = 1 - _as_fraction(eps)
+    rows = [(c, *_bernoulli_row(i)) for i, c in enumerate(p.coeffs) if c]
+    den = lcm(*(c.denominator * d for c, d, _ in rows))
+    total = [0] * (len(p.coeffs) + 1)
+    for c, d, row in rows:
+        scale = c.numerator * (den // (c.denominator * d))
+        for j, r in enumerate(row):
+            total[j] += scale * r
+    ints = _taylor_shift(_scaled_ints(total, shift.denominator)[1], shift.numerator)
+    ints[0] = 0
+    return _over(ints, den, shift.denominator)
 
 
 def xi_to_density(xi: Poly, n: int) -> Poly:

@@ -3,16 +3,19 @@ certificates."""
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cherednik.enveloping import (
+    CPoly,
     KappaMap,
     UEAElement,
     _act_gen,
     _normalize,
+    _ordering_sum,
     act_on_v,
     coproduct,
     h_linearity_check,
@@ -209,15 +212,21 @@ def test_r_matrix_rank_one(m):
     assert r_matrix(1, m)[0][0] == U({((1, 1),) * m: F(m + 1)})
 
 
+def symmetrize(p):
+    """a_kl -> E_lk on each factor of the terms of a commutative polynomial
+    {sorted multiset of a_kl: coefficient}, averaged over all factor
+    orderings through the memoised integer ordering sum."""
+    return U.collect((m, F(c) / factorial(len(mono)) * t) for mono, c in p.items()
+                     for m, t in _ordering_sum(tuple(sorted((l, k) for k, l in mono))))
+
+
 def test_symmetrization_reorder_invariance():
     # the symmetrized image may not depend on how the commutative monomial
     # was ordered before averaging
-    from cherednik.enveloping import _symmetrize_to_uea
     mono = ((1, 2), (2, 1), (1, 1))
     for perm in [mono, mono[::-1], (mono[1], mono[0], mono[2])]:
-        assert _symmetrize_to_uea({tuple(sorted(perm)): F(1)}) == \
-            _symmetrize_to_uea({tuple(sorted(mono)): F(1)})
-    a = _symmetrize_to_uea({((1, 2), (2, 1)): F(1)})
+        assert symmetrize({tuple(sorted(perm)): F(1)}) == symmetrize({tuple(sorted(mono)): F(1)})
+    a = symmetrize({((1, 2), (2, 1)): F(1)})
     half = F(1, 2)
     expected = (U.generator(2, 1) * U.generator(1, 2)) * half \
         + (U.generator(1, 2) * U.generator(2, 1)) * half
@@ -249,15 +258,42 @@ def commutative_polys(draw):
 @settings(max_examples=80, deadline=None)
 @given(commutative_polys())
 def test_memoised_symmetrization_is_the_ordering_average(p):
-    from cherednik.enveloping import _symmetrize_to_uea
-    assert _symmetrize_to_uea(p) == ordering_average(p)
+    assert symmetrize(p) == ordering_average(p)
 
 
 def test_memoised_symmetrization_of_repeated_symbols():
-    from cherednik.enveloping import _symmetrize_to_uea
     for mono in [((1, 2),) * 5, ((1, 2), (1, 2), (2, 1), (2, 1), (2, 1)),
                  ((1, 1), (1, 3), (1, 3), (3, 1), (3, 2))]:
-        assert _symmetrize_to_uea({mono: F(1)}) == ordering_average({mono: F(1)})
+        assert symmetrize({mono: F(1)}) == ordering_average({mono: F(1)})
+
+
+def fraction_r_matrix(n, m):
+    """Reference r_m, the series over Fractions: det(1 - tau A)^{-1} through
+    e_k = (1/k) sum_l tr_l e_{k-l}, each tau^m coefficient symmetrized
+    term by term."""
+    one = CPoly({(): F(1)})
+    a = [[CPoly({((k + 1, l + 1),): F(1)}) for l in range(n)] for k in range(n)]
+    powers = [[[one if i == j else CPoly() for j in range(n)] for i in range(n)]]
+    for _ in range(m):
+        prev = powers[-1]
+        powers.append([[sum((prev[i][k] * a[k][j] for k in range(n)), CPoly())
+                        for j in range(n)] for i in range(n)])
+    traces = [sum((pw[i][i] for i in range(n)), CPoly()) for pw in powers]
+    det_inv = [one]
+    for mm in range(1, m + 1):
+        acc = sum((traces[k] * det_inv[mm - k] for k in range(1, mm + 1)), CPoly())
+        det_inv.append(acc * F(1, mm))
+    return tuple(tuple(symmetrize(sum((powers[k][i][j] * det_inv[m - k] for k in range(m + 1)),
+                                      CPoly()).terms)
+                       for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3) for m in range(6)]
+                         + [(4, 4), (3, 6), (2, 8)])
+def test_r_matrix_is_the_fraction_series(n, m):
+    got = r_matrix(n, m)
+    assert got == fraction_r_matrix(n, m)
+    assert all(type(c) is Fraction for row in got for e in row for c in e.terms.values())
 
 
 def test_kappa_examples():
@@ -274,6 +310,15 @@ def test_kappa_examples():
     assert k.pair(("x", 1), ("y", 2)) == -k.pair(("y", 2), ("x", 1))
     assert k.pair(("y", 1), ("y", 2)).is_zero()
     assert k.pair(("x", 1), ("x", 1)).is_zero()
+
+
+def test_kappa_orientations_are_built_once():
+    k = kappa_of(Poly.of(0, 0, 1), 2)
+    for x, y in product(v_basis(2), repeat=2):
+        assert k.pair(x, y) is k.pair(x, y) or k.pair(x, y).is_zero()
+        assert k.pair(x, y) == -k.pair(y, x)
+    with pytest.raises(TypeError):
+        k.entries[("y", 1), ("x", 1)] = U.one()
 
 
 @pytest.mark.parametrize("n", (1, 2))

@@ -257,7 +257,8 @@ def kappas(draw):
     kappa = kappa_of(xi, n)
     if draw(st.booleans()):
         key = (("y", draw(st.integers(1, n))), ("x", draw(st.integers(1, n))))
-        kappa.entries[key] = kappa.pair(*key) + draw(elements(n, max_terms=2))
+        kappa = KappaMap(n, {**kappa.entries,
+                             key: kappa.pair(*key) + draw(elements(n, max_terms=2))})
     return n, kappa
 
 

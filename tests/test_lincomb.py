@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cherednik.enveloping import _wedge_normalize, v_basis
+from cherednik.clifford import _cl_normalize
+from cherednik.enveloping import _normalize, _wedge_normalize, v_basis
 from cherednik.lincomb import LinComb, rewriting
 
 F = Fraction
@@ -60,3 +61,23 @@ def test_wedge_normal_form_is_signed_sort_or_zero(word):
         assert _wedge_normalize(word) == ()
     else:
         assert _wedge_normalize(word) == ((tuple(sorted(word)), F((-1) ** inversions(word))),)
+
+
+@st.composite
+def rule_words(draw):
+    """A normal-form function of the package and a word of its letters."""
+    n = draw(st.integers(1, 3))
+    letters = st.sampled_from(v_basis(n))
+    generators = st.tuples(st.integers(1, n), st.integers(1, n))
+    normalize, letter = draw(st.sampled_from([(_normalize, generators),
+                                              (_wedge_normalize, letters),
+                                              (_cl_normalize, letters)]))
+    return normalize, tuple(draw(st.lists(letter, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_words())
+def test_normal_forms_have_int_coefficients(case):
+    # the rules rewrite in integers; a Fraction in a rule would show here
+    normalize, word = case
+    assert all(type(c) is int for _, c in normalize(word))

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
@@ -91,6 +92,46 @@ def test_shift_edge_cases(c):
     assert got == horner_shift(high, c)
     assert got.shift(-F(c)) == high
     assert all(type(a) is Fraction for a in got.coeffs)
+
+
+def fraction_nabla(eps, f: Poly) -> Poly:
+    """Reference step difference over Fractions: two Horner shifts."""
+    return horner_shift(f, eps) - horner_shift(f, eps - 1)
+
+
+def fraction_nabla_inverse(eps, p: Poly) -> Poly:
+    """Reference inverse over Fractions: one table of Bernoulli numbers,
+    sum_i p_i/(i+1) B_{i+1}, one Horner shift by 1 - eps, constant dropped."""
+    nums = [bernoulli(j).coeff(0) for j in range(len(p.coeffs) + 1)]
+    out = [F(0)] * (len(p.coeffs) + 1)
+    for i, c in enumerate(p.coeffs):
+        for j in range(i + 2):
+            out[i + 1 - j] += c / (i + 1) * comb(i + 1, j) * nums[j]
+    return horner_shift(Poly.of(*out), 1 - eps).with_constant_zero()
+
+
+STEPS = st.one_of(st.sampled_from([F(0), F(1, 2), F(1), F(-3, 7)]), RATIONALS)
+
+
+def assert_integer_nabla_is_the_fraction_reference(eps, p):
+    for got, want in ((nabla(eps, p), fraction_nabla(eps, p)),
+                      (nabla_inverse(eps, p), fraction_nabla_inverse(eps, p))):
+        assert got == want
+        assert all(type(a) is Fraction for a in got.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(STEPS, st.lists(RATIONALS, max_size=13).map(lambda cs: Poly.of(*cs)))
+def test_integer_nabla_is_the_fraction_reference(eps, p):
+    assert_integer_nabla_is_the_fraction_reference(eps, p)
+
+
+@pytest.mark.parametrize("eps", [F(0), F(1, 2), F(1), F(-3, 7), F(25, 12)])
+def test_integer_nabla_near_degree_forty(eps):
+    rng = random.Random(str(eps))
+    p = Poly.of(*(F(rng.randint(-50, 50), rng.randint(1, 12))
+                  for _ in range(rng.randint(38, 42))), 1)
+    assert_integer_nabla_is_the_fraction_reference(eps, p)
 
 
 def test_nabla_inverse_matches_bernoulli_sum():
