@@ -6,7 +6,9 @@ central character polynomial P directly), this package classifies the
 finite-dimensional irreducible modules, computes their gl_n decompositions
 and Dirac cohomology, and machine-verifies the algebraic identities the
 construction rests on (PBW/Jacobi certificates, Clifford and spin lemmas,
-and a rank-one matrix oracle). All arithmetic is exact over Fraction.
+and a rank-one matrix oracle). All arithmetic is exact: the rewriting core,
+the r_m series and the nabla calculus compute in Python ints inside, and
+results are Fractions at their outputs.
 """
 from .polynomials import (
     InvariantViolation,

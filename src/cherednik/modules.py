@@ -150,7 +150,14 @@ class ModuleDecomposition:
         return f"ModuleDecomposition({parts or '0'})"
 
 
-def _require_dominant(lam: Weight) -> None:
+def _require_rank(P: CentralCharPoly, rank: int) -> None:
+    if rank != P.rank:
+        raise ValueError(f"rank {rank} does not match P's rank {P.rank}")
+
+
+def _require_weight(P: CentralCharPoly, lam: Weight) -> None:
+    """lam is of P's rank and dominant (ValueError otherwise)."""
+    _require_rank(P, lam.rank)
     if not is_dominant(lam):
         raise ValueError(f"weight is not dominant: {lam}")
 
@@ -168,8 +175,9 @@ def _difference_poly(P: CentralCharPoly, shifted: tuple[Fraction, ...], i: int) 
 def membership_detail(P: CentralCharPoly, lam: Weight) -> tuple[int | None, bool]:
     """(minimal v, degenerate?) where v >= 0 satisfies the last-coordinate
     P-equality at step v+1; degenerate means P does not depend on that step at
-    all (q == 0), in which case v = 0."""
-    _require_dominant(lam)
+    all (q == 0), in which case v = 0. Raises ValueError when lam is not
+    dominant or not of P's rank."""
+    _require_weight(P, lam)
     q = _difference_poly(P, lam.shifted(), lam.rank)
     if q.is_zero():
         return 0, True
@@ -184,9 +192,9 @@ def nu_vector(P: CentralCharPoly, lam: Weight,
     non-dominant (k = the gap lam_i - lam_{i+1}) or P-equal to lam (k+1 a root
     of q_i); for i = n the membership value. ``membership`` is the result of
     membership_detail(P, lam) when the caller already has it. Rejects
-    non-member weights.
+    non-member weights, and raises ValueError as membership_detail does.
     """
-    _require_dominant(lam)
+    _require_weight(P, lam)
     last, _ = membership_detail(P, lam) if membership is None else membership
     if last is None:
         raise NotInClassificationError(
@@ -313,8 +321,10 @@ def grid_numerators(P: CentralCharPoly, axes: list[Axis]) -> tuple[Iterator[int]
     h_k(x, y_n) = sum_m y_n^m h_{k-m}(x), N is, for a fixed prefix x of the
     first n - 1 coordinates, an integer polynomial in y_n whose coefficients
     are line_coeffs of the prefix; each line's points are then one call of
-    polynomials.horner.
+    polynomials.horner. Raises ValueError unless there is one axis per
+    coordinate of P's rank.
     """
+    _require_rank(P, len(axes))
     coeffs = P.h_coeffs
     K = len(coeffs) - 1
     d = lcm(*(a.top.denominator for a in axes))

@@ -67,6 +67,23 @@ def test_membership_rejects_non_dominant():
         membership_detail(EXAMPLE_P, Weight.of(0, 1))[0]
 
 
+@pytest.mark.parametrize("P_rank,lam", [(1, Weight.of(1, 0)), (2, Weight.of(2, 1, 0)),
+                                          (2, Weight.of(1))])
+def test_a_weight_of_another_rank_than_P_is_a_value_error(P_rank, lam):
+    # Not "no member": the pair is rejected, like P.value on it, wherever
+    # modules first pairs P with a weight or with the axes of a grid.
+    P = CentralCharPoly.from_xi(Poly.of(0, 1), P_rank)
+    nu = (0,) * lam.rank
+    calls = [lambda: membership_detail(P, lam), lambda: nu_vector(P, lam),
+             lambda: nu_vector(P, lam, membership=(0, False)),
+             lambda: dirac_cohomology(P, lam), lambda: modules.spin_grid(P, lam, nu),
+             lambda: modules.Box(lam, nu).grid(P), lambda: P.value(lam)]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert not isinstance(info.value, NotInClassificationError)
+
+
 def test_nu_vector_examples():
     assert nu_vector(EXAMPLE_P, EXAMPLE_LAM) == (2, 2)
     P1 = CentralCharPoly.from_xi(Poly.of(0, 1), 1)

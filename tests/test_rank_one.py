@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,6 @@ from cherednik.rank_one import (
     mat_rank,
     oracle_cohomology,
     weight_labels,
-    zeros,
 )
 from cherednik.verify import random_rank_one_instance
 from cherednik.weights import CentralCharPoly, Weight
@@ -30,20 +30,40 @@ F = Fraction
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """a - b on sparse rows, zeros dropped."""
+    out = []
+    for ra, rb in zip(a, b):
+        row = {j: ra.get(j, 0) - rb.get(j, 0) for j in ra.keys() | rb.keys()}
+        out.append({j: v for j, v in row.items() if v})
+    return out
+
+
+def diagonal(values):
+    return [{k: v} if v else {} for k, v in enumerate(values)]
+
+
+def dense(a, cols):
+    """Sparse rows as a list of cols-long lists, for full-size scans."""
+    return [[row.get(j, F(0)) for j in range(cols)] for row in a]
+
+
+def sparse(a):
+    return [{j: v for j, v in enumerate(row) if v} for row in a]
 
 
 def test_build_module_sl2_like():
     m = build_module(Poly.of(0, 1), 1)
     assert m.nu == 2
     assert m.d == [F(0), F(2), F(2), F(0)]
-    assert [m.t[k][k] for k in range(3)] == [F(1), F(0), F(-1)]
+    assert m.t == [F(1), F(0), F(-1)]
+    assert m.x == [{}, {0: F(1)}, {1: F(1)}]
+    assert m.y == [{1: F(2)}, {2: F(2)}, {}]
 
 
 def test_build_module_trivial():
     m = build_module(Poly.of(0, 1), 0)
     assert m.nu == 0
-    assert m.x == [[F(0)]] and m.y == [[F(0)]]
+    assert m.x == [{}] and m.y == [{}]
 
 
 def test_build_module_rejects_nonmember():
@@ -70,26 +90,25 @@ def test_build_module_rejects_a_nu_that_is_not_the_least_root(monkeypatch):
 
 
 def test_module_relations_hold_as_matrices():
+    # [t, x] = -x, [t, y] = y and [y, x] = p(t) on the module's own sparse
+    # x and y, with t the diagonal matrix of its weights.
     rng = random.Random(47)
     for _ in range(10):
         xi, lam = random_rank_one_instance(rng, max_deg=3, max_nu=6)
         m = build_module(xi, lam)
-        size = m.nu + 1
         p = xi_to_density(xi, 1)
-        tx = mat_sub(mat_mul(m.t, m.x), mat_mul(m.x, m.t))
-        assert tx == [[-c for c in row] for row in m.x]
-        ty = mat_sub(mat_mul(m.t, m.y), mat_mul(m.y, m.t))
+        t = diagonal(m.t)
+        tx = mat_sub(mat_mul(t, m.x), mat_mul(m.x, t))
+        assert tx == [{j: -c for j, c in row.items()} for row in m.x]
+        ty = mat_sub(mat_mul(t, m.y), mat_mul(m.y, t))
         assert ty == m.y
         yx = mat_sub(mat_mul(m.y, m.x), mat_mul(m.x, m.y))
-        want = zeros(size, size)
-        for k in range(size):
-            want[k][k] = p(m.t[k][k])
-        assert yx == want
+        assert yx == diagonal([p(w) for w in m.t])
 
 
 def test_dirac_matrix_trivial_module_is_zero():
     m = build_module(Poly.of(0, 1), 0)
-    assert dirac_matrix(m) == [[F(0), F(0)], [F(0), F(0)]]
+    assert dirac_matrix(m) == [{}, {}]
 
 
 def test_dirac_matrix_six_by_six_kernel():
@@ -107,7 +126,7 @@ def test_d_squared_eigenblocks():
     for _ in range(8):
         xi, lam = random_rank_one_instance(rng, max_deg=3, max_nu=6)
         m = build_module(xi, lam)
-        d2 = mat_mul(dirac_matrix(m), dirac_matrix(m))
+        d2 = dense(mat_mul(dirac_matrix(m), dirac_matrix(m)), 2 * (m.nu + 1))
         labels = weight_labels(m)
         P = CentralCharPoly.from_xi(xi, 1)
         p_lam = P.value(Weight.of(m.lam))
@@ -165,7 +184,7 @@ def test_oracle_laws_survive_optimized_python(flags):
             "for i, j, message in [(0, 0, 'D^2'), (0, 1, 'D mixes distinct weights')]:\n"
             "    def corrupt(module):\n"
             "        d = honest(module)\n"
-            "        d[i][j] += 1\n"
+            "        d[i][j] = d[i].get(j, 0) + 1\n"
             "        return d\n"
             "    rank_one.dirac_matrix = corrupt\n"
             "    results = oracle_suite(trials=3)\n"
@@ -213,21 +232,22 @@ def test_oracle_rejects_a_dirac_matrix_with_a_larger_rank_than_its_square(monkey
     # count; only rank D = rank D^2 (ker D = ker D^2) can reject it. Its
     # entry joins lam + 1/2 and lam - 1/2, so both basis vectors are given
     # the weight 1/2, where D^2 = 0 is the expected scalar (P(0) = P(-1)).
-    monkeypatch.setattr(rank_one, "dirac_matrix", lambda module: [[F(0), F(1)], [F(0), F(0)]])
+    monkeypatch.setattr(rank_one, "dirac_matrix", lambda module: [{1: F(1)}, {}])
     monkeypatch.setattr(rank_one, "weight_labels", lambda module: [F(1, 2), F(1, 2)])
     with pytest.raises(InvariantViolation, match="ker D must equal ker D\\^2"):
         oracle_cohomology(Poly.of(0, 1), 0)
 
 
 def test_oracle_rejects_a_dirac_matrix_across_weights(monkeypatch):
-    monkeypatch.setattr(rank_one, "dirac_matrix", lambda module: [[F(0), F(1)], [F(0), F(0)]])
+    monkeypatch.setattr(rank_one, "dirac_matrix", lambda module: [{1: F(1)}, {}])
     with pytest.raises(InvariantViolation, match="D mixes distinct weights"):
         oracle_cohomology(Poly.of(0, 1), 0)
 
 
 def _kron(a, s):
+    """The Kronecker product of two square matrices of dense rows."""
     rows = len(a) * len(s)
-    out = zeros(rows, rows)
+    out = [[F(0)] * rows for _ in range(rows)]
     for i in range(len(a)):
         for j in range(len(a)):
             for si in range(len(s)):
@@ -241,12 +261,15 @@ def full_size_oracle(xi, lam):
     reference: D from two Kronecker products, D^2 and both ranks at full size,
     and D^2 scanned entry by entry against the weight grading."""
     module = build_module(xi, lam)
-    y_c = rank_one._spin_matrix(CliffordElement.vector(("y", 1)))
-    x_c = rank_one._spin_matrix(CliffordElement.vector(("x", 1)))
-    d = [[a + b for a, b in zip(ra, rb)]
-         for ra, rb in zip(_kron(module.x, y_c), _kron(module.y, x_c))]
+    size = 2 * (module.nu + 1)
+    x, y = dense(module.x, module.nu + 1), dense(module.y, module.nu + 1)
+    y_c = dense(rank_one._spin_matrix(CliffordElement.vector(("y", 1))), 2)
+    x_c = dense(rank_one._spin_matrix(CliffordElement.vector(("x", 1))), 2)
+    d = sparse([[a + b for a, b in zip(ra, rb)]
+                for ra, rb in zip(_kron(x, y_c), _kron(y, x_c))])
     d2 = mat_mul(d, d)
-    size, rank_d, rank_d2 = len(d), mat_rank(d), mat_rank(d2)
+    rank_d, rank_d2 = mat_rank(d), mat_rank(d2)
+    d2 = dense(d2, size)
     if rank_d != rank_d2:
         raise InvariantViolation("rank D != rank D^2")
     P = CentralCharPoly.from_xi(xi, 1)
@@ -292,13 +315,76 @@ def test_oracle_agrees_with_the_full_size_oracle_at_nu_80():
 @given(st.integers(0, 2**32 - 1))
 def test_oracle_rejects_every_single_entry_corruption(seed):
     xi, lam = random_rank_one_instance(random.Random(seed), max_deg=3, max_nu=5)
+    # Every one of the (2(nu + 1))^2 positions, stored in D or not; an entry
+    # that the corruption makes zero is dropped from its row.
     honest = dirac_matrix(build_module(xi, lam))
     size = len(honest)
     for i in range(size):
         for j in range(size):
-            d = [row[:] for row in honest]
-            d[i][j] += 1
+            d = [dict(row) for row in honest]
+            d[i][j] = d[i].get(j, 0) + 1
+            if not d[i][j]:
+                del d[i][j]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(rank_one, "dirac_matrix", lambda module: d)
                 with pytest.raises(InvariantViolation):
                     oracle_cohomology(xi, lam)
+
+
+def test_dirac_matrix_stores_only_the_nonzero_entries():
+    # One row per basis vector of L (x) S; x and y have nu nonzero entries
+    # each and each spin matrix one, so D stores at most 2 nu entries.
+    rng = random.Random(71)
+    for _ in range(20):
+        m = build_module(*random_rank_one_instance(rng, max_deg=3, max_nu=12))
+        d = dirac_matrix(m)
+        assert len(d) == 2 * (m.nu + 1)
+        assert sum(map(len, d)) <= 2 * m.nu
+        assert all(c for row in d for c in row.values())
+
+
+@pytest.mark.parametrize("lam", [0.5, "3/2"])
+def test_build_module_rejects_inexact_weights(lam):
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        build_module(Poly.of(0, 1), lam)
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        oracle_cohomology(Poly.of(0, 1), lam)
+
+
+rationals = st.sampled_from([F(0)] * 4 + [F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 7)])
+
+
+@st.composite
+def dense_matrices(draw, rows=None, cols=None):
+    """Rational matrices up to 8 x 8, with zero rows and rows that are
+    combinations of earlier ones mixed in."""
+    rows = draw(st.integers(0, 8)) if rows is None else rows
+    cols = draw(st.integers(1, 8)) if cols is None else cols
+    out = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["random", "zero", "dependent"]))
+        if kind == "zero":
+            out.append([F(0)] * cols)
+        elif kind == "dependent" and out:
+            a, b = draw(rationals), draw(rationals)
+            r1, r2 = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            out.append([a * u + b * v for u, v in zip(r1, r2)])
+        else:
+            out.append([draw(rationals) for _ in range(cols)])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mat_mul_and_mat_rank_agree_with_sympy(data):
+    inner = data.draw(st.integers(1, 8))
+    a = data.draw(dense_matrices(cols=inner))
+    b = data.draw(dense_matrices(rows=inner))
+    assert mat_rank(sparse(a)) == (sympy.Matrix(a).rank() if a else 0)
+    assert mat_rank(sparse(b)) == sympy.Matrix(b).rank()
+    product = mat_mul(sparse(a), sparse(b))
+    assert all(v for row in product for v in row.values())  # nonzero entries only
+    if a:
+        assert dense(product, len(b[0])) == (sympy.Matrix(a) * sympy.Matrix(b)).tolist()
+    else:
+        assert product == []
