@@ -8,8 +8,8 @@ L(lam) = (+) over 0 <= nu' <= nu of V_{lam - nu'}.
 from fractions import Fraction
 
 from cherednik import (
+    Box,
     CentralCharPoly,
-    L_decomposition,
     Poly,
     Weight,
     membership_detail,
@@ -37,7 +37,7 @@ P2 = CentralCharPoly.from_h_coeffs([0, 18, F(-9, 2), -2, F(1, 2)], 2)
 lam = Weight.of(F(5, 2), F(1, 2))
 nu = nu_vector(P2, lam)
 print(f"  nu = {nu}")
-L = L_decomposition(lam, nu)
+L = Box(lam, nu).L.decomposition()
 print(f"  L(lam) is the {nu[0] + 1} x {nu[1] + 1} box, total dimension {L.total_dimension()}:")
 for w, m in L.sorted_items():
     print(f"    {m} x V at mu+rho = {tuple(str(c) for c in w.shifted())}")

@@ -8,13 +8,11 @@ the zeros of the P grid (P(lam) = 0 here).
 from fractions import Fraction
 
 from cherednik import (
+    Box,
     CentralCharPoly,
-    L_decomposition,
     Weight,
-    dirac_cohomology,
     guaranteed_classes,
     nu_vector,
-    tensor_with_spin,
 )
 
 F = Fraction
@@ -22,6 +20,7 @@ F = Fraction
 P = CentralCharPoly.from_h_coeffs([0, 18, F(-9, 2), -2, F(1, 2)], 2)
 lam = Weight.of(F(5, 2), F(1, 2))  # mu+rho = (3, 0)
 nu = nu_vector(P, lam)
+box = Box(lam, nu)
 print(f"nu = {nu}; P(lam) = {P.value(lam)}")
 
 cols = [F(3) - k for k in range(nu[0] + 2)]
@@ -33,8 +32,8 @@ for b in rows:
     print("   " + "  ".join(f"{str(P.evaluate([a, b])):>4}" for a in cols))
 
 print("\nFormal multiplicities of V at mu+rho+(1/2,1/2) in L (x) spin:")
-L = L_decomposition(lam, nu)
-LS = tensor_with_spin(lam, nu)
+L = box.L.decomposition()
+LS = box.spin.decomposition()
 for b in rows:
     line = []
     for a in cols:
@@ -46,7 +45,7 @@ print(f"\ndim L = {L.total_dimension()}, dim L (x) spin = {LS.total_dimension()}
       f"= 2^2 * {L.total_dimension()}")
 
 print("\nDirac cohomology (classes at the zeros of the P grid):")
-coh = dirac_cohomology(P, lam)
+coh = box.cohomology(P).decomposition()
 for w, m in coh.sorted_items():
     s = tuple(str(c) for c in w.shifted())
     print(f"   {m} x V at mu+rho = {s}")
@@ -54,5 +53,5 @@ print("note: the class at (1/2, 1/2) is a boundary class of formal Weyl "
       "dimension 0; it is kept so the tables close up exactly.")
 
 print("\nClasses guaranteed to appear with multiplicity one:")
-for w in guaranteed_classes(P, lam):
+for w in guaranteed_classes(lam, nu):
     print(f"   V at mu+rho = {tuple(str(c) for c in w.shifted())}")

@@ -32,16 +32,13 @@ from .weights import (
     weyl_dim_formal,
 )
 from .modules import (
-    L_decomposition,
+    Box,
     ModuleDecomposition,
     NotInClassificationError,
     dirac_cohomology,
     guaranteed_classes,
     membership_detail,
     nu_vector,
-    select_cohomology,
-    spin_grid,
-    tensor_with_spin,
 )
 from .enveloping import (
     KappaMap,
@@ -70,9 +67,8 @@ __all__ = [
     "twisted_identity_check", "xi_to_density", "xi_to_density_sum", "xi_to_w",
     "CentralCharPoly", "Weight", "complete_homogeneous", "is_dominant", "rho",
     "weyl_dim", "weyl_dim_formal",
-    "L_decomposition", "ModuleDecomposition", "NotInClassificationError",
+    "Box", "ModuleDecomposition", "NotInClassificationError",
     "dirac_cohomology", "guaranteed_classes", "membership_detail", "nu_vector",
-    "select_cohomology", "spin_grid", "tensor_with_spin",
     "KappaMap", "UEAElement", "act_on_v", "coproduct", "h_linearity_check",
     "higher_jacobi_checks", "jacobi_check", "kappa_of", "r_matrix",
     "CliffordElement", "SpinVector", "gamma_e",

@@ -283,24 +283,22 @@ def _reject(args, doc: dict, code: str, message: str) -> Outcome:
 
 # The guaranteed multiplicity-one classes, which need only nu, as the JSON
 # entries and as the text lines of dirac and of the box-too-large diagnostic.
-def _guaranteed_json(P: CentralCharPoly, lam: Weight, nu: tuple[int, ...]) -> list[dict]:
-    return [_weight_json(w) for w in guaranteed_classes(P, lam, nu)]
+def _guaranteed_json(lam: Weight, nu: tuple[int, ...]) -> list[dict]:
+    return [_weight_json(w) for w in guaranteed_classes(lam, nu)]
 
 
-def _guaranteed_text(P: CentralCharPoly, lam: Weight, nu: tuple[int, ...],
-                     decimal: bool) -> list[str]:
+def _guaranteed_text(lam: Weight, nu: tuple[int, ...], decimal: bool) -> list[str]:
     return ["guaranteed multiplicity-one classes:"] + [
-        f"  {_weight_text(*_weight_strings(w, decimal))}" for w in guaranteed_classes(P, lam, nu)]
+        f"  {_weight_text(*_weight_strings(w, decimal))}" for w in guaranteed_classes(lam, nu)]
 
 
-def _too_large(args, doc: dict, P: CentralCharPoly, lam: Weight,
-               exc: BoxTooLargeError) -> Outcome:
+def _too_large(args, doc: dict, lam: Weight, exc: BoxTooLargeError) -> Outcome:
     """The diagnostic for a box over the grid budget: nu, the grid size and
     the guaranteed classes, none of which needs the box itself."""
     if not args.json:
         return 3, "\n".join([f"box too large: {exc}",
-                             *_guaranteed_text(P, lam, exc.nu, args.decimal)])
-    doc = dict(doc, nu=list(exc.nu), guaranteed=_guaranteed_json(P, lam, exc.nu))
+                             *_guaranteed_text(lam, exc.nu, args.decimal)])
+    doc = dict(doc, nu=list(exc.nu), guaranteed=_guaranteed_json(lam, exc.nu))
     doc["error"] = {"code": "box-too-large", "message": str(exc),
                     "grid_size": exc.grid_size, "max_grid": MAX_GRID}
     return 3, _json(doc)
@@ -379,7 +377,7 @@ def _classified(args, command: str, derived: bool = True) -> Classified:
     try:
         box = Box(lam, nu)
     except BoxTooLargeError as exc:
-        raise Answered(_too_large(args, doc, P, lam, exc)) from None
+        raise Answered(_too_large(args, doc, lam, exc)) from None
     doc["nu"] = list(nu)
     return Classified(P, box, membership, doc)
 
@@ -401,12 +399,12 @@ def cmd_dirac(args) -> Outcome:
     if args.json:
         for key, _, block in blocks:
             doc[key] = _block_json(block)
-        doc["guaranteed"] = _guaranteed_json(P, box.lam, box.nu)
+        doc["guaranteed"] = _guaranteed_json(box.lam, box.nu)
         return 0, _json(doc)
     lines = [_member_line(box.nu, membership)]
     for _, title, block in blocks:
         _block_text(lines, title, block, args.decimal)
-    lines.extend(_guaranteed_text(P, box.lam, box.nu, args.decimal))
+    lines.extend(_guaranteed_text(box.lam, box.nu, args.decimal))
     return 0, "\n".join(lines)
 
 

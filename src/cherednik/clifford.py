@@ -58,8 +58,9 @@ class CliffordElement(LinComb):
     _reduce = staticmethod(_cl_normalize)
 
     @staticmethod
-    def scalar(c) -> CliffordElement:
-        return CliffordElement({(): Fraction(c)})
+    def scalar(c: int | Fraction) -> CliffordElement:
+        """c times the unit, for c an int or a Fraction (TypeError otherwise)."""
+        return CliffordElement({(): _as_fraction(c)})
 
     @staticmethod
     def from_word(*word: VBasis) -> CliffordElement:

@@ -34,9 +34,9 @@ For a deformation with central character polynomial P and a dominant weight
   A Box gives three Blocks: L, the classes of L (x) spin (spin), and the
   cohomology (Box.cohomology(P), the spin block with the classes P does not
   select at 0), plus the spin grid's points and P numerators (Box.grid).
-  L_decomposition, tensor_with_spin, spin_grid, select_cohomology and
-  dirac_cohomology build one Box each; the CLI builds one per request and
-  renders its Blocks from strings made once per axis value.
+  Library callers and the CLI alike build one Box per weight and read its
+  Blocks (the CLI renders them from strings made once per axis value);
+  dirac_cohomology(P, lam) is the one end-to-end call, nu and one Box.
 * the spin grid: L(lam) (x) spin is the grid of points lam + rho - o,
   0 <= o_i <= nu_i + 1, the class of mu = lam + 1/2 - o sitting over the
   point mu + rho - 1/2. Its multiplicity has the closed form
@@ -70,7 +70,6 @@ from .weights import (
     Axis,
     CentralCharPoly,
     Weight,
-    basis_weight,
     box_dimension,
     half_vector,
     is_dominant,
@@ -101,15 +100,6 @@ class BoxTooLargeError(ValueError):
                          f"over the budget of {MAX_GRID}")
         self.nu = nu
         self.grid_size = grid_size
-
-
-def check_grid_size(nu: tuple[int, ...]) -> int:
-    """prod(nu_i + 2), the size of the grid over the box of nu; raises
-    BoxTooLargeError when it exceeds MAX_GRID."""
-    grid_size = prod(v + 2 for v in nu)
-    if grid_size > MAX_GRID:
-        raise BoxTooLargeError(nu, grid_size)
-    return grid_size
 
 
 @dataclass
@@ -230,15 +220,23 @@ class Block(NamedTuple):
             filter(None, self.multiplicities))))
 
 
+def _require_nu(lam: Weight, nu: Sequence[int]) -> None:
+    """nu has one entry per coordinate of lam, each a nonnegative int, not a
+    bool (ValueError otherwise)."""
+    if len(nu) != lam.rank or not all(type(v) is int and v >= 0 for v in nu):
+        raise ValueError(f"nu = {list(nu)} is not {lam.rank} nonnegative integers")
+
+
 class Box:
     """The box of nu below lam, checked once.
 
     Building one is the only check on a box: nu has one entry per coordinate
-    of lam, each a nonnegative integer; every weight of the box is dominant,
-    which holds exactly when lam is dominant and nu_i <= lam_i - lam_{i+1}
-    for each i < n (the minimality of nu guarantees it); and the grid over
-    the box, prod(nu_i + 2) points, is within MAX_GRID. Otherwise ValueError,
-    or BoxTooLargeError for the grid, before anything is built.
+    of lam, each a nonnegative int (not a bool); every weight of the box is
+    dominant, which holds exactly when lam is dominant and
+    nu_i <= lam_i - lam_{i+1} for each i < n (the minimality of nu
+    guarantees it); and the grid over the box, prod(nu_i + 2) points, is
+    within MAX_GRID. Otherwise ValueError, or BoxTooLargeError for the grid,
+    before anything is built.
 
     Its class lists are Blocks, each made on first use: L, the classes
     lam_i - o, 0 <= o <= nu_i, of multiplicity one; spin, those of
@@ -249,12 +247,13 @@ class Box:
 
     def __init__(self, lam: Weight, nu: Sequence[int]):
         nu = tuple(nu)
-        if len(nu) != lam.rank or not all(isinstance(v, int) and v >= 0 for v in nu):
-            raise ValueError(f"nu = {list(nu)} is not {lam.rank} nonnegative integers")
+        _require_nu(lam, nu)
         if not is_dominant(lam) or any(
                 v > lam.coords[i] - lam.coords[i + 1] for i, v in enumerate(nu[:-1])):
             raise ValueError(f"nu = {nu} takes the box below {lam} out of the dominant chamber")
-        check_grid_size(nu)
+        grid_size = prod(v + 2 for v in nu)
+        if grid_size > MAX_GRID:
+            raise BoxTooLargeError(nu, grid_size)
         self.lam, self.nu = lam, nu
 
     @cached_property
@@ -305,13 +304,6 @@ def axis_points(axes: list[Axis]) -> Iterator[tuple[Fraction, ...]]:
     return product(*(a.values() for a in axes))
 
 
-def L_decomposition(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
-    """The box {lam - nu' : 0 <= nu' <= nu componentwise}, multiplicity one.
-    Raises ValueError or BoxTooLargeError as Box does; past that check every
-    weight of the box is dominant, so none is re-checked."""
-    return Box(lam, nu).L.decomposition()
-
-
 def grid_numerators(P: CentralCharPoly, axes: list[Axis]) -> tuple[Iterator[int], int]:
     """(N, den): P at each point of the axes, in product order, is N / den.
 
@@ -336,67 +328,26 @@ def grid_numerators(P: CentralCharPoly, axes: list[Axis]) -> tuple[Iterator[int]
     return values, D * d ** max(K, 0)
 
 
-def spin_grid(P: CentralCharPoly, lam: Weight, nu: tuple[int, ...]
-              ) -> Iterator[tuple[tuple[Fraction, ...], int, Fraction]]:
-    """
-    The grid of L(lam) (x) spin: for each o in product(range(nu_1 + 2), ...,
-    range(nu_n + 2)), in that order, the point lam + rho - o, the
-    multiplicity of the class mu = lam + 1/2 - o over it, and P at the point.
-    Raises ValueError or BoxTooLargeError, as Box does, at the call.
-    """
-    axes, multiplicities, values, den = Box(lam, nu).grid(P)
-    return zip(axis_points(axes), multiplicities, (Fraction(v, den) for v in values))
-
-
-def tensor_with_spin(lam: Weight, nu: tuple[int, ...]) -> ModuleDecomposition:
-    """
-    Decomposition of L(lam) (x) spin, for L(lam) the box of nu below lam:
-    the box's spin block, the classes with their closed-form
-    multiplicities. On a dominant box every class has a weakly decreasing
-    rho-shift, so none is dropped.
-    """
-    return Box(lam, nu).spin.decomposition()
-
-
-def select_cohomology(P: CentralCharPoly, lam: Weight,
-                      nu: tuple[int, ...]) -> ModuleDecomposition:
-    """The part of L(lam) (x) spin, for the box of nu, whose classes mu
-    satisfy P(lam) = P(mu - (1/2,...,1/2)), with its multiplicities
-    (Box.cohomology)."""
-    return Box(lam, nu).cohomology(P).decomposition()
-
-
 def dirac_cohomology(P: CentralCharPoly, lam: Weight) -> ModuleDecomposition:
     """
     The Dirac cohomology of the finite-dimensional module headed by lam, as a
     gl_n decomposition: the part of L(lam) (x) spin whose weights mu satisfy
-    P(lam) = P(mu - (1/2,...,1/2)).
+    P(lam) = P(mu - (1/2,...,1/2)), read off the one Box of nu_vector(P, lam).
     """
-    return select_cohomology(P, lam, nu_vector(P, lam))
+    return Box(lam, nu_vector(P, lam)).cohomology(P).decomposition()
 
 
-def guaranteed_classes(P: CentralCharPoly, lam: Weight,
-                       nu: tuple[int, ...] | None = None) -> list[Weight]:
+def guaranteed_classes(lam: Weight, nu: Sequence[int]) -> list[Weight]:
     """
     The classes certain to appear with multiplicity one in the Dirac
-    cohomology: lam + (1/2,...,1/2) and lam + (1/2,...,1/2,-nu_n-1/2)
-    unconditionally, plus lam + (1/2,..,-nu_i-1/2,..,1/2) for each i < n
-    whose companion lam - (nu_i+1)e_i is dominant. ``nu`` is
-    nu_vector(P, lam) when the caller already has it.
+    cohomology of the box of nu below lam: lam + (1/2,...,1/2) and the spike
+    lam + (1/2,...,1/2,-nu_n-1/2) unconditionally, plus the spike
+    lam + (1/2,..,-nu_i-1/2,..,1/2) for each i < n whose companion
+    lam - (nu_i+1)e_i is dominant; the spike, the companion plus
+    (1/2,...,1/2), has the same differences, so it is dominant with it.
+    Raises ValueError, as Box does, unless nu is rank-many nonnegative ints.
     """
-    if nu is None:
-        nu = nu_vector(P, lam)
-    n = lam.rank
-
-    def spiked(i: int) -> Weight:
-        return Weight(tuple(
-            c + (-nu[i - 1] - HALF if j == i - 1 else HALF)
-            for j, c in enumerate(lam.coords)))
-
-    out = [lam + half_vector(n)]
-    for i in range(1, n):
-        companion = lam - basis_weight(n, i) * (nu[i - 1] + 1)
-        if is_dominant(companion):
-            out.append(spiked(i))
-    out.append(spiked(n))
-    return out
+    _require_nu(lam, nu)
+    spikes = [Weight(tuple(c + (-v - HALF if j == i else HALF)
+                           for j, c in enumerate(lam.coords))) for i, v in enumerate(nu)]
+    return [lam + half_vector(lam.rank), *filter(is_dominant, spikes[:-1]), spikes[-1]]

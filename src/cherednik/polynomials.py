@@ -46,7 +46,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, perm
+from math import comb, floor, gcd, lcm, perm
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
@@ -275,9 +275,11 @@ def _sign_changes(seq: list[list[int]], x: int) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def least_positive_integer_root(q: Poly, cap: int | None = None) -> int | None:
+def least_positive_integer_root(q: Poly, cap: Scalar | None = None) -> int | None:
     """
     The least integer t with 1 <= t (<= cap, when given) and q(t) = 0, or None.
+    A rational cap is read as its floor, since t <= cap exactly when
+    t <= floor(cap); a float cap is a TypeError.
 
     Exact, with a cost polynomial in the bit sizes of q and cap: the factor t
     is stripped, the square-free part f = q / gcd(q, q') is taken, its roots
@@ -292,6 +294,8 @@ def least_positive_integer_root(q: Poly, cap: int | None = None) -> int | None:
     >>> least_positive_integer_root(Poly.of(0, 6, -5, 1), cap=1) is None
     True
     """
+    if cap is not None:
+        cap = floor(_as_fraction(cap))
     if q.is_zero():
         raise ValueError("zero polynomial has every root")
     low = next(k for k, c in enumerate(q.coeffs) if c)

@@ -84,11 +84,6 @@ def rho(n: int) -> Weight:
     return Weight(tuple(Fraction(n - 1 - 2 * i, 2) for i in range(n)))
 
 
-def basis_weight(n: int, i: int) -> Weight:
-    """The i-th coordinate weight e_i (1-based)."""
-    return Weight(tuple(Fraction(1 if j == i - 1 else 0) for j in range(n)))
-
-
 def half_vector(n: int) -> Weight:
     """(1/2, ..., 1/2)."""
     return Weight((Fraction(1, 2),) * n)
@@ -219,11 +214,12 @@ def h_row(point: Sequence, K: int) -> list:
     return row
 
 
-def complete_homogeneous(k: int, point: Sequence):
-    """h_k(point): the sum of all degree-k monomials, read off h_row."""
+def complete_homogeneous(k: int, point: Sequence[Scalar]) -> Scalar:
+    """h_k(point): the sum of all degree-k monomials, read off h_row, at a
+    point of ints or Fractions (TypeError otherwise)."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    return h_row(point, k)[k]
+    return h_row([_as_fraction(x) for x in point], k)[k]
 
 
 def line_coeffs(coeffs: Sequence, others: Sequence) -> list:
@@ -263,11 +259,12 @@ class CentralCharPoly:
     def from_xi(xi: Poly, rank: int) -> CentralCharPoly:
         return CentralCharPoly.from_w(xi_to_w(xi, rank), rank)
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        """Evaluate at an already rho-shifted point of ints or Fractions."""
+    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
+        """Evaluate at an already rho-shifted point of ints or Fractions
+        (TypeError otherwise)."""
         if len(point) != self.rank:
             raise ValueError(f"point has length {len(point)}, expected rank {self.rank}")
-        h = h_row(point, len(self.h_coeffs) - 1)
+        h = h_row([_as_fraction(x) for x in point], len(self.h_coeffs) - 1)
         return sum(map(mul, self.h_coeffs, h), Fraction(0))
 
     def value(self, w: Weight) -> Fraction:

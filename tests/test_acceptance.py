@@ -31,11 +31,10 @@ from cherednik.enveloping import (
     kappa_of,
 )
 from cherednik.modules import (
-    L_decomposition,
+    Box,
     dirac_cohomology,
     membership_detail,
     nu_vector,
-    tensor_with_spin,
 )
 from cherednik.polynomials import (
     Poly,
@@ -67,7 +66,8 @@ def test_criterion_1_rank_two_worked_example_end_to_end():
 
     nu = nu_vector(EXAMPLE_P, EXAMPLE_LAM)
     assert nu == (2, 2)
-    L = L_decomposition(EXAMPLE_LAM, nu)
+    box = Box(EXAMPLE_LAM, nu)
+    L = box.L.decomposition()
     assert {w.shifted() for w in L.entries} == \
         {(F(a), F(b)) for a in (3, 2, 1) for b in (0, -1, -2)}
     assert len(L.entries) == 9 and all(m == 1 for m in L.entries.values())
@@ -92,7 +92,7 @@ def test_criterion_1_rank_two_worked_example_end_to_end():
     assert EXAMPLE_P.evaluate([F(2), F(-2)]) == -10
     assert EXAMPLE_P.evaluate([F(1), F(-2)]) == -16
 
-    LS = tensor_with_spin(EXAMPLE_LAM, nu)
+    LS = box.spin.decomposition()
     expected_mult = [[1, 2, 2, 1], [2, 4, 4, 2], [2, 4, 4, 2], [1, 2, 2, 1]]
     for i2, b in enumerate((F(1, 2), F(-1, 2), F(-3, 2), F(-5, 2))):
         for i1, a in enumerate((F(7, 2), F(5, 2), F(3, 2), F(1, 2))):
@@ -256,7 +256,8 @@ def test_criterion_7_dimension_conservation():
 
     half = F(1, 2)
     for lam, nu in cases:
-        L = L_decomposition(lam, nu)
+        box = Box(lam, nu)
+        L = box.L.decomposition()
         n = L.rank
         # zero-dimension-aware formulation: sum over ALL sign vectors of the
         # formal Weyl dimension (boundary candidates contribute 0)
@@ -266,5 +267,5 @@ def test_criterion_7_dimension_conservation():
                 cand = Weight(tuple(c + s for c, s in zip(w.coords, signs)))
                 formal += mult * weyl_dim_formal(cand)
         assert formal == 2 ** n * L.total_dimension()
-        assert tensor_with_spin(lam, nu).total_dimension() == 2 ** n * L.total_dimension()
+        assert box.spin.decomposition().total_dimension() == 2 ** n * L.total_dimension()
     print(f"\n[criterion 7] PASS dimension conservation on {len(cases)} instances, ranks 1-3")

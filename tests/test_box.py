@@ -13,11 +13,7 @@ from cherednik.modules import (
     Block,
     Box,
     BoxTooLargeError,
-    L_decomposition,
     axis_points,
-    select_cohomology,
-    spin_grid,
-    tensor_with_spin,
 )
 from cherednik.weights import (
     Axis,
@@ -37,12 +33,13 @@ MALFORMED = [
     (Weight.of(3, 1), (1, 0, 5)),    # too long: used to raise IndexError
     (Weight.of(3, 1), (1, F(1, 2))),  # not an integer
 ]
+# Box and each read of it; an id names the library call the read stands for.
 PUBLIC = [
     ("Box", Box),
-    ("L_decomposition", L_decomposition),
-    ("tensor_with_spin", tensor_with_spin),
-    ("spin_grid", lambda lam, nu: spin_grid(P_of(lam.rank), lam, nu)),
-    ("select_cohomology", lambda lam, nu: select_cohomology(P_of(lam.rank), lam, nu)),
+    ("L_decomposition", lambda lam, nu: Box(lam, nu).L),
+    ("tensor_with_spin", lambda lam, nu: Box(lam, nu).spin),
+    ("spin_grid", lambda lam, nu: Box(lam, nu).grid(P_of(lam.rank))),
+    ("select_cohomology", lambda lam, nu: Box(lam, nu).cohomology(P_of(lam.rank))),
 ]
 
 
@@ -61,8 +58,8 @@ def test_malformed_nu_is_rejected(name, call, lam, nu):
 def reference_check(lam: Weight, nu: tuple) -> type | None:
     """The exception the box of nu below lam must raise, or None: the check
     that _check_box and check_grid_size made before Box, with the
-    malformed-nu rule in front of it."""
-    if len(nu) != lam.rank or any(not isinstance(v, int) or v < 0 for v in nu):
+    malformed-nu rule (ints, not bools) in front of it."""
+    if len(nu) != lam.rank or any(type(v) is not int or v < 0 for v in nu):
         return ValueError
     if not is_dominant(lam) or any(
             v > lam.coords[i] - lam.coords[i + 1] for i, v in enumerate(nu[:-1])):
@@ -159,3 +156,11 @@ def test_cohomology_block_keeps_the_spin_classes_with_zeros():
     assert sum(1 for m in coh.multiplicities if m) == 5
     assert coh.dimension() == coh.decomposition().total_dimension() == 24
     assert Block(coh.axes, [0] * 16).dimension() == 0
+
+
+@pytest.mark.parametrize("nu", [(True, 0), (1, False), (1.0, 0), (F(1), 0)])
+def test_nu_entries_must_be_ints(nu):
+    # a bool, a float or a Fraction is not a box bound, whatever its value
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        Box(Weight.of(1, 0), nu)
+    assert Box(Weight.of(1, 0), (1, 0)).nu == (1, 0)

@@ -1,7 +1,8 @@
 """The CLI's L, L (x) spin and cohomology blocks, rendered from per-axis
 strings and integer Weyl products, against the rendering they replace: the
-entries of L_decomposition / tensor_with_spin / select_cohomology, sorted,
-one Weight at a time, with a dimension from a Fraction Weyl product."""
+entries of the Blocks' decompositions (Box.L, Box.spin, Box.cohomology),
+sorted, one Weight at a time, with a dimension from a Fraction Weyl
+product."""
 import json
 import os
 import subprocess
@@ -14,13 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cherednik.cli as cli
-from cherednik.modules import (
-    Box,
-    L_decomposition,
-    ModuleDecomposition,
-    select_cohomology,
-    tensor_with_spin,
-)
+from cherednik.modules import Box, ModuleDecomposition
 from cherednik.weights import CentralCharPoly, Weight
 
 F = Fraction
@@ -74,8 +69,9 @@ def as_json(block: dict) -> str:
 @given(boxes())
 def test_blocks_equal_the_sorted_weight_rendering(box):
     lam, nu = box
-    L, LS = L_decomposition(lam, nu), tensor_with_spin(lam, nu)
-    new_L, new_LS = Box(lam, nu).L, Box(lam, nu).spin
+    checked = Box(lam, nu)
+    new_L, new_LS = checked.L, checked.spin
+    L, LS = new_L.decomposition(), new_LS.decomposition()
     assert as_json(cli._block_json(new_L)) == as_json(reference_json(L))
     assert as_json(cli._block_json(new_LS)) == as_json(reference_json(LS))
     for decimal in (False, True):
@@ -93,10 +89,10 @@ def test_blocks_equal_the_sorted_weight_rendering(box):
     (Weight.of(F(23, 7), F(9, 7), F(2, 7)), (2, 1, 2)),
 ])
 def test_blocks_at_rank_one_and_on_boundary_classes(lam, nu):
-    LS = tensor_with_spin(lam, nu)
-    assert as_json(cli._block_json(Box(lam, nu).L)) == as_json(
-        reference_json(L_decomposition(lam, nu)))
-    assert as_json(cli._block_json(Box(lam, nu).spin)) == as_json(reference_json(LS))
+    box = Box(lam, nu)
+    LS = box.spin.decomposition()
+    assert as_json(cli._block_json(box.L)) == as_json(reference_json(box.L.decomposition()))
+    assert as_json(cli._block_json(box.spin)) == as_json(reference_json(LS))
     if lam.rank > 1:
         assert any(reference_dimension(w) == 0 for w in LS.entries)
 
@@ -113,7 +109,8 @@ def test_cohomology_block_equals_the_sorted_weight_rendering(box, coeffs):
     # The class lam + 1/2 is always selected, so the block is never empty.
     lam, nu = box
     P = CentralCharPoly.from_h_coeffs(coeffs, lam.rank)
-    coh, block = select_cohomology(P, lam, nu), Box(lam, nu).cohomology(P)
+    block = Box(lam, nu).cohomology(P)
+    coh = block.decomposition()
     assert as_json(cli._block_json(block)) == as_json(reference_json(coh))
     for decimal in (False, True):
         lines: list[str] = []
@@ -127,7 +124,8 @@ def test_product_order_is_the_sorted_order(box):
     # The renderer drops the sort because the axes' product order already is
     # descending lexicographic order.
     lam, nu = box
-    for d in (L_decomposition(lam, nu), tensor_with_spin(lam, nu)):
+    checked = Box(lam, nu)
+    for d in (checked.L.decomposition(), checked.spin.decomposition()):
         assert list(d.entries.items()) == d.sorted_items()
 
 

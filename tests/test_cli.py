@@ -261,16 +261,15 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
-STAGES = ["membership_detail", "nu_vector", "L_decomposition", "tensor_with_spin",
-          "dirac_cohomology", "select_cohomology", "spin_grid", "guaranteed_classes",
-          "box_dimension", "grid_numerators", "Box"]
+STAGES = ["membership_detail", "nu_vector", "dirac_cohomology", "guaranteed_classes",
+          "box_dimension", "grid_numerators", "Box", "ModuleDecomposition"]
 
 
 # The CLI checks one Box per request and reads everything from it: the L,
 # L (x) spin and cohomology blocks, one dimension walk per block, and no
-# ModuleDecomposition (L_decomposition, tensor_with_spin) or Fraction-valued
-# spin_grid; the P values are walked once, as numerators, and the cohomology
-# is selected on that Box (Box.cohomology, not select_cohomology's own Box).
+# ModuleDecomposition; the P values are walked once, as numerators, and the
+# cohomology is selected on that Box (Box.cohomology, not dirac_cohomology's
+# own Box).
 @pytest.mark.parametrize("cmd,want", [
     ("classify", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 1, "Box": 1}),
     ("dirac", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 3, "Box": 1,

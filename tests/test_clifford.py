@@ -238,3 +238,11 @@ def test_twisted_identity_realized_in_clifford():
                     rhs = rhs * zg + C.scalar(coeff)
                 rhs = rhs + C.scalar(p(z0) / 2 - f(z0 + F(1, 2)))
                 assert lhs == rhs
+
+
+def test_scalar_takes_exact_rationals_only():
+    for c in (0.1, 1.0, "1/2"):
+        with pytest.raises(TypeError, match="exact rational"):
+            C.scalar(c)
+    assert C.scalar(F(1, 10)) == C.scalar(1) * F(1, 10)
+    assert C.scalar(3) == C.scalar(F(3))

@@ -8,25 +8,26 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cherednik.modules as modules
 from cherednik.modules import (
-    L_decomposition,
+    Box,
     ModuleDecomposition,
     NotInClassificationError,
     dirac_cohomology,
     guaranteed_classes,
     membership_detail,
     nu_vector,
-    tensor_with_spin,
 )
 from cherednik.polynomials import Poly
 from cherednik.verify import random_rank_one_instance
 from cherednik.weights import (
     CentralCharPoly,
     Weight,
-    basis_weight,
     complete_homogeneous,
+    half_vector,
     is_dominant,
     weyl_dim_formal,
 )
@@ -76,8 +77,8 @@ def test_a_weight_of_another_rank_than_P_is_a_value_error(P_rank, lam):
     nu = (0,) * lam.rank
     calls = [lambda: membership_detail(P, lam), lambda: nu_vector(P, lam),
              lambda: nu_vector(P, lam, membership=(0, False)),
-             lambda: dirac_cohomology(P, lam), lambda: modules.spin_grid(P, lam, nu),
-             lambda: modules.Box(lam, nu).grid(P), lambda: P.value(lam)]
+             lambda: dirac_cohomology(P, lam), lambda: Box(lam, nu).grid(P),
+             lambda: Box(lam, nu).cohomology(P), lambda: P.value(lam)]
     for call in calls:
         with pytest.raises(ValueError) as info:
             call()
@@ -119,23 +120,23 @@ def test_nu_minimality_recheck():
 
 
 def test_L_decomposition_box():
-    L = L_decomposition(EXAMPLE_LAM, (2, 2))
+    L = Box(EXAMPLE_LAM, (2, 2)).L.decomposition()
     assert len(L.entries) == 9
     assert all(m == 1 for m in L.entries.values())
     shifted = {w.shifted() for w in L.entries}
     assert shifted == {(F(a), F(b)) for a in (3, 2, 1) for b in (0, -1, -2)}
     assert L.total_dimension() == 27
 
-    single = L_decomposition(Weight.of(4), (0,))
+    single = Box(Weight.of(4), (0,)).L.decomposition()
     assert shifted_multiset(single) == [((F(4),), 1)]
 
-    box1 = L_decomposition(Weight.of(F(3, 2)), (3,))
+    box1 = Box(Weight.of(F(3, 2)), (3,)).L.decomposition()
     assert {w.coords[0] for w in box1.entries} == {F(3, 2), F(1, 2), F(-1, 2), F(-3, 2)}
 
 
 def test_tensor_with_spin_rank_one_pattern():
     lam, nu = F(3, 2), 3
-    T = tensor_with_spin(Weight.of(lam), (nu,))
+    T = Box(Weight.of(lam), (nu,)).spin.decomposition()
     got = {w.coords[0]: m for w, m in T.entries.items()}
     expected = {lam + F(1, 2): 1, lam - nu - F(1, 2): 1}
     for k in range(nu + 1):
@@ -145,7 +146,7 @@ def test_tensor_with_spin_rank_one_pattern():
 
 
 def test_tensor_with_spin_example_grid():
-    T = tensor_with_spin(EXAMPLE_LAM, (2, 2))
+    T = Box(EXAMPLE_LAM, (2, 2)).spin.decomposition()
     # multiplicities over the shifted grid (3.5,0.5)..(0.5,-2.5): 1,2,2,1 pattern
     for i1, a in enumerate((F(7, 2), F(5, 2), F(3, 2), F(1, 2))):
         for i2, b in enumerate((F(1, 2), F(-1, 2), F(-3, 2), F(-5, 2))):
@@ -157,7 +158,7 @@ def test_tensor_with_spin_example_grid():
 
 
 def test_tensor_with_spin_trivial():
-    T = tensor_with_spin(Weight.of(2), (0,))
+    T = Box(Weight.of(2), (0,)).spin.decomposition()
     assert {w.coords[0]: m for w, m in T.entries.items()} == {F(5, 2): 1, F(3, 2): 1}
 
 
@@ -182,7 +183,7 @@ def test_dirac_cohomology_degenerate_keeps_everything():
     Pzero = CentralCharPoly.from_xi(Poly.zero(), 2)
     lam = Weight.of(2, 0)
     coh = dirac_cohomology(Pzero, lam)
-    full = tensor_with_spin(lam, nu_vector(Pzero, lam))
+    full = Box(lam, nu_vector(Pzero, lam)).spin.decomposition()
     assert coh == full
 
 
@@ -194,16 +195,16 @@ def test_dirac_cohomology_rejects_nonmember():
 def test_cohomology_subset_of_tensor():
     for _ in range(5):
         coh = dirac_cohomology(EXAMPLE_P, EXAMPLE_LAM)
-        T = tensor_with_spin(EXAMPLE_LAM, (2, 2))
+        T = Box(EXAMPLE_LAM, (2, 2)).spin.decomposition()
         assert is_submultiset(coh, T)
 
 
 def test_guaranteed_classes_examples():
     P1 = CentralCharPoly.from_xi(Poly.of(0, 1), 1)
-    got = guaranteed_classes(P1, Weight.of(1))
+    got = guaranteed_classes(Weight.of(1), nu_vector(P1, Weight.of(1)))
     assert [w.coords[0] for w in got] == [F(3, 2), F(-3, 2)]
 
-    got2 = guaranteed_classes(EXAMPLE_P, EXAMPLE_LAM)
+    got2 = guaranteed_classes(EXAMPLE_LAM, nu_vector(EXAMPLE_P, EXAMPLE_LAM))
     # the middle class is NOT guaranteed: its companion (shifted (0,0)) is not dominant
     assert [w.shifted() for w in got2] == [(F(7, 2), F(1, 2)), (F(7, 2), F(-5, 2))]
 
@@ -216,9 +217,66 @@ def test_guaranteed_classes_in_cohomology_with_multiplicity_one():
         xi, lam = random_rank_one_instance(rng)
         cases.append((CentralCharPoly.from_xi(xi, 1), Weight.of(lam)))
     for P, lam in cases:
-        coh = dirac_cohomology(P, lam)
-        for w in guaranteed_classes(P, lam):
+        nu = nu_vector(P, lam)
+        coh = Box(lam, nu).cohomology(P).decomposition()
+        assert coh == dirac_cohomology(P, lam)
+        for w in guaranteed_classes(lam, nu):
             assert coh.multiplicity(w) == 1
+
+
+def guaranteed_by_weight_arithmetic(lam: Weight, nu) -> list[Weight]:
+    """Reference: the rule as Weight arithmetic, with e_i a basis weight. The
+    spike at i < n is kept when its companion lam - (nu_i+1)e_i is dominant;
+    the spike at n always is."""
+    n = lam.rank
+
+    def e(i: int) -> Weight:
+        return Weight(tuple(F(1 if j == i - 1 else 0) for j in range(n)))
+
+    def spiked(i: int) -> Weight:
+        return lam + half_vector(n) - e(i) * (nu[i - 1] + 1)
+
+    out = [lam + half_vector(n)]
+    for i in range(1, n):
+        if is_dominant(lam - e(i) * (nu[i - 1] + 1)):
+            out.append(spiked(i))
+    out.append(spiked(n))
+    return out
+
+
+@st.composite
+def dominant_boxes(draw):
+    """A dominant lam of rank 1-5 with a rational offset and gaps up to 6,
+    and nu_i in [0, gap_i] for i < n, drawn as gap_i minus 0-2 so that
+    nu_i = gap_i (the spike at i drops out) is common; nu_n is any bound."""
+    n = draw(st.integers(1, 5))
+    gaps = [draw(st.integers(0, 6)) for _ in range(n - 1)]
+    offset = F(draw(st.integers(-20, 20)), draw(st.integers(1, 7)))
+    lam = Weight(tuple(offset + sum(gaps[i:]) for i in range(n)))
+    nu = [max(g - draw(st.integers(0, 2)), 0) for g in gaps]
+    return lam, tuple(nu + [draw(st.integers(0, 10 ** 6))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(dominant_boxes())
+def test_guaranteed_classes_match_the_weight_arithmetic_rule(box):
+    lam, nu = box
+    got = guaranteed_classes(lam, nu)
+    assert got == guaranteed_by_weight_arithmetic(lam, nu)
+    gaps = [lam.coords[i] - lam.coords[i + 1] for i in range(lam.rank - 1)]
+    assert len(got) == 2 + sum(v < g for v, g in zip(nu, gaps))
+
+
+def test_guaranteed_spike_drops_where_nu_reaches_the_gap():
+    lam = Weight.of(F(17, 3), F(11, 3), F(2, 3))     # gaps 2 and 3
+    # nu_1, nu_2 at their gaps: only lam + 1/2 and the spike at n remain
+    assert guaranteed_classes(lam, (2, 3, 4)) == [
+        Weight.of(F(37, 6), F(25, 6), F(7, 6)), Weight.of(F(37, 6), F(25, 6), F(-23, 6))]
+    assert guaranteed_classes(lam, (1, 2, 4)) == guaranteed_by_weight_arithmetic(lam, (1, 2, 4))
+    assert len(guaranteed_classes(lam, (1, 2, 4))) == 4
+    for nu in ((1, 2), (1, 2, 4, 0), (F(1), 2, 4), (1, 2, -1), (1.0, 2, 4), (1, True, 4)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            guaranteed_classes(lam, nu)
 
 
 def test_constant_shift_of_P_is_invisible():
@@ -229,7 +287,8 @@ def test_constant_shift_of_P_is_invisible():
 
 
 def _conservation_holds(lam: Weight, nu: tuple[int, ...]) -> bool:
-    L = L_decomposition(lam, nu)
+    box = Box(lam, nu)
+    L = box.L.decomposition()
     n = L.rank
     half = F(1, 2)
     total = 0
@@ -239,7 +298,7 @@ def _conservation_holds(lam: Weight, nu: tuple[int, ...]) -> bool:
             total += mult * weyl_dim_formal(cand)
     if total != 2 ** n * L.total_dimension():
         return False
-    return tensor_with_spin(lam, nu).total_dimension() == 2 ** n * L.total_dimension()
+    return box.spin.decomposition().total_dimension() == 2 ** n * L.total_dimension()
 
 
 def test_dimension_conservation():
@@ -259,12 +318,12 @@ def test_rank_three_classified_instance():
     assert membership_detail(P, lam)[0] == 3
     nu = nu_vector(P, lam)
     assert nu == (1, 1, 3)
-    L = L_decomposition(lam, nu)
-    assert len(L.entries) == 2 * 2 * 4
+    box = Box(lam, nu)
+    assert len(box.L.decomposition().entries) == 2 * 2 * 4
     assert _conservation_holds(lam, nu)
     coh = dirac_cohomology(P, lam)
-    assert is_submultiset(coh, tensor_with_spin(lam, nu))
-    for w in guaranteed_classes(P, lam):
+    assert is_submultiset(coh, box.spin.decomposition())
+    for w in guaranteed_classes(lam, nu):
         assert coh.multiplicity(w) == 1
 
     # the zero weight: trivial module, box (0,0,0)
@@ -288,7 +347,8 @@ def scan_nu_prefix(P: CentralCharPoly, lam: Weight) -> tuple[int, ...]:
     for i in range(1, n):
         k = 0
         while True:
-            lowered = lam - basis_weight(n, i) * (k + 1)
+            lowered = Weight(tuple(
+                c - (k + 1 if j == i - 1 else 0) for j, c in enumerate(lam.coords)))
             if not is_dominant(lowered) or P.value(lowered) == p_lam:
                 break
             k += 1
@@ -350,7 +410,7 @@ def test_nu_vector_matches_scan_on_planted_instances():
 
 def test_nu_vector_reuses_given_membership(monkeypatch):
     membership = membership_detail(EXAMPLE_P, EXAMPLE_LAM)
-    guaranteed = guaranteed_classes(EXAMPLE_P, EXAMPLE_LAM)
+    guaranteed = guaranteed_classes(EXAMPLE_LAM, nu_vector(EXAMPLE_P, EXAMPLE_LAM))
 
     def fail(*args):
         raise AssertionError("membership recomputed")
@@ -359,7 +419,7 @@ def test_nu_vector_reuses_given_membership(monkeypatch):
     assert nu_vector(EXAMPLE_P, EXAMPLE_LAM, membership) == (2, 2)
     with pytest.raises(NotInClassificationError):
         nu_vector(EXAMPLE_P, EXAMPLE_LAM, (None, False))
-    assert guaranteed_classes(EXAMPLE_P, EXAMPLE_LAM, (2, 2)) == guaranteed
+    assert guaranteed_classes(EXAMPLE_LAM, (2, 2)) == guaranteed
 
 
 def test_nu_vector_large_gap_is_not_a_scan():
@@ -379,21 +439,21 @@ def test_nu_vector_large_gap_is_not_a_scan():
 
 def test_L_decomposition_rejects_nu_beyond_the_gap():
     with pytest.raises(ValueError):
-        L_decomposition(EXAMPLE_LAM, (3, 2))     # gap lam_1 - lam_2 = 2
+        Box(EXAMPLE_LAM, (3, 2))     # gap lam_1 - lam_2 = 2
     with pytest.raises(ValueError):
-        L_decomposition(Weight.of(0, 1), (0, 0))  # lam itself not dominant
-    assert len(L_decomposition(EXAMPLE_LAM, (2, 5)).entries) == 18
+        Box(Weight.of(0, 1), (0, 0))  # lam itself not dominant
+    assert len(Box(EXAMPLE_LAM, (2, 5)).L.decomposition().entries) == 18
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_L_decomposition_invariant_survives_optimized_python(flags):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import sys\n"
-            "from cherednik.modules import L_decomposition\n"
+            "from cherednik.modules import Box\n"
             "from cherednik.weights import Weight\n"
             "assert sys.flags.optimize == int(sys.argv[1])\n"
             "try:\n"
-            "    L_decomposition(Weight.of(5, 2, 0), (4, 0, 1))\n"
+            "    Box(Weight.of(5, 2, 0), (4, 0, 1))\n"
             "except ValueError:\n"
             "    sys.exit(3)\n")
     res = subprocess.run([sys.executable, *flags, "-c", code, str(len(flags))],
@@ -403,16 +463,19 @@ def test_L_decomposition_invariant_survives_optimized_python(flags):
 
 def test_grid_budget_is_checked_before_the_box_is_built():
     # prod(nu_i + 2) at the budget passes; one more point is refused.
-    assert modules.check_grid_size((998, 998)) == modules.MAX_GRID
+    assert (998 + 2) ** 2 == modules.MAX_GRID
+    assert Box(Weight.of(998, 0), (998, 998)).nu == (998, 998)
     with pytest.raises(modules.BoxTooLargeError) as err:
-        modules.check_grid_size((998, 999))
+        Box(Weight.of(998, 0), (998, 999))
     assert err.value.nu == (998, 999) and err.value.grid_size == 1000 * 1001
+    assert str(err.value) == ("nu = [998, 999] gives a grid of 1001000 points, "
+                              "over the budget of 1000000")
     # a box of 10^20 weights is refused at once instead of overflowing
     big = 10 ** 20 + 38
     with pytest.raises(modules.BoxTooLargeError):
-        L_decomposition(Weight.of(0), (big,))
+        Box(Weight.of(0), (big,))
     P = CentralCharPoly.from_h_coeffs([0, big + 1, 1], 1)
     with pytest.raises(modules.BoxTooLargeError):
         dirac_cohomology(P, Weight.of(0))
-    assert guaranteed_classes(P, Weight.of(0)) == [Weight.of(F(1, 2)),
-                                                   Weight.of(-big - F(1, 2))]
+    assert guaranteed_classes(Weight.of(0), nu_vector(P, Weight.of(0))) == [
+        Weight.of(F(1, 2)), Weight.of(-big - F(1, 2))]

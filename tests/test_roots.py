@@ -1,7 +1,10 @@
 """least_positive_integer_root against a divisor-enumeration reference and
 sympy, on generated and hand-picked polynomials, plus its cost bounds."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from math import lcm, prod
+from math import floor, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -177,3 +180,40 @@ def test_divmod_identity():
 def test_reference_agrees_on_planted_roots():
     q = Poly.of(0, 1) * from_roots([2, 9, -3, F(5, 2)])
     assert divisor_roots(q) == [2, 9]
+
+
+# A rational cap used to split the bisection interval (1, 5/2] into
+# (1, 1] and itself forever; the call runs in a child process so that a
+# hang fails this test instead of stalling the suite.
+RATIONAL_CAP = """
+from fractions import Fraction
+from cherednik.polynomials import Poly, least_positive_integer_root
+print(least_positive_integer_root(Poly.of(0, -2, 1), cap=Fraction(5, 2)),
+      least_positive_integer_root(Poly.of(0, 6, -5, 1), cap=Fraction(5, 2)))
+"""
+
+
+def test_a_rational_cap_returns():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    res = subprocess.run([sys.executable, "-c", RATIONAL_CAP], timeout=20,
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["2", "2"]
+
+
+def test_a_float_cap_is_a_type_error():
+    # read before anything else, even where no root search is needed
+    for q in (Poly.of(0, -2, 1), Poly.of(0, 1)):
+        with pytest.raises(TypeError, match="exact rational"):
+            least_positive_integer_root(q, cap=2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(F, st.integers(-40, 40), st.integers(1, 4)),
+                min_size=1, max_size=6, unique=True),
+       lead_st, st.builds(F, st.integers(-20, 120), st.integers(1, 7)))
+def test_rational_cap_is_read_as_its_floor(roots, lead, cap):
+    # distinct linear factors: the positive integer roots are the listed ones
+    listed = [int(r) for r in roots if r.denominator == 1 and r > 0]
+    assert least_positive_integer_root(from_roots(roots, lead), cap) == \
+        least_below(listed, floor(cap))

@@ -10,13 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cherednik.modules import (
-    L_decomposition,
+    Box,
     ModuleDecomposition,
+    axis_points,
     guaranteed_classes,
     nu_vector,
-    select_cohomology,
-    spin_grid,
-    tensor_with_spin,
 )
 from cherednik.weights import (
     CentralCharPoly,
@@ -42,6 +40,13 @@ def enumerative_tensor(L: ModuleDecomposition) -> ModuleDecomposition:
             if is_shift_weakly_decreasing(cand):
                 out.add(cand, mult)
     return out
+
+
+def grid_cells(P: CentralCharPoly, box: Box):
+    """Box.grid(P) as (point, multiplicity, P at the point) per class, in
+    product order."""
+    axes, multiplicities, values, den = box.grid(P)
+    return zip(axis_points(axes), multiplicities, (F(v, den) for v in values))
 
 
 def P_by_definition(P: CentralCharPoly, point) -> Fraction:
@@ -77,10 +82,11 @@ def boxes(draw):
 def test_spin_grid_matches_enumerative_tensor_and_evaluate(box):
     P, lam, nu = box
     n = lam.rank
-    reference = enumerative_tensor(L_decomposition(lam, nu))
+    checked = Box(lam, nu)
+    reference = enumerative_tensor(checked.L.decomposition())
     top = lam.shifted()
     shift = half_vector(n) - rho(n)
-    cells = list(spin_grid(P, lam, nu))
+    cells = list(grid_cells(P, checked))
     # product order over o in [0, nu + 1], one cell per class of the tensor
     offsets = list(product(*(range(v + 2) for v in nu)))
     assert [pt for pt, _, _ in cells] == [
@@ -89,14 +95,14 @@ def test_spin_grid_matches_enumerative_tensor_and_evaluate(box):
     for point, mult, value in cells:
         assert reference.multiplicity(Weight(point) + shift) == mult
         assert value == P.evaluate(point)
-    assert tensor_with_spin(lam, nu) == reference
+    assert checked.spin.decomposition() == reference
 
 
 @settings(max_examples=40, deadline=None)
 @given(boxes())
 def test_spin_grid_values_equal_P_by_definition(box):
     P, lam, nu = box
-    for point, _, value in spin_grid(P, lam, nu):
+    for point, _, value in grid_cells(P, Box(lam, nu)):
         assert value == P_by_definition(P, point)
 
 
@@ -118,8 +124,9 @@ def test_evaluate_equals_P_by_definition(n, numerators, denominators, data):
 @given(boxes())
 def test_tensor_dimension_is_two_to_the_n_times_dim_L(box):
     _, lam, nu = box
-    L = L_decomposition(lam, nu)
-    assert tensor_with_spin(lam, nu).total_dimension() == 2 ** lam.rank * L.total_dimension()
+    box = Box(lam, nu)
+    L = box.L.decomposition()
+    assert box.spin.decomposition().total_dimension() == 2 ** lam.rank * L.total_dimension()
 
 
 @st.composite
@@ -148,12 +155,13 @@ def members(draw):
 def test_cohomology_selection_and_guaranteed_classes(member):
     P, lam = member
     nu = nu_vector(P, lam)
-    coh = select_cohomology(P, lam, nu)
+    box = Box(lam, nu)
+    coh = box.cohomology(P).decomposition()
     target = P.value(lam)
-    reference = enumerative_tensor(L_decomposition(lam, nu))
+    reference = enumerative_tensor(box.L.decomposition())
     assert coh.entries == {mu: m for mu, m in reference.entries.items()
                            if P.value(mu - half_vector(lam.rank)) == target}
-    for w in guaranteed_classes(P, lam, nu):
+    for w in guaranteed_classes(lam, nu):
         assert coh.multiplicity(w) == 1
 
 
@@ -161,21 +169,22 @@ def test_zero_and_constant_P_take_the_whole_grid():
     lam, nu = Weight.of(F(7, 3), F(4, 3), F(1, 3)), (1, 0, 2)
     for coeffs in ([], [F(-5, 6)]):
         P = CentralCharPoly.from_h_coeffs(coeffs, 3)
-        values = {value for _, _, value in spin_grid(P, lam, nu)}
+        box = Box(lam, nu)
+        values = {value for _, _, value in grid_cells(P, box)}
         assert values == {sum(coeffs, F(0))}
-        assert select_cohomology(P, lam, nu) == tensor_with_spin(lam, nu)
+        assert box.cohomology(P).decomposition() == box.spin.decomposition()
 
 
 @settings(max_examples=80, deadline=None)
 @given(boxes())
 def test_box_equals_its_weights_added_one_by_one(box):
-    # L_decomposition builds its dict directly; ModuleDecomposition.add,
+    # Box.L builds its dict directly; ModuleDecomposition.add,
     # which re-checks every rho-shift, is the reference, entry order included.
     _, lam, nu = box
     want = ModuleDecomposition(rank=lam.rank)
     for offsets in product(*(range(v + 1) for v in nu)):
         want.add(Weight(tuple(c - o for c, o in zip(lam.coords, offsets))))
-    got = L_decomposition(lam, nu)
+    got = Box(lam, nu).L.decomposition()
     assert got == want and list(got.entries) == list(want.entries)
     for w in got.entries:
         assert w.shifted() == (w + rho(lam.rank)).coords

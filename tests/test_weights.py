@@ -221,3 +221,17 @@ def test_weyl_dim_formal_integer_edges():
     assert weyl_dim_formal(Weight.of(F(7, 2), F(3, 2), F(-1, 2))) == 3 * 6 * 3 // 2
     with pytest.raises(InvariantViolation):
         weyl_dim_formal(Weight.of(F(1, 3), 0))                # (4/3) is no integer
+
+
+@pytest.mark.parametrize("point", [[0.5, F(1, 4)], [F(1, 2), 0.25], ["1/2", 0]])
+def test_evaluate_rejects_inexact_points(point):
+    P = CentralCharPoly.from_h_coeffs([0, 1, 1], 2)
+    with pytest.raises(TypeError, match="exact rational"):
+        P.evaluate(point)
+    assert P.evaluate([F(1, 2), F(1, 4)]) == F(19, 16)
+
+
+def test_complete_homogeneous_rejects_inexact_points():
+    with pytest.raises(TypeError, match="exact rational"):
+        complete_homogeneous(2, [0.1, 0.2])
+    assert complete_homogeneous(2, [F(1, 10), 2]) == F(1, 100) + F(2, 10) + 4
