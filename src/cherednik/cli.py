@@ -67,7 +67,7 @@ from .modules import (
     shift_axes,
 )
 from .polynomials import Poly, xi_to_density, xi_to_density_sum, xi_to_w
-from .verify import run_suites
+from .verify import DEFAULT_SEED, BoundsError, run_suites
 from .weights import Axis, CentralCharPoly, Weight, is_dominant, rho
 
 
@@ -201,12 +201,13 @@ class Deformation:
     def input_json(self) -> dict:
         return {"n": self.n, self.kind: [str(c) for c in self.coeffs]}
 
-    def derived_json(self) -> dict:
-        """The --xi ladder: density, density sum, and w, which is P_h."""
-        xi, w = Poly(self.coeffs), [str(c) for c in self.h_coeffs]
+    def derived_json(self, decimal: bool = False) -> dict:
+        """The --xi ladder: density, density sum, and w, which is P_h, each
+        value rendered by _fmt (with decimal for text output only)."""
+        xi, w = Poly(self.coeffs), [_fmt(c, decimal) for c in self.h_coeffs]
         return {
-            "density": [str(c) for c in xi_to_density(xi, self.n).coeffs],
-            "density_sum": [str(c) for c in xi_to_density_sum(xi, self.n).coeffs],
+            "density": [_fmt(c, decimal) for c in xi_to_density(xi, self.n).coeffs],
+            "density_sum": [_fmt(c, decimal) for c in xi_to_density_sum(xi, self.n).coeffs],
             "w": w,
             "P_h": w,
         }
@@ -308,14 +309,10 @@ def cmd_transform(args) -> Outcome:
     deformation = Deformation.from_args(args)
     if deformation.kind != "xi":
         raise UsageError("transform requires the --xi variant")
-    doc = {
-        "command": "transform",
-        "input": deformation.input_json(),
-        "derived": deformation.derived_json(),
-    }
     if args.json:
-        return 0, _json(doc)
-    d = doc["derived"]
+        return 0, _json({"command": "transform", "input": deformation.input_json(),
+                         "derived": deformation.derived_json()})
+    d = deformation.derived_json(args.decimal)
     return 0, "\n".join(f"{key:12} [{', '.join(d[key])}]"
                         for key in ("density", "density_sum", "w", "P_h"))
 
@@ -466,15 +463,11 @@ def _render_grid(cells: list[list[str]]) -> list[str]:
 
 
 def cmd_verify(args) -> Outcome:
-    for flag, value, least in (("--max-n", args.max_n, 1), ("--max-deg", args.max_deg, 0),
-                               ("--trials", args.trials, 1)):
-        if value is not None and value < least:
-            raise UsageError(f"{flag} must be at least {least}, got {value}")
-    if args.max_deg == 0 and args.suite in ("oracle-n1", "all"):
-        raise UsageError("--max-deg must be at least 1 for the oracle-n1 suite, whose "
-                         "instances have a nonconstant xi, got 0")
-    results = run_suites(args.suite, max_n=args.max_n, max_deg=args.max_deg,
-                         trials=args.trials, seed=args.seed)
+    try:
+        results = run_suites(args.suite, max_n=args.max_n, max_deg=args.max_deg,
+                             trials=args.trials, seed=args.seed)
+    except BoundsError as exc:
+        raise UsageError(str(exc)) from None
     ok = all(r.ok for r in results)
     code = 0 if ok else 1
     if args.json:
@@ -545,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="highest xi degree (default: 2 for jacobi, 3 for oracle-n1)")
     sub.add_argument("--trials", type=int, default=None,
                      help="random trials (default: 100 for poly, 20 for oracle-n1)")
-    sub.add_argument("--seed", type=int, default=20260811)
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_verify)
     return parser

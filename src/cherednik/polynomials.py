@@ -23,8 +23,10 @@ on, together with the discrete calculus used to turn a deformation polynomial
   h-basis coefficients of the central character polynomial (see weights.py).
 
 * ``twisted_identity_check``: the substitution identity
-  p(z)g = f(z+g) + p(z)/2 - f(z+1/2) mod (g^2 - 1/4) that underlies the
-  square of the Dirac element, checked at the two roots g = 1/2 and g = -1/2.
+  p(z)g = f(z+g) + p(z)/2 - f(z+1/2) that underlies the square of the Dirac
+  element, the package's one check of it: at max(deg f, deg p) + 1 points z,
+  for each g given, over the ring of g (by default the two roots g = 1/2 and
+  g = -1/2 of g^2 - 1/4; verify also passes a rank-one Clifford gamma).
 * ``least_positive_integer_root``: exact root isolation (square-free part,
   Cauchy bound, Sturm-sequence bisection over integer intervals), whose cost
   grows with the bit size of the polynomial, not with the size of its roots.
@@ -32,7 +34,7 @@ on, together with the discrete calculus used to turn a deformation polynomial
   any ring the coefficients and the points share: ``Poly.__call__`` (in
   Fractions), the Sturm sign counts and root test (in integers), the spin
   grid of modules.grid_numerators (integers, one call per line of points)
-  and verify's substitution of a Clifford gamma for the twist variable.
+  and ``twisted_identity_check`` (in Fractions or Clifford elements).
 
 All ``Poly`` coefficients are ``fractions.Fraction``. The Taylor shift
 and the step-difference calculus run inside on scaled Python ints (one
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, floor, gcd, lcm, perm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Scalar = int | Fraction
 
@@ -60,7 +62,7 @@ class InvariantViolation(Exception):
 def _as_fraction(c: Scalar) -> Fraction:
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return Fraction(c)
     raise TypeError(f"expected an exact rational, got {type(c).__name__}")
 
@@ -444,17 +446,29 @@ def xi_to_w(xi: Poly, n: int) -> Poly:
     return w
 
 
-def twisted_identity_check(p: Poly) -> bool:
+def twisted_identity_check(p: Poly, gammas: Sequence = (Fraction(1, 2), Fraction(-1, 2)),
+                           scalar: Callable = _as_fraction) -> bool:
     """
-    Check p(z)*g == f(z+g) + p(z)/2 - f(z+1/2) mod (g^2 - 1/4), where f is
-    any half-step antidifference of p (the identity is insensitive to f's
-    constant term). By the Chinese remainder theorem Q[z,g]/(g^2 - 1/4) is
-    Q[z] x Q[z] under g -> 1/2 and g -> -1/2, so the identity is checked at
-    both roots.
+    Check p(z)*g == f(z+g) + p(z)/2 - f(z+1/2) for each g in ``gammas``, where
+    f is any half-step antidifference of p (the identity is insensitive to
+    f's constant term) and ``scalar`` embeds the rationals in the ring of g.
+    At p = z the two sides differ by (g^2 - 1/4)/2. By the Chinese remainder
+    theorem Q[z,g]/(g^2 - 1/4) is Q[z] x Q[z] under g -> 1/2 and g -> -1/2,
+    so the default checks the identity mod (g^2 - 1/4); verify also runs it
+    with a rank-one Clifford gamma. The left side has z-degree deg p and the
+    right side at most max(deg f, deg p), so they are compared at the
+    max(deg f, deg p) + 1 points z = 0, 1, ..., whatever nabla_inverse
+    returned, f(z+g) by horner over the ring of g.
 
     >>> twisted_identity_check(Poly.of(0, 0, 1))
     True
+    >>> twisted_identity_check(Poly.of(0, 1), (Fraction(1, 3),))
+    False
     """
     f = nabla_inverse(Fraction(1, 2), p)
-    rest = p * Fraction(1, 2) - f.shift(Fraction(1, 2))
-    return all(p * g == f.shift(g) + rest for g in (Fraction(1, 2), Fraction(-1, 2)))
+    points = range(max(f.degree, p.degree) + 1)
+    coeffs = [scalar(c) for c in f.coeffs]
+    rest = [scalar(p(z) / 2 - f(z + Fraction(1, 2))) for z in points]
+    return all(all(g * p(z) == fg + r for z, fg, r in
+                   zip(points, horner(coeffs, [scalar(z) + g for z in points]), rest))
+               for g in gammas)

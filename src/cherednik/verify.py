@@ -6,6 +6,15 @@ fail, one-line detail), so the command line driver and the test suite share
 one source of truth. Negative controls are phrased so that PASS means "the
 corrupted object was correctly rejected".
 
+Each fact is defined once: the bounds of a run (check_bounds, which
+run_suites applies before any suite runs and the command line reports as a
+usage error), the PBW certificates (CERTIFICATES, read by the per-degree
+lines and the dense-xi line of jacobi_suite), the corrupted deformation
+maps of the controls (_doubled: xi = z^m with one coefficient of r_m
+doubled) and the twisted substitution identity (twisted_identity_check
+from polynomials, run over Q by poly_suite and with a rank-one Clifford
+gamma by clifford_suite).
+
 Two corruption facts worth knowing before reading the controls (both are
 machine-checked here and provable by hand): doubling the E_ii coefficient
 inside the diagonal entry r_1[i][i] perturbs the deformation map by a
@@ -30,6 +39,7 @@ from .clifford import (
     spin_weights,
 )
 from .enveloping import (
+    KappaMap,
     UEAElement,
     h_linearity_check,
     higher_jacobi_checks,
@@ -44,7 +54,6 @@ from .polynomials import (
     InvariantViolation,
     Poly,
     bernoulli,
-    horner,
     nabla,
     nabla_inverse,
     twisted_identity_check,
@@ -109,44 +118,47 @@ def poly_suite(seed: int = DEFAULT_SEED, trials: int = 100) -> list[CheckResult]
     return out
 
 
+# The PBW certificates, by check name: each takes (kappa, n) and returns a
+# CheckReport.
+CERTIFICATES = (("jacobi", jacobi_check),
+                ("wedge-identities", higher_jacobi_checks),
+                ("adjoint-linearity", h_linearity_check))
+
+
 def jacobi_suite(max_n: int = 2, max_deg: int = 2) -> list[CheckResult]:
     out = []
     for n in range(1, max_n + 1):
         for deg in range(max_deg + 1):
-            xi = Poly.of(*([0] * deg + [1]))
-            kappa = kappa_of(xi, n)
-            for name, check in (("jacobi", jacobi_check),
-                                ("wedge-identities", higher_jacobi_checks),
-                                ("adjoint-linearity", h_linearity_check)):
+            kappa = kappa_of(Poly.of(*([0] * deg + [1])), n)
+            for name, check in CERTIFICATES:
                 rep = check(kappa, n)
                 out.append(CheckResult("jacobi", f"{name} n={n} xi=z^{deg}",
                                        bool(rep), "" if rep else f"witness {rep.witness}"))
-        dense = Poly.of(*(Fraction(1, d + 1) for d in range(max_deg + 1)))
-        kappa = kappa_of(dense, n)
-        ok = bool(jacobi_check(kappa, n)) and bool(higher_jacobi_checks(kappa, n)) \
-            and bool(h_linearity_check(kappa, n))
+        kappa = kappa_of(Poly.of(*(Fraction(1, d + 1) for d in range(max_deg + 1))), n)
+        ok = all(check(kappa, n) for _, check in CERTIFICATES)
         out.append(CheckResult("jacobi", f"all-certificates n={n} dense-xi deg={max_deg}", ok))
 
     out.extend(corruption_controls())
     return out
 
 
-def r1_corruptions(n: int = 2) -> list[tuple[tuple, "KappaMap"]]:
+def _doubled(n: int, m: int, i: int, j: int, mono) -> KappaMap:
+    """kappa for xi = z^m with the coefficient of mono in r_m[i][j] (0-based)
+    doubled: the one corrupted deformation map of the controls."""
+    rm = [r_matrix(n, k) for k in range(m + 1)]
+    entry = UEAElement(dict(rm[m][i][j].terms))
+    entry.terms[mono] *= 2
+    rows = [list(row) for row in rm[m]]
+    rows[i][j] = entry
+    return kappa_from_r_matrices(Poly.of(*([0] * m + [1])), [*rm[:m], rows], n)
+
+
+def r1_corruptions(n: int = 2) -> list[tuple[tuple, KappaMap]]:
     """Every single-coefficient corruption of r_1 (coefficient doubled),
     paired with the corrupted deformation map for xi = z."""
-    xi = Poly.of(0, 1)
-    r0, r1 = r_matrix(n, 0), r_matrix(n, 1)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for mono in sorted(r1[i][j].terms):
-                entry = UEAElement(dict(r1[i][j].terms))
-                entry.terms[mono] *= 2
-                rows = [list(row) for row in r1]
-                rows[i][j] = entry
-                kappa = kappa_from_r_matrices(xi, [r0, rows], n)
-                out.append((((i + 1, j + 1), mono), kappa))
-    return out
+    r1 = r_matrix(n, 1)
+    return [(((i + 1, j + 1), mono), _doubled(n, 1, i, j, mono))
+            for i in range(n) for j in range(n) for mono in sorted(r1[i][j].terms)]
 
 
 def corruption_controls(n: int = 2) -> list[CheckResult]:
@@ -172,13 +184,7 @@ def corruption_controls(n: int = 2) -> list[CheckResult]:
                            f"{jacobi_invisible} trace-aligned corruptions seen, expected {n}"))
 
     # wedge identities need length-2 monomials to bite: corrupt r_2 under z^2
-    xi2 = Poly.of(0, 0, 1)
-    rm = [r_matrix(n, m) for m in range(3)]
-    entry = UEAElement(dict(rm[2][0][0].terms))
-    entry.terms[((1, 1), (2, 2))] *= 2
-    rows = [list(row) for row in rm[2]]
-    rows[0][0] = entry
-    kappa = kappa_from_r_matrices(xi2, [rm[0], rm[1], rows], n)
+    kappa = _doubled(n, 2, 0, 0, ((1, 1), (2, 2)))
     ok = (not bool(higher_jacobi_checks(kappa, n))) and not bool(jacobi_check(kappa, n))
     out.append(CheckResult("jacobi", "negative-control r2 corruption breaks wedge identities", ok))
     return out
@@ -217,29 +223,13 @@ def clifford_suite(max_n: int = 3) -> list[CheckResult]:
     out.append(CheckResult("clifford", "rank-one-gamma-squares-to-1/4", ok,
                            f"{len(units)} rational unit vectors"))
 
+    # the twisted identity with a rank-one gamma (squaring to 1/4) for g
+    ok = all(twisted_identity_check(Poly.of(*([0] * k + [1])), (gamma_rank_one(v),),
+                                    CliffordElement.scalar)
+             for v in units[:2] for k in range(5))
     out.append(CheckResult("clifford", "twisted-identity-with-clifford-gamma",
-                           _twisted_identity_in_clifford(), "p = z^k, k <= 4, n <= 2"))
+                           ok, "p = z^k, k <= 4, n <= 2"))
     return out
-
-
-def _twisted_identity_in_clifford() -> bool:
-    """Substitute a rank-one gamma (squaring to 1/4) for the twist variable
-    in p(z)g = f(z+g) + p(z)/2 - f(z+1/2), sampling enough z values to pin
-    the polynomial identity in the Clifford algebra."""
-    samples = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2),
-               Fraction(3), Fraction(5, 3), Fraction(-1, 4)]
-    for v in [(Fraction(1),), (Fraction(3, 5), Fraction(4, 5))]:
-        g = gamma_rank_one(v)
-        for k in range(5):
-            p = Poly.of(*([0] * k + [1]))
-            f = nabla_inverse(Fraction(1, 2), p)
-            f_at_zg = horner([CliffordElement.scalar(c) for c in f.coeffs],
-                             [CliffordElement.scalar(z0) + g for z0 in samples])
-            for z0, rhs in zip(samples, f_at_zg):
-                rest = CliffordElement.scalar(p(z0) / 2 - f(z0 + Fraction(1, 2)))
-                if g * p(z0) != rhs + rest:
-                    return False
-    return True
 
 
 def random_rank_one_instance(rng: random.Random, max_deg: int = 3,
@@ -279,10 +269,31 @@ def oracle_suite(trials: int = 20, seed: int = DEFAULT_SEED,
     return out
 
 
+class BoundsError(ValueError):
+    """A run's bounds do not hold; the message names the verify flag."""
+
+
+def check_bounds(selector: str, max_n: int, max_deg: int | None,
+                 trials: int | None) -> None:
+    """The bounds of a run, as the verify command's flags name them
+    (BoundsError otherwise): max_n >= 1, max_deg >= 0, trials >= 1, and
+    max_deg >= 1 when oracle-n1 runs."""
+    for flag, value, least in (("--max-n", max_n, 1), ("--max-deg", max_deg, 0),
+                               ("--trials", trials, 1)):
+        if value is not None and value < least:
+            raise BoundsError(f"{flag} must be at least {least}, got {value}")
+    if max_deg == 0 and selector in ("oracle-n1", "all"):
+        raise BoundsError("--max-deg must be at least 1 for the oracle-n1 suite, whose "
+                         "instances have a nonconstant xi, got 0")
+
+
 def run_suites(selector: str, max_n: int = 2, max_deg: int | None = None,
                trials: int | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run one suite or all of them. max_deg reaches jacobi and oracle-n1,
-    trials reaches poly and oracle-n1; None keeps each suite's own default."""
+    """Run one suite or all of them, once check_bounds holds. max_deg reaches
+    jacobi and oracle-n1, trials reaches poly and oracle-n1; None keeps each
+    suite's own default."""
+    check_bounds(selector, max_n, max_deg, trials)
+
     def given(**flags):
         return {k: v for k, v in flags.items() if v is not None}
 

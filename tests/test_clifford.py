@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cherednik.polynomials as polynomials
 from cherednik.clifford import (
     CliffordElement,
     SpinVector,
@@ -19,7 +20,7 @@ from cherednik.clifford import (
     spin_weights,
 )
 from cherednik.enveloping import v_basis
-from cherednik.polynomials import Poly, nabla_inverse
+from cherednik.polynomials import Poly, nabla_inverse, twisted_identity_check
 
 F = Fraction
 C = CliffordElement
@@ -240,9 +241,54 @@ def test_twisted_identity_realized_in_clifford():
                 assert lhs == rhs
 
 
+UNITS = [(F(1),), (F(3, 5), F(4, 5)), (F(1, 3), F(2, 3), F(2, 3))]
+
+
+@pytest.mark.parametrize("v", UNITS)
+@pytest.mark.parametrize("k", range(5))
+def test_twisted_identity_check_with_a_rank_one_gamma(v, k):
+    # the package's one check of the identity, over the Clifford algebra
+    p = Poly.of(*([0] * k + [1]))
+    assert twisted_identity_check(p, (gamma_rank_one(v),), C.scalar)
+
+
+@pytest.mark.parametrize("v", UNITS)
+@pytest.mark.parametrize("k, j", [(0, 1), (2, 1), (4, 3)])
+def test_twisted_identity_check_in_clifford_fails_for_a_perturbed_antidifference(
+        monkeypatch, v, k, j):
+    bump = Poly.of(*([0] * j + [1]))
+    base = polynomials.nabla_inverse
+    monkeypatch.setattr(polynomials, "nabla_inverse", lambda eps, q: base(eps, q) + bump)
+    assert not twisted_identity_check(Poly.of(*([0] * k + [1])), (gamma_rank_one(v),),
+                                      C.scalar)
+
+
+@pytest.mark.parametrize("v", UNITS)
+@pytest.mark.parametrize("f", [Poly.zero(), Poly.of(F(3, 7))], ids=["zero", "constant"])
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_twisted_identity_check_in_clifford_fails_for_an_antidifference_of_too_low_degree(
+        monkeypatch, v, f, k):
+    monkeypatch.setattr(polynomials, "nabla_inverse", lambda eps, q: f)
+    assert not twisted_identity_check(Poly.of(*([0] * k + [1])), (gamma_rank_one(v),),
+                                      C.scalar)
+
+
+def test_twisted_identity_check_in_clifford_needs_g_squared_a_quarter():
+    # a basis vector squares to 0, not 1/4
+    g = C.vector(("x", 1))
+    assert g * g == C.zero()
+    assert not twisted_identity_check(Poly.x(), (g,), C.scalar)
+    assert twisted_identity_check(Poly.x(), (gamma_rank_one(UNITS[2]),), C.scalar)
+
+
 def test_scalar_takes_exact_rationals_only():
     for c in (0.1, 1.0, "1/2"):
         with pytest.raises(TypeError, match="exact rational"):
             C.scalar(c)
     assert C.scalar(F(1, 10)) == C.scalar(1) * F(1, 10)
     assert C.scalar(3) == C.scalar(F(3))
+
+
+def test_scalar_rejects_a_bool():
+    with pytest.raises(TypeError, match="expected an exact rational, got bool"):
+        C.scalar(True)

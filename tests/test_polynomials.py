@@ -264,8 +264,8 @@ Z, G = sympy.symbols("z g")
 
 
 def _sympy_poly(p: Poly):
-    return sum(sympy.Rational(c.numerator, c.denominator) * Z ** k
-               for k, c in enumerate(p.coeffs))
+    return sum((sympy.Rational(c.numerator, c.denominator) * Z ** k
+                for k, c in enumerate(p.coeffs)), sympy.Integer(0))
 
 
 def _sympy_twisted_residual(p: Poly, f: Poly):
@@ -291,6 +291,57 @@ def test_twisted_identity_fails_for_a_perturbed_antidifference(monkeypatch, k, j
     base = polynomials.nabla_inverse
     monkeypatch.setattr(polynomials, "nabla_inverse", lambda eps, q: base(eps, q) + bump)
     assert not twisted_identity_check(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(RATIONALS, max_size=9).map(lambda cs: Poly.of(*cs)),
+       st.lists(RATIONALS, max_size=9).map(lambda cs: Poly.of(*cs)))
+def test_twisted_identity_check_agrees_with_sympy(p, bump):
+    # With f = nabla_inverse(1/2, p) + bump, the check passes exactly when the
+    # sympy residual mod g^2 - 1/4 is zero: the residual is bump(z + 1/2) -
+    # bump(z + g), zero exactly for a constant bump.
+    base = polynomials.nabla_inverse
+    want = _sympy_twisted_residual(p, base(F(1, 2), p) + bump) == 0
+    assert want == (bump.degree < 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomials, "nabla_inverse", lambda eps, q: base(eps, q) + bump)
+        assert twisted_identity_check(p) == want
+    assert twisted_identity_check(p)
+
+
+@pytest.mark.parametrize("f", [Poly.zero(), Poly.of(F(3, 7))], ids=["zero", "constant"])
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_twisted_identity_fails_for_an_antidifference_of_too_low_degree(monkeypatch, f, k):
+    # The points compared must be bounded by p as well as by f: a zero or
+    # constant f leaves too few points of its own to see the difference.
+    p = Poly.of(*([0] * k + [1]))
+    assert _sympy_twisted_residual(p, f) != 0
+    monkeypatch.setattr(polynomials, "nabla_inverse", lambda eps, q: f)
+    assert not twisted_identity_check(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(RATIONALS, max_size=9).map(lambda cs: Poly.of(*cs)),
+       st.lists(RATIONALS, max_size=9).map(lambda cs: Poly.of(*cs)))
+def test_twisted_identity_check_agrees_with_sympy_for_any_antidifference(p, f):
+    # f replaces nabla_inverse's answer outright, so its degree may be below p's
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomials, "nabla_inverse", lambda eps, q: f)
+        assert twisted_identity_check(p) == (_sympy_twisted_residual(p, f) == 0)
+
+
+def test_twisted_identity_fails_where_g_squared_is_not_a_quarter():
+    # at p = z the two sides differ by (g^2 - 1/4)/2
+    z = Poly.x()
+    assert twisted_identity_check(z, (F(1, 2),)) and twisted_identity_check(z, (F(-1, 2),))
+    assert not twisted_identity_check(z, (F(1, 3),))
+    assert not twisted_identity_check(z, (F(1, 2), F(1, 3)))
+
+
+def test_poly_of_rejects_a_bool():
+    with pytest.raises(TypeError, match="expected an exact rational, got bool"):
+        Poly.of(True)
+    assert Poly.of(1) == Poly.of(F(1))
 
 
 @settings(max_examples=100, deadline=None)

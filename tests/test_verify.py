@@ -1,0 +1,58 @@
+"""The verify module's own definitions: the bounds of a run, the list of
+PBW certificates and the corrupted deformation maps of the controls."""
+import pytest
+
+from cherednik import verify
+from cherednik.enveloping import UEAElement, kappa_from_r_matrices, kappa_of, r_matrix
+from cherednik.polynomials import Poly
+
+
+@pytest.mark.parametrize("suite,bounds,message", [
+    ("oracle-n1", {"trials": 0}, "--trials must be at least 1, got 0"),
+    ("poly", {"trials": 0}, "--trials must be at least 1, got 0"),
+    ("poly", {"trials": -1}, "--trials must be at least 1, got -1"),
+    ("jacobi", {"max_n": 0}, "--max-n must be at least 1, got 0"),
+    ("clifford", {"max_n": 0}, "--max-n must be at least 1, got 0"),
+    ("jacobi", {"max_deg": -1}, "--max-deg must be at least 0, got -1"),
+    ("oracle-n1", {"max_deg": 0}, "--max-deg must be at least 1 for the oracle-n1 suite"),
+    ("all", {"max_deg": 0}, "--max-deg must be at least 1 for the oracle-n1 suite"),
+])
+def test_run_suites_checks_its_bounds_before_any_suite_runs(monkeypatch, suite, bounds,
+                                                            message):
+    ran = []
+    for name in ("poly_suite", "jacobi_suite", "clifford_suite", "oracle_suite"):
+        monkeypatch.setattr(verify, name, lambda *a, name=name, **k: ran.append(name) or [])
+    with pytest.raises(verify.BoundsError, match=message):
+        verify.run_suites(suite, **bounds)
+    assert ran == []
+
+
+def test_a_degree_zero_jacobi_run_is_within_bounds():
+    # max_deg 0 is out of bounds only where oracle-n1 runs
+    results = verify.run_suites("jacobi", max_n=1, max_deg=0)
+    assert results and all(r.ok for r in results)
+    assert [r.name for r in results[:3]] == [f"{name} n=1 xi=z^0"
+                                             for name, _ in verify.CERTIFICATES]
+
+
+def _doubled_by_hand(rm, xi, i, j, mono, n):
+    """Reference: the deformation map for xi from the r-matrices rm, with
+    the coefficient of mono in rm[-1][i][j] doubled, written out entry by
+    entry."""
+    entry = UEAElement(dict(rm[-1][i][j].terms))
+    entry.terms[mono] *= 2
+    rows = [list(row) for row in rm[-1]]
+    rows[i][j] = entry
+    return kappa_from_r_matrices(xi, [*rm[:-1], rows], n)
+
+
+def test_corrupted_kappas_match_the_reference():
+    n = 2
+    r0, r1 = r_matrix(n, 0), r_matrix(n, 1)
+    want = [(((i + 1, j + 1), mono), _doubled_by_hand([r0, r1], Poly.of(0, 1), i, j, mono, n))
+            for i in range(n) for j in range(n) for mono in sorted(r1[i][j].terms)]
+    assert verify.r1_corruptions(n) == want
+    assert len(want) == 6 and kappa_of(Poly.of(0, 1), n) not in [k for _, k in want]
+    rm = [r_matrix(n, m) for m in range(3)]
+    assert verify._doubled(n, 2, 0, 0, ((1, 1), (2, 2))) == \
+        _doubled_by_hand(rm, Poly.of(0, 0, 1), 0, 0, ((1, 1), (2, 2)), n)

@@ -231,6 +231,15 @@ def test_evaluate_rejects_inexact_points(point):
     assert P.evaluate([F(1, 2), F(1, 4)]) == F(19, 16)
 
 
+@pytest.mark.parametrize("build", [lambda: Weight.of(True, 0),
+                                   lambda: CentralCharPoly.from_h_coeffs([0, True], 1)],
+                         ids=["Weight.of", "CentralCharPoly.from_h_coeffs"])
+def test_a_bool_is_not_an_exact_rational(build):
+    # one rule for an exact integer, as for nu in modules: an int, not a bool
+    with pytest.raises(TypeError, match="expected an exact rational, got bool"):
+        build()
+
+
 def test_complete_homogeneous_rejects_inexact_points():
     with pytest.raises(TypeError, match="exact rational"):
         complete_homogeneous(2, [0.1, 0.2])

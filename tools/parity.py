@@ -12,16 +12,17 @@ The corpus: the benchmark's dirac-grid and classify-roots CLI queries at
 seeds 1-3, each in --json, text and --decimal mode; the worked example,
 thirds and sixths, two degenerate deformations (one whose cohomology is
 the whole of L (x) spin), the input echo of each deformation flag, tables at
-ranks 1-3 with a rational lambda, the rejection, not-dominant and box-too-large diagnostics,
-transform, verify at four seeds, the rational tokens that Fraction reads
-differently across interpreters (underscores, inner spaces, exponents), a
-5001-digit literal, a tables request whose P values have about 6000
-digits, and the four demos. Every request runs in process except the
-demos, which run as scripts under the same interpreter. A request that
-raises prints its traceback, is recorded with exit code 1 and the stdout it
-wrote, as the interpreter would end it, and counts as a problem: --write
-still records it, so a checkout whose requests crash can be compared with,
-but the run fails.
+ranks 1-3 with a rational lambda, the rejection, not-dominant and
+box-too-large diagnostics, transform in --json, text and --decimal mode
+(one request whose ladder has terminating decimals), verify at four seeds,
+the rational tokens that Fraction reads differently across interpreters
+(underscores, inner spaces, exponents), a 5001-digit literal, a tables
+request whose P values have about 6000 digits, and the four demos. Every
+request runs in process except the demos, which run as scripts under the
+same interpreter. A request that raises prints its traceback, is recorded
+with exit code 1 and the stdout it wrote, as the interpreter would end it,
+and counts as a problem: --write still records it, so a checkout whose
+requests crash can be compared with, but the run fails.
 
 For every --json output, the parsed document must render through
 cli._json and through json.dumps(sort_keys=True, indent=2) to the output
@@ -61,6 +62,8 @@ EXTRA = [
     ["tables", "--n", "1", "--P-h=0,20000001,1", "--lambda=0"],
     ["transform", "--n", "3", "--xi", "1,-2/3,0,5", "--json"],
     ["transform", "--n", "3", "--xi", "1,-2/3,0,5"],
+    ["transform", "--n", "3", "--xi", "1,-2/3,0,5", "--decimal"],
+    ["transform", "--n", "2", "--xi", "1/2,1/4", "--decimal"],
 ]
 for rank, lam in ((1, "3/2"), (2, "19/6,7/6"), (3, "13/4,9/4,5/4")):
     for mode in (["--json"], [], ["--decimal"]):
