@@ -11,7 +11,12 @@ of --lambda / --lambda-plus-rho. A rational is an optional sign followed by
 digits with an optional /digits (3, -3/4), or by a decimal with a point
 (1.5, .5, 5.), in ASCII digits; underscores, spaces inside a token and
 exponents are usage errors, so every supported Python reads a token alike.
-Output is aligned text or, with --json, a single JSON document with sorted
+Each command builds one document, its answer, and _answer is the one place
+the format is chosen: with --json the document is printed as JSON, and
+otherwise the command's text function renders the document's lines.
+--decimal is decided there too and reaches the text only: the document's
+rationals are then rendered by _fmt as decimals where they terminate, so a
+--json answer is the same with or without it. The JSON document has sorted
 keys and deterministic entry order; every rational is serialized as "p/q"
 (or "p"), never as a float, whatever its number of digits (CPython's
 int <-> str digit limit is lifted for the request). The JSON text is, by
@@ -20,16 +25,19 @@ by _json, which produces that text with the C string encoder.
 
 classify, dirac and tables check one modules.Box per request and read
 everything from it. Its class lists (modules.Block: L(lambda),
-L(lambda) (x) spin and the Dirac cohomology) are rendered by one _rows from
+L(lambda) (x) spin and the Dirac cohomology) come from one _rows over
 their per-axis data (weights.Axis): coordinate i of a class is top_i - o
-for o = 0..b_i, so each coordinate's strings (or, with --decimal, its _fmt
-renderings) are made once per axis value and the classes are their
-itertools.product, already in descending order, with the classes of
-multiplicity 0 dropped. Dimensions come from the integer Weyl products of
-the same axes (Block.dimension) and the tables' P values from integer
-numerators over one common denominator (Box.grid); no Weight or Fraction is
-built per class. Only the guaranteed classes, a few per request, go
-through Weight.
+for o = 0..b_i, so each coordinate's strings are made once per axis value
+and the classes are their itertools.product, already in descending order,
+with the classes of multiplicity 0 dropped. Dimensions come from the
+integer Weyl products of the same axes (Block.dimension) and the tables'
+P values from integer numerators over one common denominator (Box.grid);
+no Weight or Fraction is built per class. The class lists and the tables'
+cells can run to modules.MAX_GRID entries, so they are the one part of a
+document made differently per format: per-class dicts for --json, and for
+the text the stream of their rows, read once; the per-axis strings and the
+P cells are made once for both. Only the guaranteed classes, a few per
+request, go through Weight.
 
 Exit codes: 0 success, 1 mathematical rejection (the weight heads no
 finite-dimensional module: error code "not-classified", or "not-dominant"
@@ -38,9 +46,9 @@ parse error (including verify's --trials < 1, --max-n < 1, --max-deg < 0,
 and --max-deg 0 for a run that includes the oracle-n1 suite),
 3 box too large: the grid over the box of nu, prod(nu_i + 2) points, exceeds
 modules.MAX_GRID; nu, the grid size and the guaranteed classes (which need
-only nu) are reported instead, error code "box-too-large". Each command
-builds its whole output and main prints it once; a reader that closes the
-pipe early ends the output quietly, with the command's own exit code.
+only nu) are reported instead, error code "box-too-large". main prints the
+answer once; a reader that closes the pipe early ends the output quietly,
+with the command's own exit code.
 """
 from __future__ import annotations
 
@@ -48,13 +56,13 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, product
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .modules import (
     MAX_GRID,
@@ -126,21 +134,11 @@ def _fmt(q: Fraction, decimal: bool = False) -> str:
     return _ratio(q.numerator, q.denominator, decimal)
 
 
-def _axis_text(decimal: bool) -> Callable[[Axis], list[str]]:
-    """How the text output renders the values of an axis: _fmt once per value."""
+def _axis_strings(decimal: bool) -> Callable[[Axis], list[str]]:
+    """How the document renders the values of an axis: _fmt once per value."""
     if not decimal:
         return Axis.strings
     return lambda axis: [_fmt(v, True) for v in axis.values()]
-
-
-def _weight_strings(w: Weight, decimal: bool = False) -> tuple[list[str], list[str]]:
-    """The coordinates of w and of w + rho, each rendered by _fmt."""
-    return [_fmt(c, decimal) for c in w.coords], [_fmt(c, decimal) for c in w.shifted()]
-
-
-def _weight_json(w: Weight) -> dict:
-    weight, plus_rho = _weight_strings(w)
-    return {"weight": weight, "weight_plus_rho": plus_rho}
 
 
 def _weight_text(weight: list[str], plus_rho: list[str]) -> str:
@@ -156,16 +154,21 @@ def _rows(block: Block, fmt: Callable[[Axis], list[str]]) -> Iterator[tuple]:
                         product(*map(fmt, plus_rho))), block.multiplicities)
 
 
-def _block_json(block: Block) -> dict:
+def _block_json(block: Block, decimal: bool = False, dicts: bool = True) -> dict:
+    """A class list in the document: its dimension and its classes of
+    nonzero multiplicity, one dict each with ``dicts`` (--json), else the
+    stream of _rows itself, which the text reads once: a list can hold up to
+    MAX_GRID classes, and a dict per class would slow the text down."""
+    rows = _rows(block, _axis_strings(decimal))
     return {"dimension": block.dimension(),
             "entries": [{"multiplicity": m, "weight": w, "weight_plus_rho": s}
-                        for m, w, s in _rows(block, Axis.strings)]}
+                        for m, w, s in rows] if dicts else rows}
 
 
-def _block_text(lines: list[str], title: str, block: Block, decimal: bool) -> None:
-    lines.append(f"{title}  (dimension {block.dimension()})")
-    lines.extend(f"  {m} x {_weight_text(w, s)}"
-                 for m, w, s in _rows(block, _axis_text(decimal)))
+def _block_text(title: str, block: dict) -> list[str]:
+    """The lines of a class list streamed by _block_json."""
+    return [f"{title}  (dimension {block['dimension']})",
+            *[f"  {m} x {_weight_text(w, s)}" for m, w, s in block["entries"]]]
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,7 @@ class Deformation:
 
     def derived_json(self, decimal: bool = False) -> dict:
         """The --xi ladder: density, density sum, and w, which is P_h, each
-        value rendered by _fmt (with decimal for text output only)."""
+        value rendered by _fmt."""
         xi, w = Poly(self.coeffs), [_fmt(c, decimal) for c in self.h_coeffs]
         return {
             "density": [_fmt(c, decimal) for c in xi_to_density(xi, self.n).coeffs],
@@ -224,18 +227,9 @@ def _parse_weight(args, n: int) -> Weight:
     return w if args.lam is not None else w - rho(n)
 
 
-# What a command hands back to main: its exit code and its stdout text.
-Outcome = tuple[int, str]
-
-
-class Answered(Exception):
-    """Raised by the shared preamble when a request ends early in a
-    diagnostic (a rejection, a box over budget); main prints its output and
-    returns its exit code."""
-
-    def __init__(self, outcome: Outcome):
-        super().__init__(outcome[0])
-        self.outcome = outcome
+# What a command hands back: its exit code, its document, and the function
+# that renders the document as text lines.
+Outcome = tuple[int, dict, Callable[[dict], list[str]]]
 
 
 def _json(doc) -> str:
@@ -276,61 +270,49 @@ def _encode(value, newline: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _reject(args, doc: dict, code: str, message: str) -> Outcome:
-    doc = dict(doc)
-    doc["error"] = {"code": code, "message": message}
-    return 1, _json(doc) if args.json else f"rejected: {message}"
+def _error_text(doc: dict) -> list[str]:
+    """A diagnostic: the rejection's message, or a box over budget with the
+    guaranteed classes."""
+    error = doc["error"]
+    if error["code"] != "box-too-large":
+        return [f"rejected: {error['message']}"]
+    return [f"box too large: {error['message']}", *_guaranteed_text(doc)]
 
 
-# The guaranteed multiplicity-one classes, which need only nu, as the JSON
-# entries and as the text lines of dirac and of the box-too-large diagnostic.
-def _guaranteed_json(lam: Weight, nu: tuple[int, ...]) -> list[dict]:
-    return [_weight_json(w) for w in guaranteed_classes(lam, nu)]
+class Answered(Exception):
+    """Raised by the shared preamble when a request ends early in a
+    diagnostic (a rejection, a box over budget): its exit code and its
+    document, with the error under "error"."""
+
+    def __init__(self, exit_code: int, doc: dict, **error):
+        super().__init__(exit_code)
+        self.outcome = exit_code, dict(doc, error=error), _error_text
 
 
-def _guaranteed_text(lam: Weight, nu: tuple[int, ...], decimal: bool) -> list[str]:
+# The guaranteed multiplicity-one classes, which need only nu: in the
+# document of dirac and of the box-too-large diagnostic, and their lines.
+def _guaranteed(lam: Weight, nu: tuple[int, ...], decimal: bool) -> list[dict]:
+    return [{"weight": [_fmt(c, decimal) for c in w.coords],
+             "weight_plus_rho": [_fmt(c, decimal) for c in w.shifted()]}
+            for w in guaranteed_classes(lam, nu)]
+
+
+def _guaranteed_text(doc: dict) -> list[str]:
     return ["guaranteed multiplicity-one classes:"] + [
-        f"  {_weight_text(*_weight_strings(w, decimal))}" for w in guaranteed_classes(lam, nu)]
-
-
-def _too_large(args, doc: dict, lam: Weight, exc: BoxTooLargeError) -> Outcome:
-    """The diagnostic for a box over the grid budget: nu, the grid size and
-    the guaranteed classes, none of which needs the box itself."""
-    if not args.json:
-        return 3, "\n".join([f"box too large: {exc}",
-                             *_guaranteed_text(lam, exc.nu, args.decimal)])
-    doc = dict(doc, nu=list(exc.nu), guaranteed=_guaranteed_json(lam, exc.nu))
-    doc["error"] = {"code": "box-too-large", "message": str(exc),
-                    "grid_size": exc.grid_size, "max_grid": MAX_GRID}
-    return 3, _json(doc)
+        f"  {_weight_text(g['weight'], g['weight_plus_rho'])}" for g in doc["guaranteed"]]
 
 
 def cmd_transform(args) -> Outcome:
     deformation = Deformation.from_args(args)
     if deformation.kind != "xi":
         raise UsageError("transform requires the --xi variant")
-    if args.json:
-        return 0, _json({"command": "transform", "input": deformation.input_json(),
-                         "derived": deformation.derived_json()})
-    d = deformation.derived_json(args.decimal)
-    return 0, "\n".join(f"{key:12} [{', '.join(d[key])}]"
-                        for key in ("density", "density_sum", "w", "P_h"))
+    return 0, {"command": "transform", "input": deformation.input_json(),
+               "derived": deformation.derived_json(args.decimal)}, _transform_text
 
 
-def _membership_block(P: CentralCharPoly, lam: Weight) -> tuple[dict, tuple[int | None, bool]]:
-    """The JSON membership block and the membership_detail result it shows."""
-    membership = nu_last, degenerate = membership_detail(P, lam)
-    block = {
-        "member": nu_last is not None,
-        "nu_last": nu_last,
-        "degenerate_deformation": degenerate,
-    }
-    return block, membership
-
-
-def _member_line(nu: tuple[int, ...], membership: tuple[int | None, bool]) -> str:
-    return (f"member: yes   nu = {list(nu)}"
-            + ("   (degenerate deformation)" if membership[1] else ""))
+def _transform_text(doc: dict) -> list[str]:
+    return [f"{key:12} [{', '.join(doc['derived'][key])}]"
+            for key in ("density", "density_sum", "w", "P_h")]
 
 
 REJECT_MESSAGE = ("no nonnegative integer v with "
@@ -338,128 +320,125 @@ REJECT_MESSAGE = ("no nonnegative integer v with "
                   "finite-dimensional module")
 
 
-class Classified(NamedTuple):
-    """A weight that heads a finite-dimensional module, its box (within the
-    grid budget), and the JSON document so far."""
-
-    P: CentralCharPoly
-    box: Box
-    membership: tuple[int | None, bool]
-    doc: dict
-
-
-def _classified(args, command: str, derived: bool = True) -> Classified:
+def _classified(args, command: str, derived: bool = True) -> tuple[CentralCharPoly, Box, dict]:
     """The stages classify, dirac and tables share, each run once: parse the
     deformation and the weight, dominance, membership, nu and the grid
-    budget. A non-dominant weight, a non-member or a box over budget ends
-    the request in its diagnostic (Answered). ``derived`` adds the --xi
-    ladder to the document. The weight is parsed and checked before P is
-    computed, whose --xi ladder can cost far more."""
+    budget. Returns P, the box of a weight that heads a finite-dimensional
+    module (within the grid budget) and the document so far; a non-dominant
+    weight, a non-member or a box over budget ends the request in its
+    diagnostic (Answered). ``derived`` adds the --xi ladder to the document.
+    The weight is parsed and checked before P is computed, whose --xi
+    ladder can cost far more."""
     deformation = Deformation.from_args(args)
     lam = _parse_weight(args, deformation.n)
     P = deformation.central_char()
-    doc = {"command": command, "input": dict(deformation.input_json(),
-                                             **_weight_json_input(lam))}
+    doc = {"command": command, "input": {**deformation.input_json(),
+                                         "lambda": [str(c) for c in lam.coords],
+                                         "lambda_plus_rho": [str(c) for c in lam.shifted()]}}
     if derived and deformation.kind == "xi":
-        doc["derived"] = deformation.derived_json()
+        doc["derived"] = deformation.derived_json(args.decimal)
     if not is_dominant(lam):
-        raise Answered(_reject(args, doc, "not-dominant", (
+        raise Answered(1, doc, code="not-dominant", message=(
             f"lambda = ({', '.join(map(str, lam.coords))}) is not dominant (some "
             "lambda_i - lambda_(i+1) is not a nonnegative integer): the weight "
-            "heads no finite-dimensional module")))
-    doc["membership"], membership = _membership_block(P, lam)
-    if membership[0] is None:
-        raise Answered(_reject(args, doc, "not-classified", REJECT_MESSAGE))
+            "heads no finite-dimensional module"))
+    membership = nu_last, degenerate = membership_detail(P, lam)
+    doc["membership"] = {"member": nu_last is not None, "nu_last": nu_last,
+                         "degenerate_deformation": degenerate}
+    if nu_last is None:
+        raise Answered(1, doc, code="not-classified", message=REJECT_MESSAGE)
     nu = nu_vector(P, lam, membership)
     try:
         box = Box(lam, nu)
     except BoxTooLargeError as exc:
-        raise Answered(_too_large(args, doc, lam, exc)) from None
+        doc = dict(doc, nu=list(exc.nu), guaranteed=_guaranteed(lam, exc.nu, args.decimal))
+        raise Answered(3, doc, code="box-too-large", message=str(exc),
+                       grid_size=exc.grid_size, max_grid=MAX_GRID) from None
     doc["nu"] = list(nu)
-    return Classified(P, box, membership, doc)
+    return P, box, doc
+
+
+# The class lists of classify and dirac: their document keys and text titles.
+BLOCKS = (("L", "L(lambda)"), ("tensor_spin", "L(lambda) (x) spin"),
+          ("cohomology", "Dirac cohomology"))
+
+
+def _classes_text(doc: dict) -> list[str]:
+    """classify's and dirac's lines: membership and nu, the class lists the
+    document holds, and the guaranteed classes when it holds them."""
+    degenerate = doc["membership"]["degenerate_deformation"]
+    lines = [f"member: yes   nu = {doc['nu']}"
+             + ("   (degenerate deformation)" if degenerate else "")]
+    for key, title in BLOCKS:
+        if key in doc:
+            lines += _block_text(title, doc[key])
+    return lines + _guaranteed_text(doc) if "guaranteed" in doc else lines
 
 
 def cmd_classify(args) -> Outcome:
-    _, box, membership, doc = _classified(args, "classify")
-    if args.json:
-        doc["L"] = _block_json(box.L)
-        return 0, _json(doc)
-    lines = [_member_line(box.nu, membership)]
-    _block_text(lines, "L(lambda)", box.L, args.decimal)
-    return 0, "\n".join(lines)
+    _, box, doc = _classified(args, "classify")
+    doc["L"] = _block_json(box.L, args.decimal, dicts=args.json)
+    return 0, doc, _classes_text
 
 
 def cmd_dirac(args) -> Outcome:
-    P, box, membership, doc = _classified(args, "dirac")
-    blocks = (("L", "L(lambda)", box.L), ("tensor_spin", "L(lambda) (x) spin", box.spin),
-              ("cohomology", "Dirac cohomology", box.cohomology(P)))
-    if args.json:
-        for key, _, block in blocks:
-            doc[key] = _block_json(block)
-        doc["guaranteed"] = _guaranteed_json(box.lam, box.nu)
-        return 0, _json(doc)
-    lines = [_member_line(box.nu, membership)]
-    for _, title, block in blocks:
-        _block_text(lines, title, block, args.decimal)
-    lines.extend(_guaranteed_text(box.lam, box.nu, args.decimal))
-    return 0, "\n".join(lines)
-
-
-def _weight_json_input(lam: Weight) -> dict:
-    return dict(zip(("lambda", "lambda_plus_rho"), _weight_strings(lam)))
+    P, box, doc = _classified(args, "dirac")
+    for (key, _), block in zip(BLOCKS, (box.L, box.spin, box.cohomology(P))):
+        doc[key] = _block_json(block, args.decimal, dicts=args.json)
+    doc["guaranteed"] = _guaranteed(box.lam, box.nu, args.decimal)
+    return 0, doc, _classes_text
 
 
 def cmd_tables(args) -> Outcome:
-    P, box, _, doc = _classified(args, "tables", derived=False)
-    nu = box.nu
+    P, box, doc = _classified(args, "tables", derived=False)
     axes, multiplicities, values, den = box.grid(P)
-    if box.lam.rank == 2:
-        # The grid runs the second coordinate fastest, so row k2 of the
-        # layout (columns over the first coordinate) is every (nu_2 + 2)-th cell.
-        step = nu[1] + 2
-        values, multiplicities = list(values), list(multiplicities)
-        p_grid = [values[k2::step] for k2 in range(step)]
-        m_grid = [multiplicities[k2::step] for k2 in range(step)]
-        transpose_symmetric = len(p_grid) == len(p_grid[0]) and all(
-            p_grid[i][j] == p_grid[j][i] for i in range(step) for j in range(step))
-        note = ("rows run over the second mu+rho coordinate (descending), columns "
-                "over the first (descending); this grid is not symmetric, so a "
-                "transposed layout reads differently" if not transpose_symmetric else "")
-        if args.json:
-            xs, ys = axes[0].strings(), axes[1].strings()
-            doc["grids"] = {
-                "weight_plus_rho": [[[x, y] for x in xs] for y in ys],
-                "P": [[_ratio(v, den) for v in row] for row in p_grid],
-                "multiplicity": m_grid,
-                "orientation_note": note,
-            }
-            return 0, _json(doc)
-        xs, ys = map(_axis_text(args.decimal), axes)
-        lines = [f"nu = {list(nu)}", "mu+rho grid:"]
-        lines.extend(_render_grid([[f"({x},{y})" for x in xs] for y in ys]))
-        lines.append("P(mu+rho) grid:")
-        lines.extend(_render_grid([[_ratio(v, den, args.decimal) for v in row]
-                                   for row in p_grid]))
-        lines.append("multiplicity grid:")
-        lines.extend(_render_grid([[str(v) for v in row] for row in m_grid]))
-        if note:
-            lines.append(f"note: {note}")
-        return 0, "\n".join(lines)
-    cells = zip(product(*(a.strings() for a in axes)), (_ratio(v, den) for v in values),
-                multiplicities)
-    if args.json:
+    strings = list(map(_axis_strings(args.decimal), axes))
+    if box.lam.rank != 2:
+        cells = zip(product(*strings), (_ratio(v, den, args.decimal) for v in values),
+                    multiplicities)
         doc["points"] = [{"P": value, "multiplicity": m, "weight_plus_rho": point}
-                         for point, value, m in cells]
-        return 0, _json(doc)
-    return 0, "\n".join([f"nu = {list(nu)}"] + [
-        f"mu+rho ({', '.join(point)})  P = {value}  multiplicity {m}"
-        for point, value, m in cells])
+                         for point, value, m in cells] if args.json else cells
+        return 0, doc, _points_text
+    # The grid runs the second coordinate fastest, so row k2 of the layout
+    # (columns over the first coordinate) is every (nu_2 + 2)-th cell.
+    step = box.nu[1] + 2
+    values, multiplicities = list(values), list(multiplicities)
+    p_grid = [values[k2::step] for k2 in range(step)]
+    transpose_symmetric = len(p_grid) == len(p_grid[0]) and all(
+        p_grid[i][j] == p_grid[j][i] for i in range(step) for j in range(step))
+    # The mu+rho cells, as for the points: listed for --json; the text makes
+    # them from the two axes' strings.
+    xs, ys = strings
+    doc["grids"] = {
+        "weight_plus_rho": [[[x, y] for x in xs] for y in ys] if args.json else strings,
+        "P": [[_ratio(v, den, args.decimal) for v in row] for row in p_grid],
+        "multiplicity": [multiplicities[k2::step] for k2 in range(step)],
+        "orientation_note": "" if transpose_symmetric else (
+            "rows run over the second mu+rho coordinate (descending), columns "
+            "over the first (descending); this grid is not symmetric, so a "
+            "transposed layout reads differently"),
+    }
+    return 0, doc, _grids_text
+
+
+def _points_text(doc: dict) -> list[str]:
+    return [f"nu = {doc['nu']}", *[f"mu+rho ({', '.join(point)})  P = {value}  multiplicity {m}"
+                                   for point, value, m in doc["points"]]]
+
+
+def _grids_text(doc: dict) -> list[str]:
+    grids, note = doc["grids"], doc["grids"]["orientation_note"]
+    xs, ys = grids["weight_plus_rho"]
+    return [f"nu = {doc['nu']}", "mu+rho grid:",
+            *_render_grid([[f"({x},{y})" for x in xs] for y in ys]),
+            "P(mu+rho) grid:", *_render_grid(grids["P"]), "multiplicity grid:",
+            *_render_grid([list(map(str, row)) for row in grids["multiplicity"]]),
+            *([f"note: {note}"] if note else [])]
 
 
 def _render_grid(cells: list[list[str]]) -> list[str]:
-    widths = [max(len(row[j]) for row in cells) for j in range(len(cells[0]))]
-    return ["  " + "  ".join(row[j].rjust(widths[j]) for j in range(len(row)))
-            for row in cells]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return ["  " + "  ".join(map(str.rjust, row, widths)) for row in cells]
 
 
 def cmd_verify(args) -> Outcome:
@@ -469,23 +448,17 @@ def cmd_verify(args) -> Outcome:
     except BoundsError as exc:
         raise UsageError(str(exc)) from None
     ok = all(r.ok for r in results)
-    code = 0 if ok else 1
-    if args.json:
-        return code, _json({
-            "command": "verify",
-            "suite": args.suite,
-            "ok": ok,
-            "results": [{"suite": r.suite, "name": r.name, "ok": r.ok,
-                         "detail": r.detail} for r in results],
-        })
-    lines = []
-    for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        detail = f"  -- {r.detail}" if r.detail else ""
-        lines.append(f"{status} [{r.suite}] {r.name}{detail}")
-    lines.append(f"{'all checks passed' if ok else 'FAILURES PRESENT'} "
-                 f"({sum(r.ok for r in results)}/{len(results)})")
-    return code, "\n".join(lines)
+    return 0 if ok else 1, {"command": "verify", "suite": args.suite, "ok": ok,
+                            "results": list(map(asdict, results))}, _verify_text
+
+
+def _verify_text(doc: dict) -> list[str]:
+    results = doc["results"]
+    lines = [f"{'PASS' if r['ok'] else 'FAIL'} [{r['suite']}] {r['name']}"
+             + (f"  -- {r['detail']}" if r["detail"] else "") for r in results]
+    lines.append(f"{'all checks passed' if doc['ok'] else 'FAILURES PRESENT'} "
+                 f"({sum(r['ok'] for r in results)}/{len(results)})")
+    return lines
 
 
 def _add_deformation_flags(sub) -> None:
@@ -560,6 +533,18 @@ def _glue_negative_lists(argv: list[str]) -> list[str]:
     return out
 
 
+def _answer(args) -> tuple[int, str]:
+    """The one place the format is chosen: run the command, then write its
+    document through _json for --json, else as its text lines. --decimal
+    reaches the text only, so a --json answer is the same with or without it."""
+    args.decimal = getattr(args, "decimal", False) and not args.json
+    try:
+        code, doc, text = args.func(args)
+    except Answered as early:
+        code, doc, text = early.outcome
+    return code, _json(doc) if args.json else "\n".join(text(doc))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negative_lists(sys.argv[1:] if argv is None else argv))
@@ -570,12 +555,10 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        code, out = args.func(args)
+        code, out = _answer(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Answered as early:
-        code, out = early.outcome
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -7,13 +7,13 @@ one source of truth. Negative controls are phrased so that PASS means "the
 corrupted object was correctly rejected".
 
 Each fact is defined once: the bounds of a run (check_bounds, which
-run_suites applies before any suite runs and the command line reports as a
-usage error), the PBW certificates (CERTIFICATES, read by the per-degree
-lines and the dense-xi line of jacobi_suite), the corrupted deformation
-maps of the controls (_doubled: xi = z^m with one coefficient of r_m
-doubled) and the twisted substitution identity (twisted_identity_check
-from polynomials, run over Q by poly_suite and with a rank-one Clifford
-gamma by clifford_suite).
+run_suites applies before any suite runs, each suite to the bounds it
+reads, and the command line reports as a usage error), the PBW
+certificates (CERTIFICATES, read by the per-degree lines and the dense-xi
+line of jacobi_suite), the corrupted deformation maps of the controls
+(_doubled: xi = z^m with one coefficient of r_m doubled) and the twisted
+substitution identity (twisted_identity_check from polynomials, run over Q
+by poly_suite and with a rank-one Clifford gamma by clifford_suite).
 
 Two corruption facts worth knowing before reading the controls (both are
 machine-checked here and provable by hand): doubling the E_ii coefficient
@@ -81,6 +81,7 @@ def _random_poly(rng: random.Random, max_deg: int) -> Poly:
 
 
 def poly_suite(seed: int = DEFAULT_SEED, trials: int = 100) -> list[CheckResult]:
+    check_bounds("poly", trials=trials)
     rng = random.Random(seed)
     out = []
 
@@ -126,6 +127,7 @@ CERTIFICATES = (("jacobi", jacobi_check),
 
 
 def jacobi_suite(max_n: int = 2, max_deg: int = 2) -> list[CheckResult]:
+    check_bounds("jacobi", max_n=max_n, max_deg=max_deg)
     out = []
     for n in range(1, max_n + 1):
         for deg in range(max_deg + 1):
@@ -191,6 +193,7 @@ def corruption_controls(n: int = 2) -> list[CheckResult]:
 
 
 def clifford_suite(max_n: int = 3) -> list[CheckResult]:
+    check_bounds("clifford", max_n=max_n)
     out = []
     for n in range(1, max_n + 1):
         ws = spin_weights(n)
@@ -255,6 +258,7 @@ def random_rank_one_instance(rng: random.Random, max_deg: int = 3,
 
 def oracle_suite(trials: int = 20, seed: int = DEFAULT_SEED,
                  max_deg: int = 3) -> list[CheckResult]:
+    check_bounds("oracle-n1", max_deg=max_deg, trials=trials)
     rng = random.Random(seed)
     out = []
     for idx in range(trials):
@@ -273,11 +277,13 @@ class BoundsError(ValueError):
     """A run's bounds do not hold; the message names the verify flag."""
 
 
-def check_bounds(selector: str, max_n: int, max_deg: int | None,
-                 trials: int | None) -> None:
+def check_bounds(selector: str, max_n: int | None = None, max_deg: int | None = None,
+                 trials: int | None = None) -> None:
     """The bounds of a run, as the verify command's flags name them
     (BoundsError otherwise): max_n >= 1, max_deg >= 0, trials >= 1, and
-    max_deg >= 1 when oracle-n1 runs."""
+    max_deg >= 1 when oracle-n1 runs. run_suites checks the bounds of a run
+    before any suite runs, and each suite the bounds it reads (None is not
+    checked), so a suite called directly runs no empty range either."""
     for flag, value, least in (("--max-n", max_n, 1), ("--max-deg", max_deg, 0),
                                ("--trials", trials, 1)):
         if value is not None and value < least:

@@ -75,9 +75,9 @@ def test_blocks_equal_the_sorted_weight_rendering(box):
     assert as_json(cli._block_json(new_L)) == as_json(reference_json(L))
     assert as_json(cli._block_json(new_LS)) == as_json(reference_json(LS))
     for decimal in (False, True):
-        lines: list[str] = []
-        cli._block_text(lines, "L(lambda)", new_L, decimal)
-        cli._block_text(lines, "L(lambda) (x) spin", new_LS, decimal)
+        lines = (cli._block_text("L(lambda)", cli._block_json(new_L, decimal, dicts=False))
+                 + cli._block_text("L(lambda) (x) spin",
+                                   cli._block_json(new_LS, decimal, dicts=False)))
         assert lines == (reference_text("L(lambda)", L, decimal)
                          + reference_text("L(lambda) (x) spin", LS, decimal))
 
@@ -113,8 +113,7 @@ def test_cohomology_block_equals_the_sorted_weight_rendering(box, coeffs):
     coh = block.decomposition()
     assert as_json(cli._block_json(block)) == as_json(reference_json(coh))
     for decimal in (False, True):
-        lines: list[str] = []
-        cli._block_text(lines, "Dirac cohomology", block, decimal)
+        lines = cli._block_text("Dirac cohomology", cli._block_json(block, decimal, dicts=False))
         assert lines == reference_text("Dirac cohomology", coh, decimal)
 
 

@@ -199,6 +199,43 @@ def test_decimal_render_flag():
     assert "(7/2, 1/2)" in exact.stdout
 
 
+@pytest.mark.parametrize("rank,lam,first_point", [
+    (1, "3/2", "mu+rho (1.5)  P = 2.25  multiplicity 1"),
+    (3, "13/4,9/4,5/4", "mu+rho (4.25, 2.25, 0.25)  P = 34.375  multiplicity 1"),
+])
+def test_tables_decimal_outside_rank_two(capsys, rank, lam, first_point):
+    # The point list of ranks other than 2 renders its mu+rho coordinates
+    # and P values as decimals where they terminate, as the rank-2 grids do.
+    rc, out = run_main(capsys, "tables", "--n", str(rank), "--P-h", "0,0,1", "--lambda", lam,
+                       "--decimal")
+    lines = out.splitlines()
+    assert rc == 0 and lines[1] == first_point
+    assert len(lines) > 2 and not any("/" in line for line in lines)
+
+
+# One request per command and per rank of tables, and each diagnostic: the
+# not-dominant and not-classified rejections, and a box over the grid
+# budget whose guaranteed classes have half-integer coordinates.
+JSON_REQUESTS = [
+    ["transform", "--n", "2", "--xi", "1/2,1/4"],
+    ["classify", *EXAMPLE_ARGS],
+    ["dirac", *EXAMPLE_ARGS],
+    ["dirac", "--n", "1", "--xi", "0,1", "--lambda", "1/2"],
+    *[["tables", "--n", str(rank), "--P-h", "0,0,1", "--lambda", lam]
+      for rank, lam in ((1, "3/2"), (2, "19/6,7/6"), (3, "13/4,9/4,5/4"))],
+    ["classify", "--n", "2", "--P-h", "0,1", "--lambda", "1/2,1"],
+    ["dirac", "--n", "1", "--P-h", "0,1", "--lambda", "1/3"],
+    ["tables", "--n", "2", "--P-h=0,20000001,1", "--lambda=3/2,1/2"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_REQUESTS, ids=lambda argv: " ".join(argv))
+def test_decimal_never_changes_a_json_answer(capsys, argv):
+    rc, out = run_main(capsys, *argv, "--json")
+    assert run_main(capsys, *argv, "--json", "--decimal") == (rc, out)
+    assert run_main(capsys, *argv, "--decimal", "--json") == (rc, out)
+
+
 def test_verify_subcommand():
     res = run_cli("verify", "--suite", "jacobi", "--max-n", "2", "--max-deg", "2")
     assert res.returncode == 0

@@ -27,6 +27,25 @@ def test_run_suites_checks_its_bounds_before_any_suite_runs(monkeypatch, suite, 
     assert ran == []
 
 
+@pytest.mark.parametrize("suite,bounds,message", [
+    ("poly_suite", {"trials": 0}, "--trials must be at least 1, got 0"),
+    ("oracle_suite", {"trials": 0}, "--trials must be at least 1, got 0"),
+    ("oracle_suite", {"max_deg": 0}, "--max-deg must be at least 1 for the oracle-n1 suite"),
+    ("jacobi_suite", {"max_n": 0}, "--max-n must be at least 1, got 0"),
+    ("jacobi_suite", {"max_n": 1, "max_deg": -1}, "--max-deg must be at least 0, got -1"),
+    ("clifford_suite", {"max_n": 0}, "--max-n must be at least 1, got 0"),
+])
+def test_each_suite_checks_the_bounds_it_reads(monkeypatch, suite, bounds, message):
+    # Called directly, a suite runs no empty range: it raises before any check.
+    ran = []
+    for name in ("nabla", "kappa_of", "corruption_controls", "spin_weights",
+                 "random_rank_one_instance"):
+        monkeypatch.setattr(verify, name, lambda *a, name=name, **k: ran.append(name))
+    with pytest.raises(verify.BoundsError, match=message):
+        getattr(verify, suite)(**bounds)
+    assert ran == []
+
+
 def test_a_degree_zero_jacobi_run_is_within_bounds():
     # max_deg 0 is out of bounds only where oracle-n1 runs
     results = verify.run_suites("jacobi", max_n=1, max_deg=0)

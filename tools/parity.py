@@ -13,8 +13,11 @@ seeds 1-3, each in --json, text and --decimal mode; the worked example,
 thirds and sixths, two degenerate deformations (one whose cohomology is
 the whole of L (x) spin), the input echo of each deformation flag, tables at
 ranks 1-3 with a rational lambda, the rejection, not-dominant and
-box-too-large diagnostics, transform in --json, text and --decimal mode
-(one request whose ladder has terminating decimals), verify at four seeds,
+box-too-large diagnostics (in text mode through classify, dirac and
+tables, the box over budget also with --decimal at a half-integer
+lambda), transform in --json, text and --decimal mode (one request whose
+ladder has terminating decimals), verify --json at four seeds and verify's
+text lines (all suites at seed 1, and the poly suite at five trials),
 the rational tokens that Fraction reads differently across interpreters
 (underscores, inner spaces, exponents), a 5001-digit literal, a tables
 request whose P values have about 6000 digits, and the four demos. Every
@@ -71,6 +74,18 @@ for rank, lam in ((1, "3/2"), (2, "19/6,7/6"), (3, "13/4,9/4,5/4")):
 for seed in (1, 2, 3, 7):
     EXTRA.append(["verify", "--suite", "all", "--max-n", "2", "--max-deg", "3",
                   "--seed", str(seed), "--json"])
+# verify's text lines.
+EXTRA.append(["verify", "--suite", "all", "--max-n", "2", "--max-deg", "3", "--seed", "1"])
+EXTRA.append(["verify", "--suite", "poly", "--trials", "5"])
+# The diagnostics in text mode through each command that reaches them: the
+# not-classified and not-dominant rejections (a rational lambda in the
+# message), and a box over budget whose guaranteed classes have half-integer
+# mu+rho coordinates, in text and --decimal mode.
+for cmd in ("classify", "dirac", "tables"):
+    EXTRA.append([cmd, "--n", "1", "--P-h", "0,1", "--lambda", "1/3"])
+    EXTRA.append([cmd, "--n", "2", "--P-h", "0,1", "--lambda", "1/2,1"])
+    for mode in ([], ["--decimal"]):
+        EXTRA.append([cmd, "--n", "2", "--P-h=0,20000001,1", "--lambda=3/2,1/2", *mode])
 # A degenerate deformation: the cohomology is all 8 classes of L (x) spin,
 # boundary classes included.
 for mode in ([], ["--json"], ["--decimal"]):
