@@ -1,27 +1,33 @@
 """
 Command line driver.
 
-Subcommands: transform (deformation polynomial ladder), classify (membership,
-nu, and the gl_n decomposition of L(lambda)), dirac (full pipeline through
-the Dirac cohomology), tables (the mu+rho / P-value / multiplicity grids),
-verify (the certificate suites). Deformations are given by exactly one of
+Subcommands: transform (deformation polynomial ladder), classify
+(membership, nu, and the gl_n decomposition of L(lambda)), dirac (full
+pipeline through the Dirac cohomology), tables (the mu+rho / P-value /
+multiplicity grids), verify (the certificate suites of verify.SUITES, which
+--suite offers in their run order). Deformations are given by exactly one of
 --xi, --w, --P-h as comma-separated exact rationals (a list starting with a
 minus sign may be its own token, as in --xi -3,0,1); weights by exactly one
-of --lambda / --lambda-plus-rho. A rational is an optional sign followed by
-digits with an optional /digits (3, -3/4), or by a decimal with a point
-(1.5, .5, 5.), in ASCII digits; underscores, spaces inside a token and
-exponents are usage errors, so every supported Python reads a token alike.
-Each command builds one document, its answer, and _answer is the one place
-the format is chosen: with --json the document is printed as JSON, and
-otherwise the command's text function renders the document's lines.
---decimal is decided there too and reaches the text only: the document's
-rationals are then rendered by _fmt as decimals where they terminate, so a
---json answer is the same with or without it. The JSON document has sorted
-keys and deterministic entry order; every rational is serialized as "p/q"
-(or "p"), never as a float, whatever its number of digits (CPython's
-int <-> str digit limit is lifted for the request). The JSON text is, by
-contract, exactly json.dumps(doc, sort_keys=True, indent=2); it is written
-by _json, which produces that text with the C string encoder.
+of --lambda / --lambda-plus-rho. These list flags are declared once, in the
+tables DEFORMATION_FLAGS and WEIGHT_FLAGS of (flag, dest, help), which build
+the parser's two shared parent parsers, the exactly-one-of checks (_given)
+and the gluing of negative lists (LIST_FLAGS). A rational is an optional
+sign followed by digits with an optional /digits (3, -3/4), or by a decimal
+with a point (1.5, .5, 5.), in ASCII digits; underscores, spaces inside a
+token and exponents are usage errors, so every supported Python reads a
+token alike. Each command builds one document, its answer, and _answer is
+the one place the format is chosen: with --json the document is printed as
+JSON, and otherwise the command's text function renders the document's
+lines. --decimal is decided there too and reaches the text only: the
+document's rationals are then rendered as decimals where they terminate, so
+a --json answer is the same with or without it. _ratio is the one spelling
+of a rational, in both modes: _fmt renders a Fraction through it, and
+_axis_strings each value of an axis. The JSON document has sorted keys and
+deterministic entry order; every rational is serialized as "p/q" (or "p"),
+never as a float, whatever its number of digits (CPython's int <-> str digit
+limit is lifted for the request). The JSON text is, by contract, exactly
+json.dumps(doc, sort_keys=True, indent=2); it is written by _json, which
+produces that text with the C string encoder.
 
 classify, dirac and tables check one modules.Box per request and read
 everything from it. Its class lists (modules.Block: L(lambda),
@@ -58,7 +64,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress, product
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
@@ -75,7 +81,7 @@ from .modules import (
     shift_axes,
 )
 from .polynomials import Poly, xi_to_density, xi_to_density_sum, xi_to_w
-from .verify import DEFAULT_SEED, BoundsError, run_suites
+from .verify import DEFAULT_SEED, SUITES, BoundsError, run_suites
 from .weights import Axis, CentralCharPoly, Weight, is_dominant, rho
 
 
@@ -134,21 +140,22 @@ def _fmt(q: Fraction, decimal: bool = False) -> str:
     return _ratio(q.numerator, q.denominator, decimal)
 
 
-def _axis_strings(decimal: bool) -> Callable[[Axis], list[str]]:
-    """How the document renders the values of an axis: _fmt once per value."""
-    if not decimal:
-        return Axis.strings
-    return lambda axis: [_fmt(v, True) for v in axis.values()]
+def _axis_strings(axis: Axis, decimal: bool) -> list[str]:
+    """The values of an axis as the document renders them: _ratio once per
+    value, from the top's numerator in integers."""
+    num, den = axis.top.numerator, axis.top.denominator
+    return [_ratio(num - den * o, den, decimal) for o in range(axis.count)]
 
 
 def _weight_text(weight: list[str], plus_rho: list[str]) -> str:
     return f"({', '.join(weight)})  [mu+rho ({', '.join(plus_rho)})]"
 
 
-def _rows(block: Block, fmt: Callable[[Axis], list[str]]) -> Iterator[tuple]:
+def _rows(block: Block, decimal: bool) -> Iterator[tuple]:
     """(multiplicity, weight, weight + rho) per class of nonzero
-    multiplicity, each coordinate taken from fmt's rendering of its axis, so
+    multiplicity, each coordinate taken from its axis's _axis_strings, so
     nothing is made per class but the tuples of strings."""
+    fmt = partial(_axis_strings, decimal=decimal)
     plus_rho = shift_axes(block.axes, rho(len(block.axes)).coords)
     return compress(zip(block.multiplicities, product(*map(fmt, block.axes)),
                         product(*map(fmt, plus_rho))), block.multiplicities)
@@ -159,7 +166,7 @@ def _block_json(block: Block, decimal: bool = False, dicts: bool = True) -> dict
     nonzero multiplicity, one dict each with ``dicts`` (--json), else the
     stream of _rows itself, which the text reads once: a list can hold up to
     MAX_GRID classes, and a dict per class would slow the text down."""
-    rows = _rows(block, _axis_strings(decimal))
+    rows = _rows(block, decimal)
     return {"dimension": block.dimension(),
             "entries": [{"multiplicity": m, "weight": w, "weight_plus_rho": s}
                         for m, w, s in rows] if dicts else rows}
@@ -171,11 +178,32 @@ def _block_text(title: str, block: dict) -> list[str]:
             *[f"  {m} x {_weight_text(w, s)}" for m, w, s in block["entries"]]]
 
 
+# The list flags, (flag, dest, help): a request gives exactly one flag of
+# each table, as a comma-separated list of exact rationals. A deformation's
+# dest is also its key in the document's "input".
+DEFORMATION_FLAGS = (("--xi", "xi", "deformation polynomial coefficients c0,c1,..."),
+                     ("--w", "w", "classification polynomial coefficients"),
+                     ("--P-h", "P_h", "central character h-basis coefficients"))
+WEIGHT_FLAGS = (("--lambda", "lam", "highest weight, plain coordinates"),
+                ("--lambda-plus-rho", "lam_plus_rho",
+                 "highest weight in rho-shifted coordinates"))
+LIST_FLAGS = tuple(flag for flag, _, _ in DEFORMATION_FLAGS + WEIGHT_FLAGS)
+
+
+def _given(args, flags) -> tuple[str, str]:
+    """(dest, text) of the one flag of the table that the request gives."""
+    given = [(dest, getattr(args, dest)) for _, dest, _ in flags
+             if getattr(args, dest) is not None]
+    if len(given) != 1:
+        raise UsageError(f"give exactly one of {', '.join(flag for flag, _, _ in flags)}")
+    return given[0]
+
+
 @dataclass(frozen=True)
 class Deformation:
-    """Parsed deformation input: the rank, the variant given (its JSON key:
-    "xi", "w" or "P_h") and its coefficients, xi and w trimmed as Poly.of
-    trims them, P_h as given."""
+    """Parsed deformation input: the rank, the variant given (the dest of
+    its flag, which is its JSON key: "xi", "w" or "P_h") and its
+    coefficients, xi and w trimmed as Poly.of trims them, P_h as given."""
 
     n: int
     kind: str
@@ -183,11 +211,8 @@ class Deformation:
 
     @staticmethod
     def from_args(args) -> "Deformation":
-        given = [name for name in ("xi", "w", "P_h") if getattr(args, name) is not None]
-        if len(given) != 1:
-            raise UsageError("give exactly one of --xi, --w, --P-h")
-        kind = given[0]
-        coeffs = tuple(_parse_rational_list(getattr(args, kind)))
+        kind, text = _given(args, DEFORMATION_FLAGS)
+        coeffs = tuple(_parse_rational_list(text))
         if args.n < 1:
             raise UsageError("--n must be a positive integer")
         return Deformation(args.n, kind, coeffs if kind == "P_h" else Poly.of(*coeffs).coeffs)
@@ -197,9 +222,6 @@ class Deformation:
         """P's h-basis coefficients: w, through xi_to_w (once per request)
         for the --xi variant."""
         return xi_to_w(Poly(self.coeffs), self.n).coeffs if self.kind == "xi" else self.coeffs
-
-    def central_char(self) -> CentralCharPoly:
-        return CentralCharPoly.from_h_coeffs(self.h_coeffs, self.n)
 
     def input_json(self) -> dict:
         return {"n": self.n, self.kind: [str(c) for c in self.coeffs]}
@@ -217,14 +239,12 @@ class Deformation:
 
 
 def _parse_weight(args, n: int) -> Weight:
-    given = [name for name in ("lam", "lam_plus_rho") if getattr(args, name) is not None]
-    if len(given) != 1:
-        raise UsageError("give exactly one of --lambda, --lambda-plus-rho")
-    coords = _parse_rational_list(args.lam if args.lam is not None else args.lam_plus_rho)
+    dest, text = _given(args, WEIGHT_FLAGS)
+    coords = _parse_rational_list(text)
     if len(coords) != n:
         raise UsageError(f"weight has {len(coords)} coordinates, expected n = {n}")
     w = Weight(tuple(coords))
-    return w if args.lam is not None else w - rho(n)
+    return w if dest == "lam" else w - rho(n)
 
 
 # What a command hands back: its exit code, its document, and the function
@@ -331,7 +351,7 @@ def _classified(args, command: str, derived: bool = True) -> tuple[CentralCharPo
     ladder can cost far more."""
     deformation = Deformation.from_args(args)
     lam = _parse_weight(args, deformation.n)
-    P = deformation.central_char()
+    P = CentralCharPoly.from_h_coeffs(deformation.h_coeffs, deformation.n)
     doc = {"command": command, "input": {**deformation.input_json(),
                                          "lambda": [str(c) for c in lam.coords],
                                          "lambda_plus_rho": [str(c) for c in lam.shifted()]}}
@@ -392,7 +412,7 @@ def cmd_dirac(args) -> Outcome:
 def cmd_tables(args) -> Outcome:
     P, box, doc = _classified(args, "tables", derived=False)
     axes, multiplicities, values, den = box.grid(P)
-    strings = list(map(_axis_strings(args.decimal), axes))
+    strings = [_axis_strings(axis, args.decimal) for axis in axes]
     if box.lam.rank != 2:
         cells = zip(product(*strings), (_ratio(v, den, args.decimal) for v in values),
                     multiplicities)
@@ -461,22 +481,6 @@ def _verify_text(doc: dict) -> list[str]:
     return lines
 
 
-def _add_deformation_flags(sub) -> None:
-    sub.add_argument("--n", type=int, required=True, help="rank of gl_n")
-    sub.add_argument("--xi", help="deformation polynomial coefficients c0,c1,...")
-    sub.add_argument("--w", help="classification polynomial coefficients")
-    sub.add_argument("--P-h", dest="P_h", help="central character h-basis coefficients")
-    sub.add_argument("--json", action="store_true", help="emit one JSON document")
-    sub.add_argument("--decimal", action="store_true",
-                     help="render terminating rationals as decimals in text output")
-
-
-def _add_weight_flags(sub) -> None:
-    sub.add_argument("--lambda", dest="lam", help="highest weight, plain coordinates")
-    sub.add_argument("--lambda-plus-rho", dest="lam_plus_rho",
-                     help="highest weight in rho-shifted coordinates")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cherednik",
@@ -484,28 +488,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "Cherednik algebras of gl_n.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("transform", help="xi -> density, density sum, w, P")
-    _add_deformation_flags(sub)
-    sub.set_defaults(func=cmd_transform)
-
-    sub = subs.add_parser("classify", help="membership, nu, and L(lambda)")
-    _add_deformation_flags(sub)
-    _add_weight_flags(sub)
-    sub.set_defaults(func=cmd_classify)
-
-    sub = subs.add_parser("dirac", help="full pipeline through Dirac cohomology")
-    _add_deformation_flags(sub)
-    _add_weight_flags(sub)
-    sub.set_defaults(func=cmd_dirac)
-
-    sub = subs.add_parser("tables", help="mu+rho / P / multiplicity grids")
-    _add_deformation_flags(sub)
-    _add_weight_flags(sub)
-    sub.set_defaults(func=cmd_tables)
+    # The flags the commands share, from the two tables: every command but
+    # verify takes a deformation, and all but transform a weight.
+    deformation = argparse.ArgumentParser(add_help=False)
+    deformation.add_argument("--n", type=int, required=True, help="rank of gl_n")
+    for flag, dest, text in DEFORMATION_FLAGS:
+        deformation.add_argument(flag, dest=dest, help=text)
+    deformation.add_argument("--json", action="store_true", help="emit one JSON document")
+    deformation.add_argument("--decimal", action="store_true",
+                             help="render terminating rationals as decimals in text output")
+    weight = argparse.ArgumentParser(add_help=False)
+    for flag, dest, text in WEIGHT_FLAGS:
+        weight.add_argument(flag, dest=dest, help=text)
+    for name, text, func, parents in (
+            ("transform", "xi -> density, density sum, w, P", cmd_transform, [deformation]),
+            ("classify", "membership, nu, and L(lambda)", cmd_classify, [deformation, weight]),
+            ("dirac", "full pipeline through Dirac cohomology", cmd_dirac, [deformation, weight]),
+            ("tables", "mu+rho / P / multiplicity grids", cmd_tables, [deformation, weight])):
+        subs.add_parser(name, help=text, parents=parents).set_defaults(func=func)
 
     sub = subs.add_parser("verify", help="run certificate suites")
-    sub.add_argument("--suite", required=True,
-                     choices=["poly", "jacobi", "clifford", "oracle-n1", "all"])
+    sub.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     sub.add_argument("--max-n", type=int, default=2)
     sub.add_argument("--max-deg", type=int, default=None,
                      help="highest xi degree (default: 2 for jacobi, 3 for oracle-n1)")
@@ -519,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # argparse reads a value such as "-3,0,1" after --xi as an unknown option, so
 # a leading-negative list given as its own token is glued to its flag.
-LIST_FLAGS = ("--xi", "--w", "--P-h", "--lambda", "--lambda-plus-rho")
 NEGATIVE_LIST = re.compile(r"-[0-9./]")
 
 

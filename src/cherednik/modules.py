@@ -65,7 +65,7 @@ from itertools import chain, compress, product
 from math import lcm, prod
 from typing import Iterator, NamedTuple, Sequence
 
-from .polynomials import InvariantViolation, Poly, horner, least_positive_integer_root
+from .polynomials import InvariantViolation, Poly, _scaled_ints, horner, least_positive_integer_root
 from .weights import (
     Axis,
     CentralCharPoly,
@@ -130,10 +130,6 @@ class ModuleDecomposition:
         """Entries ordered by descending rho-shifted lexicographic order (the
         order of the plain coordinates, rho being one fixed vector)."""
         return sorted(self.entries.items(), key=lambda wm: wm[0].coords, reverse=True)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ModuleDecomposition)
-                and self.rank == other.rank and self.entries == other.entries)
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{m} x {w}" for w, m in self.sorted_items())
@@ -309,19 +305,18 @@ def grid_numerators(P: CentralCharPoly, axes: list[Axis]) -> tuple[Iterator[int]
 
     With d the common denominator of the tops, D that of the h-coefficients
     c_k and K = deg P, a point is y/d with y integral and h_k is homogeneous,
-    so P(y/d) = N(y) / (D d^K) with N(y) = sum_k (D c_k) d^(K-k) h_k(y). Since
-    h_k(x, y_n) = sum_m y_n^m h_{k-m}(x), N is, for a fixed prefix x of the
-    first n - 1 coordinates, an integer polynomial in y_n whose coefficients
-    are line_coeffs of the prefix; each line's points are then one call of
+    so P(y/d) = N(y) / (D d^K) with N(y) = sum_k (D c_k) d^(K-k) h_k(y), whose
+    coefficients are polynomials._scaled_ints(c, d). Since h_k(x, y_n) = sum_m
+    y_n^m h_{k-m}(x), N is, for a fixed prefix x of the first n - 1
+    coordinates, an integer polynomial in y_n whose coefficients are
+    line_coeffs of the prefix; each line's points are then one call of
     polynomials.horner. Raises ValueError unless there is one axis per
     coordinate of P's rank.
     """
     _require_rank(P, len(axes))
-    coeffs = P.h_coeffs
-    K = len(coeffs) - 1
+    K = len(P.h_coeffs) - 1
     d = lcm(*(a.top.denominator for a in axes))
-    D = lcm(*(c.denominator for c in coeffs))
-    a = [c.numerator * (D // c.denominator) * d ** (K - k) for k, c in enumerate(coeffs)]
+    D, a = _scaled_ints(P.h_coeffs, d)
     *prefix_axes, last = [ax.scaled(d) for ax in axes]
     values = chain.from_iterable(horner(line_coeffs(a, prefix), last)
                                  for prefix in product(*prefix_axes))

@@ -194,7 +194,10 @@ class Poly:
 def _scaled_ints(coeffs: Sequence[Scalar], v: int) -> tuple[int, list[int]]:
     """(D, P) for p(z) = sum coeffs[i] z^i of degree d, ints or Fractions:
     D the common denominator of the coefficients and P(w) = D v^d p(w/v),
-    with integer coefficients."""
+    with integer coefficients. The package's one scaling to integers: the
+    Weyl scaling and the Sturm sequence take v = 1, so P is D times the
+    coefficients, and the spin grid takes v = d, the tops' common
+    denominator."""
     den = lcm(*(a.denominator for a in coeffs))
     ints, scale = [], 1
     for a in reversed(coeffs):
@@ -228,8 +231,7 @@ def _over(ints: Sequence[int], den: int, v: int) -> Poly:
 def _integer_coeffs(p: Poly) -> list[int]:
     """The coefficients of p times the positive rational that makes them
     coprime integers; signs, and so the sign of p at every point, are kept."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
+    ints = _scaled_ints(p.coeffs, 1)[1]
     g = gcd(*ints)
     return [c // g for c in ints]
 

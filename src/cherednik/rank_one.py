@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .clifford import CliffordElement, SpinVector, gamma_e, spin_action
 from .modules import ModuleDecomposition, nu_vector
-from .polynomials import InvariantViolation, Poly, _as_fraction, xi_to_density
+from .polynomials import InvariantViolation, Poly, _as_fraction, horner, xi_to_density
 from .weights import CentralCharPoly, Weight
 
 # Sparse rows: row i is {j: a_ij} over the nonzero entries a_ij only.
@@ -155,22 +155,24 @@ def oracle_cohomology(xi: Poly, lam) -> ModuleDecomposition:
     for i, row in enumerate(d):
         _require(all(labels[i] == labels[j] for j in row), "D mixes distinct weights")
 
-    P = module.P
-    p_lam = P.value(Weight.of(module.lam))
     groups: dict[Fraction, list[int]] = {}
     for idx, mu in enumerate(labels):
         groups.setdefault(mu, []).append(idx)
+    # At rank one rho = 0 and h_k(x) = x^k, so P is the polynomial with
+    # coefficients h_coeffs, taken at lam and at every mu - 1/2 in one call.
+    half = Fraction(1, 2)
+    p_lam, *p_shifted = horner(module.P.h_coeffs, [module.lam, *(mu - half for mu in groups)])
 
     out = ModuleDecomposition(rank=1)
     kernel = 0
-    for mu, idxs in groups.items():
+    for (mu, idxs), p_mu in zip(groups.items(), p_shifted):
         position = {j: a for a, j in enumerate(idxs)}
         block = [{position[j]: c for j, c in d[i].items()} for i in idxs]
         square = mat_mul(block, block)
         rank_square = mat_rank(square)
         _require(mat_rank(block) == rank_square,
                  "rank D != rank D^2: ker D must equal ker D^2 and meet im D trivially")
-        expected = 2 * p_lam - 2 * P.value(Weight.of(mu - Fraction(1, 2)))
+        expected = 2 * p_lam - 2 * p_mu
         scalar = [{a: expected} if expected else {} for a in range(len(idxs))]
         _require(square == scalar, "D^2 is not the expected scalar on a weight block")
         kernel += len(idxs) - rank_square

@@ -6,14 +6,16 @@ fail, one-line detail), so the command line driver and the test suite share
 one source of truth. Negative controls are phrased so that PASS means "the
 corrupted object was correctly rejected".
 
-Each fact is defined once: the bounds of a run (check_bounds, which
-run_suites applies before any suite runs, each suite to the bounds it
-reads, and the command line reports as a usage error), the PBW
-certificates (CERTIFICATES, read by the per-degree lines and the dense-xi
-line of jacobi_suite), the corrupted deformation maps of the controls
-(_doubled: xi = z^m with one coefficient of r_m doubled) and the twisted
-substitution identity (twisted_identity_check from polynomials, run over Q
-by poly_suite and with a rank-one Clifford gamma by clifford_suite).
+Each fact is defined once: the suites and their run order (SUITES, which
+run_suites dispatches from and the command line's --suite offers), the
+bounds of a run (check_bounds, which run_suites applies before any suite
+runs, each suite to the bounds it reads, and the command line reports as a
+usage error), the PBW certificates (CERTIFICATES, read by the per-degree
+lines and the dense-xi line of jacobi_suite), the corrupted deformation maps
+of the controls (_doubled: xi = z^m with one coefficient of r_m doubled) and
+the twisted substitution identity (twisted_identity_check from polynomials,
+run over Q by poly_suite and with a rank-one Clifford gamma by
+clifford_suite).
 
 Two corruption facts worth knowing before reading the controls (both are
 machine-checked here and provable by hand): doubling the E_ii coefficient
@@ -30,6 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .clifford import (
     CliffordElement,
@@ -293,27 +296,31 @@ def check_bounds(selector: str, max_n: int | None = None, max_deg: int | None = 
                          "instances have a nonconstant xi, got 0")
 
 
+def _given_bounds(**bounds) -> dict:
+    """The bounds a run gives; None keeps a suite's own default."""
+    return {k: v for k, v in bounds.items() if v is not None}
+
+
+# The suites by name, in the order a run of "all" takes them: each runner
+# takes a run's options (max_n, max_deg, trials, seed) and passes on those
+# its suite reads.
+SUITES: dict[str, Callable[..., list[CheckResult]]] = {
+    "poly": lambda seed, trials, **_: poly_suite(seed, **_given_bounds(trials=trials)),
+    "jacobi": lambda max_n, max_deg, **_: jacobi_suite(max_n, **_given_bounds(max_deg=max_deg)),
+    "clifford": lambda max_n, **_: clifford_suite(max(max_n, 3)),
+    "oracle-n1": lambda seed, trials, max_deg, **_: oracle_suite(
+        seed=seed, **_given_bounds(trials=trials, max_deg=max_deg)),
+}
+
+
 def run_suites(selector: str, max_n: int = 2, max_deg: int | None = None,
                trials: int | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run one suite or all of them, once check_bounds holds. max_deg reaches
-    jacobi and oracle-n1, trials reaches poly and oracle-n1; None keeps each
-    suite's own default."""
+    """Run one suite of SUITES or all of them, once check_bounds holds.
+    max_deg reaches jacobi and oracle-n1, trials reaches poly and oracle-n1;
+    None keeps each suite's own default."""
     check_bounds(selector, max_n, max_deg, trials)
-
-    def given(**flags):
-        return {k: v for k, v in flags.items() if v is not None}
-
-    suites = {
-        "poly": lambda: poly_suite(seed=seed, **given(trials=trials)),
-        "jacobi": lambda: jacobi_suite(max_n=max_n, **given(max_deg=max_deg)),
-        "clifford": lambda: clifford_suite(max_n=max(max_n, 3)),
-        "oracle-n1": lambda: oracle_suite(seed=seed, **given(trials=trials, max_deg=max_deg)),
-    }
-    if selector == "all":
-        results = []
-        for fn in suites.values():
-            results.extend(fn())
-        return results
-    if selector not in suites:
+    if selector != "all" and selector not in SUITES:
         raise ValueError(f"unknown suite {selector!r}")
-    return suites[selector]()
+    options = dict(max_n=max_n, max_deg=max_deg, trials=trials, seed=seed)
+    return [result for name in (SUITES if selector == "all" else [selector])
+            for result in SUITES[name](**options)]

@@ -11,15 +11,16 @@ the corresponding highest-weight module is the zero module. Boundary weights
 show up as formal summands when tensoring with the spin module and are kept
 (with formal dimension 0) so that multiplicity tables close up exactly.
 
-Weyl dimensions are computed in integers. weyl_scaled is the one scaling:
-with d the common denominator of a weight w, y_i = d w_i - d i has the
-differences of d (w + rho), so a dimension is the integer Weyl product of y
-over that of d rho, one exact division (weyl_quotient). weyl_dim_formal
-scales one weight; box_dimension scales the tops of a box's axes (Axis: the
-values top - o, o = 0..count - 1, of one coordinate), runs each axis down
-from its scaled top (Axis.row, the one descent, which Axis.scaled also
-uses), and sums the quotients over the classes of the product of the
-axes whose multiplicity is not 0.
+Weyl dimensions are computed in integers. weyl_scaled scales a weight by
+polynomials._scaled_ints, the package's one scaling to integers: with d the
+common denominator of a weight w, y_i = d w_i - d i has the differences of d
+(w + rho), so a dimension is the integer Weyl product of y over that of d
+rho, one exact division (weyl_quotient). weyl_dim_formal scales one weight;
+box_dimension scales the tops of a box's axes (Axis: the values top - o, o =
+0..count - 1, of one coordinate), runs each axis down from its scaled top
+(Axis.row, the one descent, which Axis.scaled also uses), and sums the
+quotients over the classes of the product of the axes whose multiplicity is
+not 0.
 
 The central character polynomial P is stored by its coefficients in the basis
 of complete homogeneous symmetric polynomials: P(point) = sum_k c_k h_k(point),
@@ -35,11 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product
-from math import factorial, lcm, prod
+from math import factorial, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .polynomials import InvariantViolation, Poly, Scalar, _as_fraction, xi_to_w
+from .polynomials import InvariantViolation, Poly, Scalar, _as_fraction, _scaled_ints, xi_to_w
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,8 @@ def weyl_scaled(coords: Sequence[Fraction]) -> tuple[list[int], int]:
     """(y, d) for d the common denominator of coords and y_i = d c_i - d i:
     integers whose differences are d times those of coords + rho, so the
     Weyl product of coords + rho is weyl_product(y) / d^(n(n-1)/2)."""
-    d = lcm(*(c.denominator for c in coords))
-    return [c.numerator * (d // c.denominator) - d * i for i, c in enumerate(coords)], d
+    d, ints = _scaled_ints(coords, 1)
+    return [a - d * i for i, a in enumerate(ints)], d
 
 
 def weyl_product(y: Sequence[int]) -> int:
@@ -171,13 +172,6 @@ class Axis(NamedTuple):
 
     def values(self) -> list[Fraction]:
         return [self.top - o for o in range(self.count)]
-
-    def strings(self) -> list[str]:
-        """str() of each value, as num/den (or the integer) without a Fraction."""
-        num, den = self.top.numerator, self.top.denominator
-        if den == 1:
-            return list(map(str, range(num, num - self.count, -1)))
-        return [f"{num - den * o}/{den}" for o in range(self.count)]
 
     def scaled(self, d: int) -> list[int]:
         """d times each value, for d a multiple of top's denominator."""
@@ -252,12 +246,8 @@ class CentralCharPoly:
         return CentralCharPoly(tuple(cs), rank)
 
     @staticmethod
-    def from_w(w: Poly, rank: int) -> CentralCharPoly:
-        return CentralCharPoly.from_h_coeffs(w.coeffs, rank)
-
-    @staticmethod
     def from_xi(xi: Poly, rank: int) -> CentralCharPoly:
-        return CentralCharPoly.from_w(xi_to_w(xi, rank), rank)
+        return CentralCharPoly.from_h_coeffs(xi_to_w(xi, rank).coeffs, rank)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Evaluate at an already rho-shifted point of ints or Fractions

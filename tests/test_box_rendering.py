@@ -134,7 +134,7 @@ def test_axis_strings_and_scaled_values_are_the_fractions(box):
     lam, nu = box
     checked = Box(lam, nu)
     for axis in checked.L.axes + checked.spin.axes:
-        assert axis.strings() == [str(v) for v in axis.values()]
+        assert cli._axis_strings(axis, False) == [str(v) for v in axis.values()]
         for d in (axis.top.denominator, 6 * axis.top.denominator):
             assert axis.scaled(d) == [v * d for v in axis.values()]
     assert len(checked.spin.multiplicities) == prod(a.count for a in checked.spin.axes)

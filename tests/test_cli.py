@@ -1,4 +1,6 @@
 """Command line behavior: outputs, exit codes, determinism, wire format."""
+import argparse
+import inspect
 import json
 import os
 import re
@@ -13,6 +15,7 @@ import pytest
 import cherednik.cli as cli
 import cherednik.modules as modules
 import cherednik.polynomials as polynomials
+import cherednik.verify as verify
 import cherednik.weights as weights
 
 EXAMPLE_ARGS = ["--n", "2", "--P-h", "0,18,-9/2,-2,1/2", "--lambda-plus-rho", "3,0"]
@@ -266,6 +269,49 @@ def test_fault_query_answers_within_bit_size_cost():
 def run_main(capsys, *argv):
     rc = cli.main(list(argv))
     return rc, capsys.readouterr().out
+
+
+# The usage errors of the list flags, pinned to the byte: each request
+# gives no deformation or weight flag, or two of one kind.
+ONE_OF_DEFORMATION = "error: give exactly one of --xi, --w, --P-h\n"
+ONE_OF_WEIGHT = "error: give exactly one of --lambda, --lambda-plus-rho\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "dirac", "tables"])
+@pytest.mark.parametrize("flags,err", [
+    (["--lambda", "0,0"], ONE_OF_DEFORMATION),
+    (["--xi", "1", "--w", "0,1", "--lambda", "0,0"], ONE_OF_DEFORMATION),
+    (["--xi", "0,1", "--P-h", "0,1", "--lambda", "0,0"], ONE_OF_DEFORMATION),
+    (["--xi", "0,1"], ONE_OF_WEIGHT),
+    (["--xi", "0,1", "--lambda", "0,0", "--lambda-plus-rho", "1/2,-1/2"], ONE_OF_WEIGHT),
+])
+def test_exactly_one_of_each_list_kind(capsys, command, flags, err):
+    rc = cli.main([command, "--n", "2", *flags])
+    assert (rc, *capsys.readouterr()) == (2, "", err)
+
+
+@pytest.mark.parametrize("flags", [["--w", "0,1"], ["--P-h", "0,1"], []])
+def test_transform_takes_only_the_xi_variant(capsys, flags):
+    rc = cli.main(["transform", "--n", "1", *flags])
+    err = "error: transform requires the --xi variant\n" if flags else ONE_OF_DEFORMATION
+    assert (rc, *capsys.readouterr()) == (2, "", err)
+
+
+def _verify_help(dest: str) -> str:
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return next(a.help for a in commands.choices["verify"]._actions if a.dest == dest)
+
+
+@pytest.mark.parametrize("dest,suites", [("max_deg", ("jacobi", "oracle-n1")),
+                                         ("trials", ("poly", "oracle-n1"))])
+def test_verify_help_defaults_are_the_suites_defaults(dest, suites):
+    # The help text states each suite's default, which the suite's own
+    # signature holds: the one fact the parser repeats.
+    runners = {"poly": verify.poly_suite, "jacobi": verify.jacobi_suite,
+               "oracle-n1": verify.oracle_suite}
+    stated = dict((s, int(v)) for v, s in re.findall(r"(\d+) for ([\w-]+)", _verify_help(dest)))
+    assert stated == {s: inspect.signature(runners[s]).parameters[dest].default for s in suites}
 
 
 @pytest.mark.parametrize("flag,negative,rest", [

@@ -244,6 +244,28 @@ def test_oracle_rejects_a_dirac_matrix_across_weights(monkeypatch):
         oracle_cohomology(Poly.of(0, 1), 0)
 
 
+@pytest.mark.parametrize("xi,lam", [(Poly.of(0, 1), 0), (Poly.of(0, 1), F(7, 2)),
+                                    random_rank_one_instance(random.Random(71))])
+def test_oracle_rejects_a_module_whose_P_is_perturbed(monkeypatch, xi, lam):
+    # D^2 on the block of weight mu must be 2 P(lam) - 2 P(mu - 1/2): adding
+    # h_1 to the module's P moves that scalar by 2 (lam - mu + 1/2), on every
+    # block but the top one, while D itself is left as it is.
+    assert oracle_cohomology(xi, lam)
+    base = rank_one.build_module
+
+    def perturbed(xi, lam):
+        module = base(xi, lam)
+        coeffs = [*module.P.h_coeffs, F(0), F(0)]
+        coeffs[1] += 1
+        module.P = CentralCharPoly.from_h_coeffs(coeffs, 1)
+        return module
+
+    monkeypatch.setattr(rank_one, "build_module", perturbed)
+    with pytest.raises(InvariantViolation,
+                       match="D\\^2 is not the expected scalar on a weight block"):
+        oracle_cohomology(xi, lam)
+
+
 def _kron(a, s):
     """The Kronecker product of two square matrices of dense rows."""
     rows = len(a) * len(s)
