@@ -31,19 +31,21 @@ produces that text with the C string encoder.
 
 classify, dirac and tables check one modules.Box per request and read
 everything from it. Its class lists (modules.Block: L(lambda),
-L(lambda) (x) spin and the Dirac cohomology) come from one _rows over
-their per-axis data (weights.Axis): coordinate i of a class is top_i - o
-for o = 0..b_i, so each coordinate's strings are made once per axis value
-and the classes are their itertools.product, already in descending order,
-with the classes of multiplicity 0 dropped. Dimensions come from the
-integer Weyl products of the same axes (Block.dimension) and the tables'
-P values from integer numerators over one common denominator (Box.grid);
-no Weight or Fraction is built per class. The class lists and the tables'
-cells can run to modules.MAX_GRID entries, so they are the one part of a
-document made differently per format: per-class dicts for --json, and for
-the text the stream of their rows, read once; the per-axis strings and the
-P cells are made once for both. Only the guaranteed classes, a few per
-request, go through Weight.
+L(lambda) (x) spin and the Dirac cohomology) come from their per-axis data
+(weights.Axis): coordinate i of a class is top_i - o for o = 0..b_i, so
+each coordinate's strings are made once per axis value (_axis_strings) and
+the classes are their itertools.product, already in descending order, with
+the classes of multiplicity 0 dropped. Dimensions come from the integer
+Weyl products of the same axes (Block.dimension) and the tables' P values
+from integer numerators over one common denominator (Box.grid); no Weight
+or Fraction is built per class. The class lists, the tables' points and
+its rank-2 mu+rho and multiplicity grids can run to modules.MAX_GRID
+entries, so each goes into the document as one Listing, the same for both
+formats: the text reads its rows, and _json writes it from fragments made
+once per axis value, each the value quoted once with the JSON text before
+it (its key, separator and indentation), so that an entry is one join of
+fragments and no dict or list is built per class. Only the guaranteed
+classes, a few per request, go through Weight.
 
 Exit codes: 0 success, 1 mathematical rejection (the weight heads no
 finite-dimensional module: error code "not-classified", or "not-dominant"
@@ -64,11 +66,11 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import compress, product
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .modules import (
     MAX_GRID,
@@ -151,29 +153,67 @@ def _weight_text(weight: list[str], plus_rho: list[str]) -> str:
     return f"({', '.join(weight)})  [mu+rho ({', '.join(plus_rho)})]"
 
 
-def _rows(block: Block, decimal: bool) -> Iterator[tuple]:
-    """(multiplicity, weight, weight + rho) per class of nonzero
-    multiplicity, each coordinate taken from its axis's _axis_strings, so
-    nothing is made per class but the tuples of strings."""
-    fmt = partial(_axis_strings, decimal=decimal)
-    plus_rho = shift_axes(block.axes, rho(len(block.axes)).coords)
-    return compress(zip(block.multiplicities, product(*map(fmt, block.axes)),
-                        product(*map(fmt, plus_rho))), block.multiplicities)
+class Listing:
+    """A list of the document that grows with the grid (a class list, the
+    tables' points, a rank-2 grid), made once for both formats from strings
+    made once per axis value. Iterating it gives the text its rows, read
+    once; _encode writes it as JSON from ``items(newline)``, the JSON text of
+    each of its items at their newline, which joins fragments made once per
+    axis value (_fragments) and never builds a dict or a list per item."""
+
+    def __init__(self, rows: Iterable, items: Callable[[str], Iterable[str]]):
+        self.rows, self.items = rows, items
+
+    def __iter__(self) -> Iterator:
+        return iter(self.rows)
 
 
-def _block_json(block: Block, decimal: bool = False, dicts: bool = True) -> dict:
-    """A class list in the document: its dimension and its classes of
-    nonzero multiplicity, one dict each with ``dicts`` (--json), else the
-    stream of _rows itself, which the text reads once: a list can hold up to
-    MAX_GRID classes, and a dict per class would slow the text down."""
-    rows = _rows(block, decimal)
-    return {"dimension": block.dimension(),
-            "entries": [{"multiplicity": m, "weight": w, "weight_plus_rho": s}
-                        for m, w, s in rows] if dicts else rows}
+# A slot of a skeleton item: _pieces splits the item's JSON text at it.
+MARK = "\x00"
+
+
+def _pieces(skeleton, newline: str) -> list[str]:
+    """The JSON text of ``skeleton`` at ``newline``, split at each MARK: the
+    fixed pieces between an item's values, keys and layout included."""
+    return _encode(skeleton, newline).split(_quote(MARK))
+
+
+def _fragments(pieces: list[str], strings: list[list[str]]) -> list[list[str]]:
+    """Per axis, each value's JSON: the piece before the axis's slot, then
+    the value quoted once."""
+    return [[piece + _quote(value) for value in axis]
+            for piece, axis in zip(pieces, strings, strict=True)]
+
+
+def _classes(block: Block, decimal: bool) -> Listing:
+    """A class list's classes of nonzero multiplicity. The text's rows are
+    (multiplicity, weight, weight + rho), each coordinate taken from its
+    axis's _axis_strings; as JSON each class is {"multiplicity", "weight",
+    "weight_plus_rho"}, one join of its coordinates' fragments. The classes
+    of multiplicity 0 are dropped by compress before any string is made."""
+    ms, n = block.multiplicities, len(block.axes)
+    weight = [_axis_strings(axis, decimal) for axis in block.axes]
+    plus_rho = [_axis_strings(axis, decimal) for axis in shift_axes(block.axes, rho(n).coords)]
+
+    def items(newline: str) -> Iterator[str]:
+        head, *pieces, tail = _pieces(
+            {"multiplicity": MARK, "weight": [MARK] * n, "weight_plus_rho": [MARK] * n}, newline)
+        w, s = _fragments(pieces[:n], weight), _fragments(pieces[n:], plus_rho)
+        opening = {m: head + str(m) for m in set(ms)}
+        return ("".join((opening[m], *a, *b, tail))
+                for m, a, b in compress(zip(ms, product(*w), product(*s)), ms))
+
+    return Listing(compress(zip(ms, product(*weight), product(*plus_rho)), ms), items)
+
+
+def _block_json(block: Block, decimal: bool = False) -> dict:
+    """A class list in the document: its dimension and its classes
+    (_classes), which can run to MAX_GRID."""
+    return {"dimension": block.dimension(), "entries": _classes(block, decimal)}
 
 
 def _block_text(title: str, block: dict) -> list[str]:
-    """The lines of a class list streamed by _block_json."""
+    """The lines of a class list of _block_json."""
     return [f"{title}  (dimension {block['dimension']})",
             *[f"  {m} x {_weight_text(w, s)}" for m, w, s in block["entries"]]]
 
@@ -255,8 +295,9 @@ Outcome = tuple[int, dict, Callable[[dict], list[str]]]
 def _json(doc) -> str:
     """The exact text of json.dumps(doc, sort_keys=True, indent=2), for a
     document of dicts (with str keys), lists, tuples, str, int, bool and
-    None. Strings go through the C string encoder, and a list of strings is
-    one join over it."""
+    None, where a Listing stands for the list of its items. Strings go
+    through the C string encoder, and a list of strings is one join over
+    it."""
     return _encode(doc, "\n")
 
 
@@ -270,15 +311,16 @@ def _encode(value, newline: str) -> str:
         return "{" + inner + ("," + inner).join(
             _quote(key) + ": " + _encode(value[key], inner) for key in sorted(value)
         ) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    if isinstance(value, (list, tuple, Listing)):
         inner = newline + "  "
-        try:
-            body = ("," + inner).join(map(_quote, value))
-        except TypeError:  # not a list of strings
-            body = ("," + inner).join([_encode(item, inner) for item in value])
-        return "[" + inner + body + newline + "]"
+        if isinstance(value, Listing):
+            body = ("," + inner).join(value.items(inner))
+        else:
+            try:
+                body = ("," + inner).join(map(_quote, value))
+            except TypeError:  # not a list of strings
+                body = ("," + inner).join([_encode(item, inner) for item in value])
+        return "[" + inner + body + newline + "]" if body else "[]"
     if value is None:
         return "null"
     if value is True:
@@ -397,14 +439,14 @@ def _classes_text(doc: dict) -> list[str]:
 
 def cmd_classify(args) -> Outcome:
     _, box, doc = _classified(args, "classify")
-    doc["L"] = _block_json(box.L, args.decimal, dicts=args.json)
+    doc["L"] = _block_json(box.L, args.decimal)
     return 0, doc, _classes_text
 
 
 def cmd_dirac(args) -> Outcome:
     P, box, doc = _classified(args, "dirac")
     for (key, _), block in zip(BLOCKS, (box.L, box.spin, box.cohomology(P))):
-        doc[key] = _block_json(block, args.decimal, dicts=args.json)
+        doc[key] = _block_json(block, args.decimal)
     doc["guaranteed"] = _guaranteed(box.lam, box.nu, args.decimal)
     return 0, doc, _classes_text
 
@@ -414,10 +456,8 @@ def cmd_tables(args) -> Outcome:
     axes, multiplicities, values, den = box.grid(P)
     strings = [_axis_strings(axis, args.decimal) for axis in axes]
     if box.lam.rank != 2:
-        cells = zip(product(*strings), (_ratio(v, den, args.decimal) for v in values),
-                    multiplicities)
-        doc["points"] = [{"P": value, "multiplicity": m, "weight_plus_rho": point}
-                         for point, value, m in cells] if args.json else cells
+        doc["points"] = _points(strings, (_ratio(v, den, args.decimal) for v in values),
+                                multiplicities)
         return 0, doc, _points_text
     # The grid runs the second coordinate fastest, so row k2 of the layout
     # (columns over the first coordinate) is every (nu_2 + 2)-th cell.
@@ -426,13 +466,10 @@ def cmd_tables(args) -> Outcome:
     p_grid = [values[k2::step] for k2 in range(step)]
     transpose_symmetric = len(p_grid) == len(p_grid[0]) and all(
         p_grid[i][j] == p_grid[j][i] for i in range(step) for j in range(step))
-    # The mu+rho cells, as for the points: listed for --json; the text makes
-    # them from the two axes' strings.
-    xs, ys = strings
     doc["grids"] = {
-        "weight_plus_rho": [[[x, y] for x in xs] for y in ys] if args.json else strings,
+        "weight_plus_rho": _pair_grid(*strings),
         "P": [[_ratio(v, den, args.decimal) for v in row] for row in p_grid],
-        "multiplicity": [multiplicities[k2::step] for k2 in range(step)],
+        "multiplicity": _int_grid([multiplicities[k2::step] for k2 in range(step)]),
         "orientation_note": "" if transpose_symmetric else (
             "rows run over the second mu+rho coordinate (descending), columns "
             "over the first (descending); this grid is not symmetric, so a "
@@ -441,9 +478,47 @@ def cmd_tables(args) -> Outcome:
     return 0, doc, _grids_text
 
 
+def _points(strings: list[list[str]], values: Iterator[str], multiplicities: list[int]) -> Listing:
+    """The tables' points at ranks other than 2, in product order: the
+    text's rows are (P, multiplicity, mu + rho), the point's coordinates
+    from the axes' strings; as JSON each point is {"P", "multiplicity",
+    "weight_plus_rho"}, one join of its P value, quoted, and fragments."""
+    def items(newline: str) -> Iterator[str]:
+        head, middle, *pieces, tail = _pieces(
+            {"P": MARK, "multiplicity": MARK, "weight_plus_rho": [MARK] * len(strings)}, newline)
+        point = _fragments(pieces, strings)
+        after = {m: middle + str(m) for m in set(multiplicities)}
+        return ("".join((head, _quote(v), after[m], *a, tail))
+                for v, m, a in zip(values, multiplicities, product(*point)))
+
+    return Listing(zip(values, multiplicities, product(*strings)), items)
+
+
+def _pair_grid(xs: list[str], ys: list[str]) -> Listing:
+    """The rank-2 mu+rho grid: as JSON, a row per y of the cells [x, y]
+    over the xs, each row one join of the quoted xs; the text's rows are
+    the two axes' strings, xs and ys."""
+    def items(newline: str) -> Iterator[str]:
+        opening, middle, between, _, closing = _pieces([[MARK, MARK], [MARK, MARK]], newline)
+        quoted = list(map(_quote, xs))
+        return (opening + (middle + y + between).join(quoted) + middle + y + closing
+                for y in map(_quote, ys))
+
+    return Listing((xs, ys), items)
+
+
+def _int_grid(rows: list[list[int]]) -> Listing:
+    """A grid of ints, a list of its rows for the text and as JSON."""
+    def items(newline: str) -> Iterator[str]:
+        opening, comma, closing = _pieces([MARK, MARK], newline)
+        return (opening + comma.join(map(str, row)) + closing for row in rows)
+
+    return Listing(rows, items)
+
+
 def _points_text(doc: dict) -> list[str]:
     return [f"nu = {doc['nu']}", *[f"mu+rho ({', '.join(point)})  P = {value}  multiplicity {m}"
-                                   for point, value, m in doc["points"]]]
+                                   for value, m, point in doc["points"]]]
 
 
 def _grids_text(doc: dict) -> list[str]:

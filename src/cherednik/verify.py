@@ -286,7 +286,9 @@ def check_bounds(selector: str, max_n: int | None = None, max_deg: int | None = 
     (BoundsError otherwise): max_n >= 1, max_deg >= 0, trials >= 1, and
     max_deg >= 1 when oracle-n1 runs. run_suites checks the bounds of a run
     before any suite runs, and each suite the bounds it reads (None is not
-    checked), so a suite called directly runs no empty range either."""
+    checked), so a suite called directly runs no empty range either. A run's
+    max_n bounds jacobi from above, but the clifford suite it floors at 3: a
+    run of clifford (or all) checks n = 1..max(max_n, 3)."""
     for flag, value, least in (("--max-n", max_n, 1), ("--max-deg", max_deg, 0),
                                ("--trials", trials, 1)):
         if value is not None and value < least:
@@ -303,7 +305,8 @@ def _given_bounds(**bounds) -> dict:
 
 # The suites by name, in the order a run of "all" takes them: each runner
 # takes a run's options (max_n, max_deg, trials, seed) and passes on those
-# its suite reads.
+# its suite reads. The clifford runner floors max_n at 3, so a run checks
+# the Clifford algebra at n = 1..3 at least, whatever its --max-n.
 SUITES: dict[str, Callable[..., list[CheckResult]]] = {
     "poly": lambda seed, trials, **_: poly_suite(seed, **_given_bounds(trials=trials)),
     "jacobi": lambda max_n, max_deg, **_: jacobi_suite(max_n, **_given_bounds(max_deg=max_deg)),

@@ -61,8 +61,8 @@ def boxes(draw):
     return Weight(tuple(last + sum(gaps[i:]) for i in range(n))), nu
 
 
-def as_json(block: dict) -> str:
-    return json.dumps(block, sort_keys=True)
+def dumps(block: dict) -> str:
+    return json.dumps(block, sort_keys=True, indent=2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -72,12 +72,12 @@ def test_blocks_equal_the_sorted_weight_rendering(box):
     checked = Box(lam, nu)
     new_L, new_LS = checked.L, checked.spin
     L, LS = new_L.decomposition(), new_LS.decomposition()
-    assert as_json(cli._block_json(new_L)) == as_json(reference_json(L))
-    assert as_json(cli._block_json(new_LS)) == as_json(reference_json(LS))
+    assert cli._json(cli._block_json(new_L)) == dumps(reference_json(L))
+    assert cli._json(cli._block_json(new_LS)) == dumps(reference_json(LS))
     for decimal in (False, True):
-        lines = (cli._block_text("L(lambda)", cli._block_json(new_L, decimal, dicts=False))
+        lines = (cli._block_text("L(lambda)", cli._block_json(new_L, decimal))
                  + cli._block_text("L(lambda) (x) spin",
-                                   cli._block_json(new_LS, decimal, dicts=False)))
+                                   cli._block_json(new_LS, decimal)))
         assert lines == (reference_text("L(lambda)", L, decimal)
                          + reference_text("L(lambda) (x) spin", LS, decimal))
 
@@ -91,8 +91,8 @@ def test_blocks_equal_the_sorted_weight_rendering(box):
 def test_blocks_at_rank_one_and_on_boundary_classes(lam, nu):
     box = Box(lam, nu)
     LS = box.spin.decomposition()
-    assert as_json(cli._block_json(box.L)) == as_json(reference_json(box.L.decomposition()))
-    assert as_json(cli._block_json(box.spin)) == as_json(reference_json(LS))
+    assert cli._json(cli._block_json(box.L)) == dumps(reference_json(box.L.decomposition()))
+    assert cli._json(cli._block_json(box.spin)) == dumps(reference_json(LS))
     if lam.rank > 1:
         assert any(reference_dimension(w) == 0 for w in LS.entries)
 
@@ -111,9 +111,9 @@ def test_cohomology_block_equals_the_sorted_weight_rendering(box, coeffs):
     P = CentralCharPoly.from_h_coeffs(coeffs, lam.rank)
     block = Box(lam, nu).cohomology(P)
     coh = block.decomposition()
-    assert as_json(cli._block_json(block)) == as_json(reference_json(coh))
+    assert cli._json(cli._block_json(block)) == dumps(reference_json(coh))
     for decimal in (False, True):
-        lines = cli._block_text("Dirac cohomology", cli._block_json(block, decimal, dicts=False))
+        lines = cli._block_text("Dirac cohomology", cli._block_json(block, decimal))
         assert lines == reference_text("Dirac cohomology", coh, decimal)
 
 

@@ -352,15 +352,25 @@ STAGES = ["membership_detail", "nu_vector", "dirac_cohomology", "guaranteed_clas
 # L (x) spin and cohomology blocks, one dimension walk per block, and no
 # ModuleDecomposition; the P values are walked once, as numerators, and the
 # cohomology is selected on that Box (Box.cohomology, not dirac_cohomology's
-# own Box).
+# own Box). A rational is spelled (_ratio) once per axis value of a class
+# list, in both its views (weight and mu+rho), never once per class: the
+# example's L has axes of 3 and 3 values (9 classes), L (x) spin and the
+# cohomology axes of 4 and 4 (16 and 5 classes); dirac adds the 2 + 2
+# coordinates of its 2 guaranteed classes, and tables the 4 + 4 values of
+# its grid's axes and one P value per cell.
 @pytest.mark.parametrize("cmd,want", [
-    ("classify", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 1, "Box": 1}),
+    ("classify", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 1, "Box": 1,
+                  "_ratio": 2 * (3 + 3)}),
     ("dirac", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 3, "Box": 1,
-               "grid_numerators": 1, "guaranteed_classes": 1}),
-    ("tables", {"membership_detail": 1, "nu_vector": 1, "grid_numerators": 1, "Box": 1}),
+               "grid_numerators": 1, "guaranteed_classes": 1,
+               "_ratio": 2 * (3 + 3) + 2 * 2 * (4 + 4) + 2 * (2 + 2)}),
+    ("tables", {"membership_detail": 1, "nu_vector": 1, "grid_numerators": 1, "Box": 1,
+                "_ratio": (4 + 4) + 16}),
 ])
 def test_each_stage_runs_once_per_request(monkeypatch, capsys, cmd, want):
     counts = _count_calls(monkeypatch, STAGES)
+    orig_ratio = cli._ratio
+    monkeypatch.setattr(cli, "_ratio", lambda *a: counts.update(["_ratio"]) or orig_ratio(*a))
     assert run_main(capsys, cmd, *EXAMPLE_ARGS, "--json")[0] == 0
     assert dict(counts) == want
 

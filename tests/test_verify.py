@@ -75,3 +75,13 @@ def test_corrupted_kappas_match_the_reference():
     rm = [r_matrix(n, m) for m in range(3)]
     assert verify._doubled(n, 2, 0, 0, ((1, 1), (2, 2))) == \
         _doubled_by_hand(rm, Poly.of(0, 0, 1), 0, 0, ((1, 1), (2, 2)), n)
+
+
+@pytest.mark.parametrize("max_n,ranks", [(1, [1, 2, 3]), (3, [1, 2, 3]), (4, [1, 2, 3, 4])])
+def test_clifford_runs_at_least_up_to_rank_three(max_n, ranks):
+    # The clifford runner floors max_n at 3: a run at --max-n 1 or 2 still
+    # checks n = 1, 2 and 3, four checks per rank (and two checks of no rank).
+    results = verify.run_suites("clifford", max_n=max_n)
+    per_rank = [int(r.name.rsplit("n=", 1)[1]) for r in results if "n=" in r.name]
+    assert per_rank == [n for n in ranks for _ in range(4)]
+    assert len(results) == len(per_rank) + 2 and all(r.ok for r in results)

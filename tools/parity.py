@@ -11,21 +11,23 @@ the package supports can run it without pytest, hypothesis or sympy.
 The corpus: the benchmark's dirac-grid and classify-roots CLI queries at
 seeds 1-3, each in --json, text and --decimal mode; the worked example,
 thirds and sixths, two degenerate deformations (one whose cohomology is
-the whole of L (x) spin), the input echo of each deformation flag, tables at
-ranks 1-3 with a rational lambda, the rejection, not-dominant and
-box-too-large diagnostics (in text mode through classify, dirac and
-tables, the box over budget also with --decimal at a half-integer
-lambda), transform in --json, text and --decimal mode (one request whose
-ladder has terminating decimals), verify --json at four seeds and verify's
-text lines (all suites at seed 1, and the poly suite at five trials),
-the rational tokens that Fraction reads differently across interpreters
-(underscores, inner spaces, exponents), a 5001-digit literal, a tables
-request whose P values have about 6000 digits, and the four demos. Every
-request runs in process except the demos, which run as scripts under the
-same interpreter. A request that raises prints its traceback, is recorded
-with exit code 1 and the stdout it wrote, as the interpreter would end it,
-and counts as a problem: --write still records it, so a checkout whose
-requests crash can be compared with, but the run fails.
+the whole of L (x) spin), the input echo of each deformation flag, tables
+at ranks 1-3 with a rational lambda, classify, dirac and tables at ranks 4
+and 5 with lambda in 1/3 + Z or 1/4 + Z (each in --json, text and
+--decimal mode), the rejection, not-dominant and box-too-large diagnostics
+(in text mode through classify, dirac and tables, the box over budget also
+with --decimal at a half-integer lambda), transform in --json, text and
+--decimal mode (one request whose ladder has terminating decimals), verify
+--json at four seeds and verify's text lines (all suites at seed 1, and
+the poly suite at five trials), the rational tokens that Fraction reads
+differently across interpreters (underscores, inner spaces, exponents), a
+5001-digit literal, a tables request whose P values have about 6000
+digits, and the four demos. Every request runs in process except the
+demos, which run as scripts under the same interpreter. A request that
+raises prints its traceback, is recorded with exit code 1 and the stdout
+it wrote, as the interpreter would end it, and counts as a problem:
+--write still records it, so a checkout whose requests crash can be
+compared with, but the run fails.
 
 For every --json output, the parsed document must render through
 cli._json and through json.dumps(sort_keys=True, indent=2) to the output
@@ -71,6 +73,17 @@ EXTRA = [
 for rank, lam in ((1, "3/2"), (2, "19/6,7/6"), (3, "13/4,9/4,5/4")):
     for mode in (["--json"], [], ["--decimal"]):
         EXTRA.append(["tables", "--n", str(rank), "--P-h", "0,0,1", "--lambda", lam, *mode])
+# Ranks 4 and 5 with lambda in 1/3 + Z (and 1/4 + Z for tables, whose P
+# values then have terminating decimals): the class lists and the tables'
+# points at more axes than the benchmark's queries reach.
+for argv in (["classify", "--n", "4", "--P-h", "0,5,6", "--lambda", "13/3,10/3,7/3,4/3"],
+             ["dirac", "--n", "4", "--P-h", "0,5,6", "--lambda", "13/3,10/3,7/3,4/3"],
+             ["classify", "--n", "5", "--P-h", "0,0,1", "--lambda", "13/3,10/3,7/3,4/3,1/3"],
+             ["dirac", "--n", "5", "--P-h", "0,0,1", "--lambda", "13/3,10/3,7/3,4/3,1/3"],
+             ["tables", "--n", "4", "--P-h", "0,9,4", "--lambda", "13/4,9/4,5/4,1/4"],
+             ["tables", "--n", "5", "--P-h", "0,0,1", "--lambda", "13/3,10/3,7/3,4/3,1/3"]):
+    for mode in (["--json"], [], ["--decimal"]):
+        EXTRA.append([*argv, *mode])
 for seed in (1, 2, 3, 7):
     EXTRA.append(["verify", "--suite", "all", "--max-n", "2", "--max-deg", "3",
                   "--seed", str(seed), "--json"])
