@@ -15,6 +15,7 @@ from cherednik import (
     membership_detail,
     nu_vector,
 )
+from cherednik.modules import axis_points
 
 F = Fraction
 
@@ -37,7 +38,7 @@ P2 = CentralCharPoly.from_h_coeffs([0, 18, F(-9, 2), -2, F(1, 2)], 2)
 lam = Weight.of(F(5, 2), F(1, 2))
 nu = nu_vector(P2, lam)
 print(f"  nu = {nu}")
-L = Box(lam, nu).L.decomposition()
-print(f"  L(lam) is the {nu[0] + 1} x {nu[1] + 1} box, total dimension {L.total_dimension()}:")
-for w, m in L.sorted_items():
-    print(f"    {m} x V at mu+rho = {tuple(str(c) for c in w.shifted())}")
+L = Box(lam, nu).L
+print(f"  L(lam) is the {nu[0] + 1} x {nu[1] + 1} box, total dimension {L.dimension()}:")
+for point, m in zip(axis_points(L.axes), L.multiplicities):
+    print(f"    {m} x V at mu+rho = {tuple(str(c) for c in Weight(point).shifted())}")

@@ -14,6 +14,7 @@ from cherednik import (
     guaranteed_classes,
     nu_vector,
 )
+from cherednik.modules import axis_points
 
 F = Fraction
 
@@ -32,23 +33,24 @@ for b in rows:
     print("   " + "  ".join(f"{str(P.evaluate([a, b])):>4}" for a in cols))
 
 print("\nFormal multiplicities of V at mu+rho+(1/2,1/2) in L (x) spin:")
-L = box.L.decomposition()
-LS = box.spin.decomposition()
+L, LS = box.L, box.spin
+multiplicity = dict(zip(map(Weight, axis_points(LS.axes)), LS.multiplicities))
 for b in rows:
     line = []
     for a in cols:
         w = Weight.of(a + F(1, 2), b + F(1, 2)) - Weight.of(F(1, 2), F(-1, 2))
-        line.append(str(LS.multiplicity(w)))
+        line.append(str(multiplicity.get(w, 0)))
     print("   " + "  ".join(f"{v:>4}" for v in line))
 
-print(f"\ndim L = {L.total_dimension()}, dim L (x) spin = {LS.total_dimension()} "
-      f"= 2^2 * {L.total_dimension()}")
+print(f"\ndim L = {L.dimension()}, dim L (x) spin = {LS.dimension()} "
+      f"= 2^2 * {L.dimension()}")
 
 print("\nDirac cohomology (classes at the zeros of the P grid):")
-coh = box.cohomology(P).decomposition()
-for w, m in coh.sorted_items():
-    s = tuple(str(c) for c in w.shifted())
-    print(f"   {m} x V at mu+rho = {s}")
+coh = box.cohomology(P)
+for point, m in zip(axis_points(coh.axes), coh.multiplicities):
+    if m:
+        s = tuple(str(c) for c in Weight(point).shifted())
+        print(f"   {m} x V at mu+rho = {s}")
 print("note: the class at (1/2, 1/2) is a boundary class of formal Weyl "
       "dimension 0; it is kept so the tables close up exactly.")
 

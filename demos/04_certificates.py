@@ -24,6 +24,7 @@ from cherednik import (
     spin_weights,
 )
 from cherednik.clifford import CliffordElement
+from cherednik.modules import axis_points
 from cherednik.verify import r1_corruptions, random_rank_one_instance
 
 F = Fraction
@@ -59,6 +60,7 @@ for _ in range(5):
     xi, lam = random_rank_one_instance(rng, max_deg=3, max_nu=6)
     oracle = oracle_cohomology(xi, lam)
     closed = dirac_cohomology(CentralCharPoly.from_xi(xi, 1), Weight.of(lam))
-    coords = sorted(str(w.coords[0]) for w in oracle.entries)
+    coords = sorted(str(point[0]) for point, m in
+                    zip(axis_points(oracle.axes), oracle.multiplicities) if m)
     print(f"  xi coeffs {[str(c) for c in xi.coeffs]}, lam={lam}: "
           f"agree={oracle == closed}, classes at {coords}")

@@ -33,7 +33,6 @@ from .weights import (
 )
 from .modules import (
     Box,
-    ModuleDecomposition,
     NotInClassificationError,
     dirac_cohomology,
     guaranteed_classes,
@@ -67,7 +66,7 @@ __all__ = [
     "twisted_identity_check", "xi_to_density", "xi_to_density_sum", "xi_to_w",
     "CentralCharPoly", "Weight", "complete_homogeneous", "is_dominant", "rho",
     "weyl_dim", "weyl_dim_formal",
-    "Box", "ModuleDecomposition", "NotInClassificationError",
+    "Box", "NotInClassificationError",
     "dirac_cohomology", "guaranteed_classes", "membership_detail", "nu_vector",
     "KappaMap", "UEAElement", "act_on_v", "coproduct", "h_linearity_check",
     "higher_jacobi_checks", "jacobi_check", "kappa_of", "r_matrix",

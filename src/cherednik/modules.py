@@ -30,7 +30,7 @@ For a deformation with central character polynomial P and a dominant weight
   order, which is descending lexicographic order. Block(axes,
   multiplicities) is the one class list: one multiplicity per class of the
   product, 0 for a class the list leaves out. Its dimension is
-  weights.box_dimension, and decomposition() gives the ModuleDecomposition.
+  weights.box_dimension.
   A Box gives three Blocks: L, the classes of L (x) spin (spin), and the
   cohomology (Box.cohomology(P), the spin block with the classes P does not
   select at 0), plus the spin grid's points and P numerators (Box.grid).
@@ -58,10 +58,9 @@ For a deformation with central character polynomial P and a dominant weight
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, product
+from itertools import chain, product
 from math import lcm, prod
 from typing import Iterator, NamedTuple, Sequence
 
@@ -73,10 +72,8 @@ from .weights import (
     box_dimension,
     half_vector,
     is_dominant,
-    is_shift_weakly_decreasing,
     line_coeffs,
     rho,
-    weyl_dim_formal,
 )
 
 HALF = Fraction(1, 2)
@@ -100,40 +97,6 @@ class BoxTooLargeError(ValueError):
                          f"over the budget of {MAX_GRID}")
         self.nu = nu
         self.grid_size = grid_size
-
-
-@dataclass
-class ModuleDecomposition:
-    """Finite multiset of (weight, multiplicity) pairs, all multiplicities >= 1.
-
-    Weights must have a weakly decreasing rho-shift; boundary weights (formal
-    Weyl dimension 0) are allowed and count 0 toward the total dimension.
-    """
-
-    rank: int
-    entries: dict[Weight, int] = field(default_factory=dict)
-
-    def add(self, w: Weight, mult: int = 1) -> None:
-        if mult < 1:
-            raise ValueError("multiplicity must be positive")
-        if not is_shift_weakly_decreasing(w):
-            raise ValueError(f"rho-shift of {w} is not weakly decreasing")
-        self.entries[w] = self.entries.get(w, 0) + mult
-
-    def multiplicity(self, w: Weight) -> int:
-        return self.entries.get(w, 0)
-
-    def total_dimension(self) -> int:
-        return sum(m * weyl_dim_formal(w) for w, m in self.entries.items())
-
-    def sorted_items(self) -> list[tuple[Weight, int]]:
-        """Entries ordered by descending rho-shifted lexicographic order (the
-        order of the plain coordinates, rho being one fixed vector)."""
-        return sorted(self.entries.items(), key=lambda wm: wm[0].coords, reverse=True)
-
-    def __repr__(self) -> str:
-        parts = ", ".join(f"{m} x {w}" for w, m in self.sorted_items())
-        return f"ModuleDecomposition({parts or '0'})"
 
 
 def _require_rank(P: CentralCharPoly, rank: int) -> None:
@@ -208,12 +171,6 @@ class Block(NamedTuple):
     def dimension(self) -> int:
         """sum m * weyl_dim_formal(w) over the classes (box_dimension)."""
         return box_dimension(self.axes, self.multiplicities)
-
-    def decomposition(self) -> ModuleDecomposition:
-        """The classes of nonzero multiplicity, in product order."""
-        return ModuleDecomposition(len(self.axes), dict(zip(
-            map(Weight, compress(axis_points(self.axes), self.multiplicities)),
-            filter(None, self.multiplicities))))
 
 
 def _require_nu(lam: Weight, nu: Sequence[int]) -> None:
@@ -323,13 +280,14 @@ def grid_numerators(P: CentralCharPoly, axes: list[Axis]) -> tuple[Iterator[int]
     return values, D * d ** max(K, 0)
 
 
-def dirac_cohomology(P: CentralCharPoly, lam: Weight) -> ModuleDecomposition:
+def dirac_cohomology(P: CentralCharPoly, lam: Weight) -> Block:
     """
     The Dirac cohomology of the finite-dimensional module headed by lam, as a
-    gl_n decomposition: the part of L(lam) (x) spin whose weights mu satisfy
-    P(lam) = P(mu - (1/2,...,1/2)), read off the one Box of nu_vector(P, lam).
+    Block: the classes mu of L(lam) (x) spin, with their multiplicities where
+    P(lam) = P(mu - (1/2,...,1/2)) and 0 elsewhere, read off the one Box of
+    nu_vector(P, lam).
     """
-    return Box(lam, nu_vector(P, lam)).cohomology(P).decomposition()
+    return Box(lam, nu_vector(P, lam)).cohomology(P)
 
 
 def guaranteed_classes(lam: Weight, nu: Sequence[int]) -> list[Weight]:

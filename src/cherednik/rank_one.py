@@ -19,9 +19,11 @@ assembled from their nonzero entries times the 2 x 2 spin matrices (computed
 through the Clifford normal form), so it has at most 2 nu entries. D
 preserves the weight grading, whose spaces have dimension at most 2, so the
 oracle checks that no entry of D joins two distinct weights and then takes
-each kernel one weight space at a time by exact Gaussian elimination.
-Everything here is independent of the closed-form selection rule in
-modules.py, which is the point: the two routes must agree.
+each kernel one weight space at a time by exact Gaussian elimination. The
+answer is a modules.Block, the package's one class list, whose one axis
+(top - o, o < count) is read off the distinct weights themselves. Everything
+here is independent of the closed-form selection rule in modules.py, which
+is the point: the two routes must agree, as equal Blocks.
 """
 from __future__ import annotations
 
@@ -29,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .clifford import CliffordElement, SpinVector, gamma_e, spin_action
-from .modules import ModuleDecomposition, nu_vector
+from .modules import Block, nu_vector
 from .polynomials import InvariantViolation, Poly, _as_fraction, horner, xi_to_density
-from .weights import CentralCharPoly, Weight
+from .weights import Axis, CentralCharPoly, Weight
 
 # Sparse rows: row i is {j: a_ij} over the nonzero entries a_ij only.
 Matrix = list[dict[int, Fraction]]
@@ -138,32 +140,38 @@ def weight_labels(module: RankOneModule) -> list[Fraction]:
     return [w + g[s].get(s, 0) for w in module.t for s in range(2)]
 
 
-def oracle_cohomology(xi: Poly, lam) -> ModuleDecomposition:
+def oracle_cohomology(xi: Poly, lam) -> Block:
     """
-    Dirac cohomology computed from matrices alone. Assemble D and check that
-    none of its entries joins two basis vectors of distinct weights. Then, in
-    each weight space mu (of dimension at most 2), D's block D_mu must have
+    Dirac cohomology computed from matrices alone. The distinct weights, in
+    the order of the basis, must be one axis, top - o for o < count, which is
+    the Block's one axis; it is read off the labels, not off a Box. Assemble D and check that none of its
+    entries joins two basis vectors of distinct weights. Then, in each weight
+    space mu (of dimension at most 2), D's block D_mu must have
     ker D_mu = ker D_mu^2 meeting im D_mu trivially, which for a square block
     is rank D_mu = rank D_mu^2 (rank-nullity), so the block and its square are
     ranked once each; and D_mu^2 must be the scalar 2 P(lam) - 2 P(mu - 1/2).
-    The cohomology is ker D^2, whose dimension is the sum of the blocks'
-    nullities.
+    The cohomology is ker D^2: a class's multiplicity is its weight space's
+    dimension where D^2 vanishes on that space and 0 elsewhere, and the
+    Block's dimension must be the sum of the blocks' nullities.
     """
     module = build_module(xi, lam)
     d = dirac_matrix(module)
     labels = weight_labels(module)
-    for i, row in enumerate(d):
-        _require(all(labels[i] == labels[j] for j in row), "D mixes distinct weights")
-
     groups: dict[Fraction, list[int]] = {}
     for idx, mu in enumerate(labels):
         groups.setdefault(mu, []).append(idx)
+    axis = Axis(labels[0], len(groups))
+    _require(list(groups) == axis.values(),
+             "the weights are not one axis top - o, o < count")
+    for i, row in enumerate(d):
+        _require(all(labels[i] == labels[j] for j in row), "D mixes distinct weights")
+
     # At rank one rho = 0 and h_k(x) = x^k, so P is the polynomial with
     # coefficients h_coeffs, taken at lam and at every mu - 1/2 in one call.
     half = Fraction(1, 2)
     p_lam, *p_shifted = horner(module.P.h_coeffs, [module.lam, *(mu - half for mu in groups)])
 
-    out = ModuleDecomposition(rank=1)
+    multiplicities = []
     kernel = 0
     for (mu, idxs), p_mu in zip(groups.items(), p_shifted):
         position = {j: a for a, j in enumerate(idxs)}
@@ -176,7 +184,7 @@ def oracle_cohomology(xi: Poly, lam) -> ModuleDecomposition:
         scalar = [{a: expected} if expected else {} for a in range(len(idxs))]
         _require(square == scalar, "D^2 is not the expected scalar on a weight block")
         kernel += len(idxs) - rank_square
-        if expected == 0:
-            out.add(Weight.of(mu), len(idxs))
-    _require(out.total_dimension() == kernel, "cohomology dimension is not the nullity of D^2")
+        multiplicities.append(0 if expected else len(idxs))
+    out = Block([axis], multiplicities)
+    _require(out.dimension() == kernel, "cohomology dimension is not the nullity of D^2")
     return out

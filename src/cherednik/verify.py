@@ -52,7 +52,7 @@ from .enveloping import (
     r_matrix,
     v_basis,
 )
-from .modules import dirac_cohomology
+from .modules import Block, axis_points, dirac_cohomology
 from .polynomials import (
     InvariantViolation,
     Poly,
@@ -259,6 +259,23 @@ def random_rank_one_instance(rng: random.Random, max_deg: int = 3,
             return xi, lam
 
 
+def _difference(oracle: Block, closed: Block) -> str:
+    """Where the oracle's Block first differs from the closed form's: their
+    axes, or else the first class, in product order, whose multiplicities
+    differ ("" when there is none)."""
+    if oracle.axes != closed.axes:
+        return f"axes differ: oracle {_axes(oracle)}, closed form {_axes(closed)}"
+    for point, a, b in zip(axis_points(oracle.axes), oracle.multiplicities,
+                           closed.multiplicities):
+        if a != b:
+            return f"class {Weight(point)}: oracle multiplicity {a}, closed form {b}"
+    return ""
+
+
+def _axes(block: Block) -> str:
+    return ", ".join(f"{a.top} - o for o < {a.count}" for a in block.axes)
+
+
 def oracle_suite(trials: int = 20, seed: int = DEFAULT_SEED,
                  max_deg: int = 3) -> list[CheckResult]:
     check_bounds("oracle-n1", max_deg=max_deg, trials=trials)
@@ -270,7 +287,8 @@ def oracle_suite(trials: int = 20, seed: int = DEFAULT_SEED,
         try:
             oracle = oracle_cohomology(xi, lam)  # checks kernel + eigenvalue laws
             closed = dirac_cohomology(CentralCharPoly.from_xi(xi, 1), Weight.of(lam))
-            out.append(CheckResult("oracle-n1", name, oracle == closed))
+            out.append(CheckResult("oracle-n1", name, oracle == closed,
+                                   _difference(oracle, closed)))
         except InvariantViolation as exc:
             out.append(CheckResult("oracle-n1", name, False, str(exc)))
     return out

@@ -96,15 +96,6 @@ def is_dominant(w: Weight) -> bool:
                for a, b in zip(w.coords, w.coords[1:]))
 
 
-def is_shift_weakly_decreasing(w: Weight) -> bool:
-    """
-    True iff every consecutive difference of w + rho is a nonnegative integer,
-    i.e. w is dominant or a boundary weight of formal Weyl dimension 0.
-    """
-    s = w.shifted()
-    return all((d := a - b).denominator == 1 and d >= 0 for a, b in zip(s, s[1:]))
-
-
 def weyl_dim(w: Weight) -> int:
     """
     prod_{i<j} (w_i - w_j + j - i)/(j - i) for dominant w; always a positive

@@ -345,15 +345,15 @@ def _count_calls(monkeypatch, names):
 
 
 STAGES = ["membership_detail", "nu_vector", "dirac_cohomology", "guaranteed_classes",
-          "box_dimension", "grid_numerators", "Box", "ModuleDecomposition"]
+          "box_dimension", "grid_numerators", "Box"]
 
 
 # The CLI checks one Box per request and reads everything from it: the L,
-# L (x) spin and cohomology blocks, one dimension walk per block, and no
-# ModuleDecomposition; the P values are walked once, as numerators, and the
-# cohomology is selected on that Box (Box.cohomology, not dirac_cohomology's
-# own Box). A rational is spelled (_ratio) once per axis value of a class
-# list, in both its views (weight and mu+rho), never once per class: the
+# L (x) spin and cohomology blocks, and one dimension walk per block; the P
+# values are walked once, as numerators, and the cohomology is selected on
+# that Box (Box.cohomology, not dirac_cohomology's own Box). A rational is
+# spelled (_ratio) once per axis value of a class list, in both its views
+# (weight and mu+rho), never once per class: the
 # example's L has axes of 3 and 3 values (9 classes), L (x) spin and the
 # cohomology axes of 4 and 4 (16 and 5 classes); dirac adds the 2 + 2
 # coordinates of its 2 guaranteed classes, and tables the 4 + 4 values of

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import cherednik.rank_one as rank_one
 import cherednik.weights as weights
 from cherednik.clifford import CliffordElement
-from cherednik.modules import ModuleDecomposition, NotInClassificationError, dirac_cohomology
+from cherednik.modules import NotInClassificationError, dirac_cohomology
 from cherednik.polynomials import InvariantViolation, Poly, xi_to_density
 from cherednik.rank_one import (
     build_module,
@@ -25,6 +25,7 @@ from cherednik.rank_one import (
 )
 from cherednik.verify import random_rank_one_instance
 from cherednik.weights import CentralCharPoly, Weight
+from helpers import classes, total_dimension
 
 F = Fraction
 
@@ -142,9 +143,9 @@ def test_d_squared_eigenblocks():
 
 def test_oracle_examples():
     got = oracle_cohomology(Poly.of(0, 1), 1)
-    assert {w.coords[0]: m for w, m in got.entries.items()} == {F(3, 2): 1, F(-3, 2): 1}
+    assert {w.coords[0]: m for w, m in classes(got).items()} == {F(3, 2): 1, F(-3, 2): 1}
     got0 = oracle_cohomology(Poly.of(0, 1), 0)
-    assert {w.coords[0]: m for w, m in got0.entries.items()} == {F(1, 2): 1, F(-1, 2): 1}
+    assert {w.coords[0]: m for w, m in classes(got0).items()} == {F(1, 2): 1, F(-1, 2): 1}
 
 
 def test_oracle_agrees_with_closed_form():
@@ -164,29 +165,38 @@ def test_half_integral_family():
             m = build_module(xi, lam)
             assert m.nu == 2 * lam
             coh = oracle_cohomology(xi, lam)
-            assert {w.coords[0]: mm for w, mm in coh.entries.items()} == \
+            assert {w.coords[0]: mm for w, mm in classes(coh).items()} == \
                 {lam + F(1, 2): 1, -lam - F(1, 2): 1}
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_oracle_laws_survive_optimized_python(flags):
-    # A corrupted Dirac matrix must make the oracle raise InvariantViolation
-    # (and oracle_suite report FAIL) even when python -O strips assert
-    # statements: d[0][0] breaks the D^2 eigenvalue law inside one weight
-    # space, d[0][1] joins the weights lam + 1/2 and lam - 1/2.
+    # A corrupted Dirac matrix or weight labelling must make the oracle raise
+    # InvariantViolation (and oracle_suite report FAIL) even when python -O
+    # strips assert statements: d[0][0] breaks the D^2 eigenvalue law inside
+    # one weight space, d[0][1] joins the weights lam + 1/2 and lam - 1/2, and
+    # labels without the weight lam - 1/2 (every instance here has nu >= 1)
+    # are not one axis.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import sys\n"
+            "from fractions import Fraction\n"
             "import cherednik.rank_one as rank_one\n"
             "from cherednik.polynomials import InvariantViolation, Poly\n"
             "from cherednik.verify import oracle_suite\n"
             "assert sys.flags.optimize == int(sys.argv[1])\n"
-            "honest = rank_one.dirac_matrix\n"
-            "for i, j, message in [(0, 0, 'D^2'), (0, 1, 'D mixes distinct weights')]:\n"
-            "    def corrupt(module):\n"
-            "        d = honest(module)\n"
+            "honest = rank_one.dirac_matrix, rank_one.weight_labels\n"
+            "def corrupt(i, j):\n"
+            "    def dirac_matrix(module):\n"
+            "        d = honest[0](module)\n"
             "        d[i][j] = d[i].get(j, 0) + 1\n"
             "        return d\n"
-            "    rank_one.dirac_matrix = corrupt\n"
+            "    return dirac_matrix, honest[1]\n"
+            "def drop_weight(module):\n"
+            "    return [w for w in honest[1](module) if w != module.lam - Fraction(1, 2)]\n"
+            "for patched, message in [(corrupt(0, 0), 'D^2'),\n"
+            "                         (corrupt(0, 1), 'D mixes distinct weights'),\n"
+            "                         ((honest[0], drop_weight), 'not one axis')]:\n"
+            "    rank_one.dirac_matrix, rank_one.weight_labels = patched\n"
             "    results = oracle_suite(trials=3)\n"
             "    if any(r.ok or message not in r.detail for r in results):\n"
             "        sys.exit(4)\n"
@@ -299,7 +309,7 @@ def full_size_oracle(xi, lam):
     groups = {}
     for idx, mu in enumerate(weight_labels(module)):
         groups.setdefault(mu, []).append(idx)
-    out = ModuleDecomposition(rank=1)
+    out: dict[Weight, int] = {}
     for mu, idxs in groups.items():
         expected = 2 * p_lam - 2 * P.value(Weight.of(mu - F(1, 2)))
         for i in idxs:
@@ -308,15 +318,15 @@ def full_size_oracle(xi, lam):
                 if d2[i][j] != (want if j in idxs else 0):
                     raise InvariantViolation("D^2 breaks the weight-block law")
         if expected == 0:
-            out.add(Weight.of(mu), len(idxs))
-    if out.total_dimension() != size - rank_d2:
+            out[Weight.of(mu)] = len(idxs)
+    if total_dimension(out) != size - rank_d2:
         raise InvariantViolation("cohomology dimension is not the nullity of D^2")
     return out
 
 
 def _assert_three_routes_agree(xi, lam):
     got = oracle_cohomology(xi, lam)
-    assert got == full_size_oracle(xi, lam)
+    assert classes(got) == full_size_oracle(xi, lam)
     assert got == dirac_cohomology(CentralCharPoly.from_xi(xi, 1), Weight.of(lam))
 
 

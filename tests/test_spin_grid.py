@@ -9,36 +9,23 @@ from math import prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cherednik.modules import (
-    Box,
-    ModuleDecomposition,
-    axis_points,
-    guaranteed_classes,
-    nu_vector,
-)
-from cherednik.weights import (
-    CentralCharPoly,
-    Weight,
-    complete_homogeneous,
-    half_vector,
-    is_shift_weakly_decreasing,
-    rho,
-)
+from cherednik.modules import Box, axis_points, guaranteed_classes, nu_vector
+from cherednik.weights import CentralCharPoly, Weight, complete_homogeneous, half_vector, rho
+from helpers import classes, is_shift_weakly_decreasing, total_dimension
 
 F = Fraction
 HALF = F(1, 2)
 
 
-def enumerative_tensor(L: ModuleDecomposition) -> ModuleDecomposition:
+def enumerative_tensor(L: dict[Weight, int]) -> dict[Weight, int]:
     """Reference L (x) spin: every weight of L shifted by every sign vector in
     {+-1/2}^n, kept when its rho-shift stays weakly decreasing."""
-    n = L.rank
-    out = ModuleDecomposition(rank=n)
-    for w, mult in L.entries.items():
-        for signs in product((HALF, -HALF), repeat=n):
+    out: dict[Weight, int] = {}
+    for w, mult in L.items():
+        for signs in product((HALF, -HALF), repeat=w.rank):
             cand = Weight(tuple(c + s for c, s in zip(w.coords, signs)))
             if is_shift_weakly_decreasing(cand):
-                out.add(cand, mult)
+                out[cand] = out.get(cand, 0) + mult
     return out
 
 
@@ -83,7 +70,7 @@ def test_spin_grid_matches_enumerative_tensor_and_evaluate(box):
     P, lam, nu = box
     n = lam.rank
     checked = Box(lam, nu)
-    reference = enumerative_tensor(checked.L.decomposition())
+    reference = enumerative_tensor(classes(checked.L))
     top = lam.shifted()
     shift = half_vector(n) - rho(n)
     cells = list(grid_cells(P, checked))
@@ -91,11 +78,11 @@ def test_spin_grid_matches_enumerative_tensor_and_evaluate(box):
     offsets = list(product(*(range(v + 2) for v in nu)))
     assert [pt for pt, _, _ in cells] == [
         tuple(c - o for c, o in zip(top, off)) for off in offsets]
-    assert len(cells) == len(reference.entries)
+    assert len(cells) == len(reference)
     for point, mult, value in cells:
-        assert reference.multiplicity(Weight(point) + shift) == mult
+        assert reference.get(Weight(point) + shift, 0) == mult
         assert value == P.evaluate(point)
-    assert checked.spin.decomposition() == reference
+    assert classes(checked.spin) == reference
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,8 +112,7 @@ def test_evaluate_equals_P_by_definition(n, numerators, denominators, data):
 def test_tensor_dimension_is_two_to_the_n_times_dim_L(box):
     _, lam, nu = box
     box = Box(lam, nu)
-    L = box.L.decomposition()
-    assert box.spin.decomposition().total_dimension() == 2 ** lam.rank * L.total_dimension()
+    assert total_dimension(classes(box.spin)) == 2 ** lam.rank * total_dimension(classes(box.L))
 
 
 @st.composite
@@ -156,13 +142,13 @@ def test_cohomology_selection_and_guaranteed_classes(member):
     P, lam = member
     nu = nu_vector(P, lam)
     box = Box(lam, nu)
-    coh = box.cohomology(P).decomposition()
+    coh = classes(box.cohomology(P))
     target = P.value(lam)
-    reference = enumerative_tensor(box.L.decomposition())
-    assert coh.entries == {mu: m for mu, m in reference.entries.items()
-                           if P.value(mu - half_vector(lam.rank)) == target}
+    reference = enumerative_tensor(classes(box.L))
+    assert coh == {mu: m for mu, m in reference.items()
+                   if P.value(mu - half_vector(lam.rank)) == target}
     for w in guaranteed_classes(lam, nu):
-        assert coh.multiplicity(w) == 1
+        assert coh.get(w) == 1
 
 
 def test_zero_and_constant_P_take_the_whole_grid():
@@ -172,19 +158,21 @@ def test_zero_and_constant_P_take_the_whole_grid():
         box = Box(lam, nu)
         values = {value for _, _, value in grid_cells(P, box)}
         assert values == {sum(coeffs, F(0))}
-        assert box.cohomology(P).decomposition() == box.spin.decomposition()
+        assert box.cohomology(P) == box.spin
 
 
 @settings(max_examples=80, deadline=None)
 @given(boxes())
 def test_box_equals_its_weights_added_one_by_one(box):
-    # Box.L builds its dict directly; ModuleDecomposition.add,
-    # which re-checks every rho-shift, is the reference, entry order included.
+    # Box.L is made from its axes; the weights added one by one, each
+    # rho-shift checked, are the reference, class order included.
     _, lam, nu = box
-    want = ModuleDecomposition(rank=lam.rank)
+    want: dict[Weight, int] = {}
     for offsets in product(*(range(v + 1) for v in nu)):
-        want.add(Weight(tuple(c - o for c, o in zip(lam.coords, offsets))))
-    got = Box(lam, nu).L.decomposition()
-    assert got == want and list(got.entries) == list(want.entries)
-    for w in got.entries:
+        w = Weight(tuple(c - o for c, o in zip(lam.coords, offsets)))
+        assert is_shift_weakly_decreasing(w)
+        want[w] = want.get(w, 0) + 1
+    got = classes(Box(lam, nu).L)
+    assert got == want and list(got) == list(want)
+    for w in got:
         assert w.shifted() == (w + rho(lam.rank)).coords

@@ -1,10 +1,13 @@
 """The verify module's own definitions: the bounds of a run, the list of
-PBW certificates and the corrupted deformation maps of the controls."""
+PBW certificates, the corrupted deformation maps of the controls and the
+detail of a failing oracle line."""
 import pytest
 
 from cherednik import verify
 from cherednik.enveloping import UEAElement, kappa_from_r_matrices, kappa_of, r_matrix
+from cherednik.modules import Block, axis_points
 from cherednik.polynomials import Poly
+from cherednik.weights import Axis, Weight
 
 
 @pytest.mark.parametrize("suite,bounds,message", [
@@ -85,3 +88,39 @@ def test_clifford_runs_at_least_up_to_rank_three(max_n, ranks):
     per_rank = [int(r.name.rsplit("n=", 1)[1]) for r in results if "n=" in r.name]
     assert per_rank == [n for n in ranks for _ in range(4)]
     assert len(results) == len(per_rank) + 2 and all(r.ok for r in results)
+
+
+def _one_multiplicity_changed(block):
+    """The multiplicity of the second class, lam - 1/2, moved by one."""
+    multiplicities = list(block.multiplicities)
+    multiplicities[1] += 1
+    point = list(axis_points(block.axes))[1]
+    return Block(block.axes, multiplicities), (
+        f"class {Weight(point)}: oracle multiplicity {block.multiplicities[1]}, "
+        f"closed form {multiplicities[1]}")
+
+
+def _axis_moved(block):
+    """The one axis moved up by one."""
+    [axis] = block.axes
+    return Block([Axis(axis.top + 1, axis.count)], block.multiplicities), (
+        f"axes differ: oracle {axis.top} - o for o < {axis.count}, "
+        f"closed form {axis.top + 1} - o for o < {axis.count}")
+
+
+@pytest.mark.parametrize("corrupt", [_one_multiplicity_changed, _axis_moved])
+def test_a_failing_oracle_line_names_where_the_blocks_differ(monkeypatch, corrupt):
+    # The closed form's Block is corrupted; each line fails, and its detail
+    # names the differing axes or the first class whose multiplicities
+    # differ, with both values.
+    honest, details = verify.dirac_cohomology, []
+
+    def corrupted(P, lam):
+        block, detail = corrupt(honest(P, lam))
+        details.append(detail)
+        return block
+
+    monkeypatch.setattr(verify, "dirac_cohomology", corrupted)
+    results = verify.oracle_suite(trials=3)
+    assert len(details) == 3
+    assert [(r.ok, r.detail) for r in results] == [(False, d) for d in details]

@@ -13,11 +13,11 @@ from cherednik.weights import (
     Weight,
     complete_homogeneous,
     is_dominant,
-    is_shift_weakly_decreasing,
     rho,
     weyl_dim,
     weyl_dim_formal,
 )
+from helpers import is_shift_weakly_decreasing
 
 F = Fraction
 
