@@ -3,10 +3,10 @@ Exact Clifford algebra of V = h + h* and its spin module.
 
 Generators are the V-basis vectors ('x', 1) < ... < ('x', n) < ('y', 1) <
 ... < ('y', n); the bilinear form pairs x_i with y_i (value 1) and vanishes
-on same-species pairs, so the rewriting rules are v w = 2<v, w> - w v and
-v v = 0, applied by the shared core lincomb.rewriting. Elements are
-combinations (lincomb.LinComb) of squarefree strictly increasing monomials;
-the span has dimension 2^(2n).
+on same-species pairs, so v w = -w v + 2<v, w> and v v = <v, v> = 0: the
+shared core as rewriting(-1, _anticommutator), the pairing 2<v, w> being
+the bracket. Elements are combinations (lincomb.LinComb) of squarefree
+strictly increasing monomials; the span has dimension 2^(2n).
 
 The spin module S is the left ideal generated by u = y_1...y_n, with basis
 x^e u over subsets e of {1..n}; acting on it goes through the full normal
@@ -14,7 +14,8 @@ form, which independently exercises y_i u = 0 and the +-1/2 eigenvalues of
 the lifted diagonal generators rather than hard-coding fermionic rules.
 
 gamma lifts gl_n into the Clifford algebra: gamma(E_ij) = (y_i x_j -
-x_j y_i)/4, a Lie algebra map whose Clifford commutator with a vector
+x_j y_i)/4, a Lie algebra map (checked against enveloping._gl_bracket, the
+bracket of the PBW rewriting) whose Clifford commutator with a vector
 reproduces the module action on V.
 """
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from .enveloping import CheckReport, VBasis, act_on_v, UEAElement, v_basis
+from .enveloping import CheckReport, VBasis, _gl_bracket, act_on_v, UEAElement, v_basis
 from .lincomb import ONE, LinComb, rewriting
 from .polynomials import InvariantViolation, _as_fraction
 from .weights import Weight
@@ -31,23 +32,12 @@ from .weights import Weight
 ClMono = tuple[VBasis, ...]           # strictly increasing
 
 
-def _pairing(a: VBasis, b: VBasis) -> int:
-    return 1 if a[0] != b[0] and a[1] == b[1] else 0
+def _anticommutator(a: VBasis, b: VBasis) -> list[tuple[ClMono, int]]:
+    """v w + w v = 2<v, w>, with <x_i, y_i> = 1 and 0 on every other pair."""
+    return [((), 2)] if a[0] != b[0] and a[1] == b[1] else []
 
 
-def _clifford_rule(a: VBasis, b: VBasis) -> list[tuple[ClMono, int]] | None:
-    """v w = 2<v, w> - w v for v > w, and v v = <v, v> = 0 for every basis
-    vector."""
-    if a < b:
-        return None
-    if a == b:
-        return []
-    swapped = ((b, a), -ONE)
-    pair = _pairing(a, b)
-    return [((), 2 * pair), swapped] if pair else [swapped]
-
-
-_cl_normalize = rewriting(_clifford_rule)
+_cl_normalize = rewriting(-1, _anticommutator)
 
 
 class CliffordElement(LinComb):
@@ -155,16 +145,13 @@ def gamma_rank_one(v: Sequence[Fraction]) -> CliffordElement:
 
 def gamma_lie_hom_check(n: int) -> CheckReport:
     """[gamma(E_ij), gamma(E_kl)] = gamma([E_ij, E_kl]) for all generator
-    pairs."""
-    for i, j, k, l in product(range(1, n + 1), repeat=4):
-        lhs = gamma_e(i, j, n).commutator(gamma_e(k, l, n))
-        rhs = CliffordElement.zero()
-        if j == k:
-            rhs = rhs + gamma_e(i, l, n)
-        if l == i:
-            rhs = rhs - gamma_e(k, j, n)
+    pairs, the bracket on the right read from enveloping._gl_bracket."""
+    gens = list(product(range(1, n + 1), repeat=2))
+    for a, b in product(gens, repeat=2):
+        lhs = gamma_e(*a, n).commutator(gamma_e(*b, n))
+        rhs = sum((gamma_e(*g, n) * c for (g,), c in _gl_bracket(a, b)), CliffordElement())
         if lhs != rhs:
-            return CheckReport(False, witness=(i, j, k, l))
+            return CheckReport(False, witness=(*a, *b))
     return CheckReport(True)
 
 

@@ -4,10 +4,11 @@ Symbolic U(gl_n) engine and PBW-certificate checks for deformation maps.
 Elements of U(gl_n) are kept in PBW normal form: linear combinations
 (lincomb.LinComb) of monomials in the elementary matrices E_ij, each
 monomial a non-decreasing tuple of (i, j) indices ordered lexicographically.
-The shared rewriting core (lincomb.rewriting) reduces a word with the PBW
-rule: an out-of-order adjacent pair is swapped and the commutator
-[E_ij, E_kl] = d_jk E_il - d_li E_kj added. The same core with the exterior
-rule (swap gives -1, a repeat gives 0) wedges vectors in the certificates.
+The shared rewriting core reduces a word as rewriting(1, _gl_bracket): an
+out-of-order adjacent pair is swapped and the commutator
+[E_ij, E_kl] = d_jk E_il - d_li E_kj added, _gl_bracket being the one
+definition of that bracket in the package. The same core as rewriting(-1)
+(a swap gives -1, a repeat gives 0) wedges vectors in the certificates.
 
 V = h + h* is the direct sum of the standard module (basis y_1..y_n, with
 E_ij . y_k = d_jk y_i) and its contragredient (basis x_1..x_n, with
@@ -58,20 +59,13 @@ Monomial = tuple[Gen, ...]            # non-decreasing in lexicographic order
 VBasis = tuple[str, int]              # ('x', i) or ('y', i)
 
 
-def _pbw_rule(a: Gen, b: Gen) -> list[tuple[Monomial, int]] | None:
-    """E_a E_b = E_b E_a + [E_a, E_b] for a > b."""
-    if a <= b:
-        return None
+def _gl_bracket(a: Gen, b: Gen) -> list[tuple[Monomial, int]]:
+    """[E_ij, E_kl] = d_jk E_il - d_li E_kj, the one gl_n bracket."""
     (i, j), (k, l) = a, b
-    out = [((b, a), ONE)]
-    if j == k:
-        out.append((((i, l),), ONE))
-    if l == i:
-        out.append((((k, j),), -ONE))
-    return out
+    return [(((i, l),), ONE)] * (j == k) + [(((k, j),), -ONE)] * (l == i)
 
 
-_normalize = rewriting(_pbw_rule)     # PBW normal form of a generator word
+_normalize = rewriting(1, _gl_bracket)     # PBW normal form of a generator word
 
 
 class UEAElement(LinComb):
@@ -266,14 +260,7 @@ class CheckReport:
         return self.ok
 
 
-def _exterior_rule(a: VBasis, b: VBasis) -> list[tuple[tuple, int]] | None:
-    """v w = -w v and v v = 0 in the exterior algebra."""
-    if a < b:
-        return None
-    return [] if a == b else [((b, a), -ONE)]
-
-
-_wedge_normalize = rewriting(_exterior_rule)
+_wedge_normalize = rewriting(-1)        # v w = -w v, v v = 0
 
 
 @lru_cache(maxsize=None)

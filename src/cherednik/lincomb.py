@@ -9,12 +9,18 @@ multiply by concatenating keys and reducing each concatenation through the
 class's ``_reduce`` hook, which maps a word to its normal form as (word,
 coefficient) pairs; a class without the hook has no product.
 
-``rewriting(rule)`` builds such a hook from a rule on adjacent letters.
-``rule(a, b)`` returns None when the pair is in order; otherwise the
-(subword, coefficient) terms that replace the pair, an empty list meaning
-the word is 0. The leftmost out-of-order pair is rewritten and every
-resulting word is reduced again through the cache, so each replacement must
-be closer to normal form (fewer inversions or a shorter word). Every rule of
+``rewriting(sign, bracket)`` builds such a hook from one commutation rule:
+for letters a > b, a b = sign (b a) + bracket(a, b), where sign is +1 or -1
+and ``bracket(a, b)`` gives the (word, coefficient) terms added, words of
+any length (no terms when bracket is None). With sign -1 a repeated letter
+a a is 0: a a = -(a a) + bracket(a, a) needs bracket(a, a) = 0, which holds
+because every anticommuting alphabet of the package is isotropic,
+<v, v> = 0 for each basis vector. The leftmost pair a > b (or a a, with
+sign -1) is rewritten and every resulting word is reduced again through the
+cache, so the rewriting ends when some well-founded order on words puts
+both b a and each bracket word, in the pair's place, below a b: here the
+length and then the number of inversions, or, for a bracket whose words
+are longer than the pair, a count of letters it lowers. Every bracket of
 the package has integer coefficients, so normal forms stay in Python ints;
 a Fraction enters only where a caller scales a result.
 """
@@ -27,7 +33,7 @@ from typing import Callable, Hashable, Iterable
 Word = tuple
 Scalar = int | Fraction
 NormalForm = tuple[tuple[Word, int], ...]
-Rule = Callable[[Hashable, Hashable], "list[tuple[Word, int]] | None"]
+Bracket = Callable[[Hashable, Hashable], Iterable[tuple[Word, int]]]
 
 ONE = 1
 
@@ -39,17 +45,21 @@ def add_terms(acc: dict, pairs: Iterable[tuple[Hashable, Scalar]]) -> dict:
     return acc
 
 
-def rewriting(rule: Rule) -> Callable[[Word], NormalForm]:
-    """The cached normal-form function of words under ``rule``."""
+def rewriting(sign: int, bracket: Bracket | None = None) -> Callable[[Word], NormalForm]:
+    """The cached normal-form function of words under a b = sign (b a) +
+    bracket(a, b) for a > b."""
 
     @lru_cache(maxsize=None)
     def normal_form(word: Word) -> NormalForm:
         for idx in range(len(word) - 1):
-            replacement = rule(word[idx], word[idx + 1])
-            if replacement is None:
+            a, b = word[idx], word[idx + 1]
+            if a < b or (a == b and sign > 0):
                 continue
+            if a == b:
+                return ()
             head, tail = word[:idx], word[idx + 2:]
-            acc = add_terms({}, ((m, coeff * c) for sub, coeff in replacement
+            terms = [((b, a), sign), *(bracket(a, b) if bracket else ())]
+            acc = add_terms({}, ((m, coeff * c) for sub, coeff in terms
                                  for m, c in normal_form(head + sub + tail)))
             return tuple((m, c) for m, c in acc.items() if c)
         return ((word, ONE),)

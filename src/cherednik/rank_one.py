@@ -144,7 +144,8 @@ def oracle_cohomology(xi: Poly, lam) -> Block:
     """
     Dirac cohomology computed from matrices alone. The distinct weights, in
     the order of the basis, must be one axis, top - o for o < count, which is
-    the Block's one axis; it is read off the labels, not off a Box. Assemble D and check that none of its
+    the Block's one axis; it is read off the labels, not off a Box. Assemble
+    D, check that there is one label per basis vector, and that none of D's
     entries joins two basis vectors of distinct weights. Then, in each weight
     space mu (of dimension at most 2), D's block D_mu must have
     ker D_mu = ker D_mu^2 meeting im D_mu trivially, which for a square block
@@ -163,6 +164,7 @@ def oracle_cohomology(xi: Poly, lam) -> Block:
     axis = Axis(labels[0], len(groups))
     _require(list(groups) == axis.values(),
              "the weights are not one axis top - o, o < count")
+    _require(len(labels) == len(d), "not one weight label per row of D")
     for i, row in enumerate(d):
         _require(all(labels[i] == labels[j] for j in row), "D mixes distinct weights")
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cherednik.clifford as clifford
+import cherednik.enveloping as enveloping
 import cherednik.polynomials as polynomials
 from cherednik.clifford import (
     CliffordElement,
@@ -163,6 +165,17 @@ def test_gamma_lie_homomorphism(n):
         assert lhs == gamma_e(1, 1, n) - gamma_e(2, 2, n)
         diag = gamma_e(1, 1, n).commutator(gamma_e(2, 2, n))
         assert diag.is_zero()
+
+
+def test_gamma_lie_homomorphism_fails_on_a_wrong_bracket(monkeypatch):
+    # the check reads gamma([E_a, E_b]) from the bracket the PBW rewriting
+    # uses; flipping the sign of its second term must make the check fail
+    def flipped(a, b):
+        return [(word, -c if c < 0 else c) for word, c in enveloping._gl_bracket(a, b)]
+
+    monkeypatch.setattr(clifford, "_gl_bracket", flipped)
+    report = gamma_lie_hom_check(2)
+    assert not report and report.witness is not None
 
 
 def test_spin_action_examples():

@@ -14,6 +14,7 @@ from cherednik.enveloping import (
     KappaMap,
     UEAElement,
     _act_gen,
+    _gl_bracket,
     _normalize,
     _ordering_sum,
     act_on_v,
@@ -100,6 +101,16 @@ def _matrix_of_word(word, n):
     return out
 
 
+def _matrix_of_terms(terms, n):
+    """The matrix of a combination of (word, coefficient) terms in the
+    defining n x n representation."""
+    total = [[F(0)] * n for _ in range(n)]
+    for word, c in terms:
+        total = [[t + c * x for t, x in zip(rt, rx)]
+                 for rt, rx in zip(total, _matrix_of_word(word, n))]
+    return total
+
+
 @settings(max_examples=200, deadline=None)
 @given(rank_and_words(1, max_len=5))
 def test_pbw_normal_form_acts_like_its_word(case):
@@ -113,17 +124,23 @@ def test_pbw_normal_form_acts_like_its_word(case):
             for b, cb in _act_word(m, v).items():
                 want[b] = want.get(b, F(0)) + c * cb
         assert _act_word(word, v) == {b: c for b, c in want.items() if c}
-    total = [[F(0)] * n for _ in range(n)]
-    for m, c in normal:
-        mat = _matrix_of_word(m, n)
-        total = [[t + c * x for t, x in zip(rt, rx)] for rt, rx in zip(total, mat)]
-    assert _matrix_of_word(word, n) == total
+    assert _matrix_of_word(word, n) == _matrix_of_terms(normal, n)
 
 
-def test_commutator_rule():
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_commutator_rule(n):
     # [E_21, E_12] = E_22 - E_11
-    lhs = U.generator(2, 1).commutator(U.generator(1, 2))
-    assert lhs == U.generator(2, 2) - U.generator(1, 1)
+    if n == 2:
+        lhs = U.generator(2, 1).commutator(U.generator(1, 2))
+        assert lhs == U.generator(2, 2) - U.generator(1, 1)
+    # the one bracket and the PBW commutator of every generator pair are the
+    # matrix commutator in the defining representation
+    gens = list(product(range(1, n + 1), repeat=2))
+    for a, b in product(gens, repeat=2):
+        expected = _matrix_of_terms([((a, b), 1), ((b, a), -1)], n)
+        assert _matrix_of_terms(_gl_bracket(a, b), n) == expected
+        commutator = U.generator(*a).commutator(U.generator(*b))
+        assert _matrix_of_terms(commutator.terms.items(), n) == expected
 
 
 def test_coproduct_examples():

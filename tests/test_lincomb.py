@@ -46,11 +46,16 @@ def test_product_needs_a_hook_and_an_exact_scalar():
 
 
 def test_rewriting_sorts_a_commutative_word_and_stops_at_zero():
-    commutative = rewriting(lambda a, b: [((b, a), 1)] if a > b else None)
+    commutative = rewriting(1)
     assert commutative((3, 1, 2, 1)) == (((1, 1, 2, 3), F(1)),)
-    nilpotent = rewriting(lambda a, b: [] if a == b else ([((b, a), 1)] if a > b else None))
-    assert nilpotent((2, 1, 2)) == ()
-    assert nilpotent((2, 1, 3)) == (((1, 2, 3), F(1)),)
+    anticommuting = rewriting(-1)
+    assert anticommuting((2, 1, 2)) == ()
+    assert anticommuting((2, 1, 3)) == (((1, 2, 3), F(-1)),)
+    assert anticommuting((3, 2, 1)) == (((1, 2, 3), F(-1)),)
+    # the Weyl algebra, letters x < d with d x = x d + 1: d x x = x x d + 2 x
+    x, d = 0, 1
+    weyl = rewriting(1, lambda a, b: [((), 1)])
+    assert dict(weyl((d, x, x))) == {(x, x, d): 1, (x,): 2}
 
 
 @settings(max_examples=300, deadline=None)

@@ -174,9 +174,9 @@ def test_oracle_laws_survive_optimized_python(flags):
     # A corrupted Dirac matrix or weight labelling must make the oracle raise
     # InvariantViolation (and oracle_suite report FAIL) even when python -O
     # strips assert statements: d[0][0] breaks the D^2 eigenvalue law inside
-    # one weight space, d[0][1] joins the weights lam + 1/2 and lam - 1/2, and
+    # one weight space, d[0][1] joins the weights lam + 1/2 and lam - 1/2,
     # labels without the weight lam - 1/2 (every instance here has nu >= 1)
-    # are not one axis.
+    # are not one axis, and labels without the last one miss a row of D.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import sys\n"
             "from fractions import Fraction\n"
@@ -195,7 +195,9 @@ def test_oracle_laws_survive_optimized_python(flags):
             "    return [w for w in honest[1](module) if w != module.lam - Fraction(1, 2)]\n"
             "for patched, message in [(corrupt(0, 0), 'D^2'),\n"
             "                         (corrupt(0, 1), 'D mixes distinct weights'),\n"
-            "                         ((honest[0], drop_weight), 'not one axis')]:\n"
+            "                         ((honest[0], drop_weight), 'not one axis'),\n"
+            "                         ((honest[0], lambda module: honest[1](module)[:-1]),\n"
+            "                          'one weight label per row')]:\n"
             "    rank_one.dirac_matrix, rank_one.weight_labels = patched\n"
             "    results = oracle_suite(trials=3)\n"
             "    if any(r.ok or message not in r.detail for r in results):\n"
