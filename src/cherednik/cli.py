@@ -264,7 +264,7 @@ class Deformation:
         return xi_to_w(Poly(self.coeffs), self.n).coeffs if self.kind == "xi" else self.coeffs
 
     def input_json(self) -> dict:
-        return {"n": self.n, self.kind: [str(c) for c in self.coeffs]}
+        return {"n": self.n, self.kind: [_fmt(c) for c in self.coeffs]}
 
     def derived_json(self, decimal: bool = False) -> dict:
         """The --xi ladder: density, density sum, and w, which is P_h, each
@@ -395,13 +395,13 @@ def _classified(args, command: str, derived: bool = True) -> tuple[CentralCharPo
     lam = _parse_weight(args, deformation.n)
     P = CentralCharPoly.from_h_coeffs(deformation.h_coeffs, deformation.n)
     doc = {"command": command, "input": {**deformation.input_json(),
-                                         "lambda": [str(c) for c in lam.coords],
-                                         "lambda_plus_rho": [str(c) for c in lam.shifted()]}}
+                                         "lambda": [_fmt(c) for c in lam.coords],
+                                         "lambda_plus_rho": [_fmt(c) for c in lam.shifted()]}}
     if derived and deformation.kind == "xi":
         doc["derived"] = deformation.derived_json(args.decimal)
     if not is_dominant(lam):
         raise Answered(1, doc, code="not-dominant", message=(
-            f"lambda = ({', '.join(map(str, lam.coords))}) is not dominant (some "
+            f"lambda = ({', '.join(map(_fmt, lam.coords))}) is not dominant (some "
             "lambda_i - lambda_(i+1) is not a nonnegative integer): the weight "
             "heads no finite-dimensional module"))
     membership = nu_last, degenerate = membership_detail(P, lam)

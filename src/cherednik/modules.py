@@ -10,8 +10,10 @@ For a deformation with central character polynomial P and a dominant weight
   coordinates, so q_i(t) = C(s_i) - C(s_i - t) is one Taylor shift in exact
   rationals. Both membership and nu ask for the least positive integer root
   of one of them, answered exactly by polynomials.least_positive_integer_root
-  (square-free part, Cauchy bound, Sturm-sequence bisection) at a cost
-  polynomial in the bit size of q_i, not in its roots or coefficients.
+  (one remainder sequence gives the Sturm sequence of the square-free part;
+  Cauchy bound, Sturm-sequence bisection) at a cost polynomial in the bit
+  size of q_i, not in its roots or coefficients. q_i == 0 needs no case of
+  its own: its least root is 1.
 * membership: ``lam`` heads a finite-dimensional irreducible iff q_n has a
   positive integer root; the least one is v+1 (q_n == 0 is the degenerate
   deformation, giving v = 0).
@@ -128,10 +130,8 @@ def membership_detail(P: CentralCharPoly, lam: Weight) -> tuple[int | None, bool
     dominant or not of P's rank."""
     _require_weight(P, lam)
     q = _difference_poly(P, lam.shifted(), lam.rank)
-    if q.is_zero():
-        return 0, True
     root = least_positive_integer_root(q)
-    return (None if root is None else root - 1), False
+    return (None if root is None else root - 1), q.is_zero()
 
 
 def nu_vector(P: CentralCharPoly, lam: Weight,
@@ -154,7 +154,7 @@ def nu_vector(P: CentralCharPoly, lam: Weight,
     for i in range(1, lam.rank):
         gap = int(lam.coords[i - 1] - lam.coords[i])
         q = _difference_poly(P, shifted, i)
-        root = 1 if q.is_zero() else least_positive_integer_root(q, cap=gap)
+        root = least_positive_integer_root(q, cap=gap)
         nu.append(gap if root is None else root - 1)
     nu.append(last)
     return tuple(nu)

@@ -27,9 +27,12 @@ on, together with the discrete calculus used to turn a deformation polynomial
   element, the package's one check of it: at max(deg f, deg p) + 1 points z,
   for each g given, over the ring of g (by default the two roots g = 1/2 and
   g = -1/2 of g^2 - 1/4; verify also passes a rank-one Clifford gamma).
-* ``least_positive_integer_root``: exact root isolation (square-free part,
-  Cauchy bound, Sturm-sequence bisection over integer intervals), whose cost
-  grows with the bit size of the polynomial, not with the size of its roots.
+* ``least_positive_integer_root``: exact root isolation (one signed
+  remainder sequence of f and f', divided by its last member gcd(f, f'),
+  is the Sturm sequence of the square-free part; Cauchy bound; Sturm-sequence
+  bisection over integer intervals), whose cost grows with the bit size of
+  the polynomial, not with the size of its roots. It is total: the zero
+  polynomial's least root is 1.
 * ``horner``: Horner's rule, the package's one polynomial evaluation, over
   any ring the coefficients and the points share: ``Poly.__call__`` (in
   Fractions), the Sturm sign counts and root test (in integers), the spin
@@ -259,18 +262,19 @@ def horner(coeffs: Sequence, points: Iterable) -> list:
     return values
 
 
-def _gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    return a
-
-
 def _sturm_sequence(f: Poly) -> list[list[int]]:
-    """f, f', then the negated remainders down to a nonzero constant (f is
-    square-free), each scaled positively to integer coefficients."""
+    """A Sturm sequence of the square-free part of f (deg f >= 1), each member
+    scaled positively to integer coefficients: the signed remainder sequence
+    f, f', then the negated remainders up to the first zero one, each divided
+    by its last member g = gcd(f, f'). The first member is f / g, the
+    square-free part; one Euclidean pass gives both. A constant g is not
+    divided out: a constant factor of either sign changes no count of sign
+    changes, and _integer_coeffs rescales."""
     seq = [f, f.derivative()]
-    while seq[-1].degree > 0:
-        seq.append(-divmod(seq[-2], seq[-1])[1])
+    while not (rem := divmod(seq[-2], seq[-1])[1]).is_zero():
+        seq.append(-rem)
+    if seq[-1].degree > 0:
+        seq = [divmod(p, seq[-1])[0] for p in seq]
     return [_integer_coeffs(p) for p in seq]
 
 
@@ -283,36 +287,42 @@ def least_positive_integer_root(q: Poly, cap: Scalar | None = None) -> int | Non
     """
     The least integer t with 1 <= t (<= cap, when given) and q(t) = 0, or None.
     A rational cap is read as its floor, since t <= cap exactly when
-    t <= floor(cap); a float cap is a TypeError.
+    t <= floor(cap); a float cap is a TypeError. Every t is a root of the
+    zero polynomial, so there the answer is 1, or None when the cap is
+    below 1.
 
-    Exact, with a cost polynomial in the bit sizes of q and cap: the factor t
-    is stripped, the square-free part f = q / gcd(q, q') is taken, its roots
-    are bounded by Cauchy's bound 1 + max |f_k / f_d| (and by cap), and a
-    leftmost-first bisection over integer intervals (a, b] down to width one
-    keeps only intervals holding a root. Sturm's theorem counts the distinct
-    roots in (a, b] as V(a) - V(b), V the sign changes of the Sturm sequence
-    with zeros dropped; the count stays right when a or b is itself a root.
+    Exact, with a cost polynomial in the bit sizes of q and cap, in one
+    Euclidean pass: the factor t is stripped, the Sturm sequence of the
+    square-free part f of what is left is built from one remainder sequence
+    (_sturm_sequence), the roots of f are bounded by Cauchy's bound
+    1 + max |f_k / f_d| (and by cap), and a leftmost-first bisection over
+    integer intervals (a, b] down to width one keeps only intervals holding
+    a root. Sturm's theorem counts the distinct roots in (a, b] as
+    V(a) - V(b), V the sign changes of the Sturm sequence with zeros
+    dropped; the count stays right when a or b is itself a root.
 
     >>> least_positive_integer_root(Poly.of(0, 6, -5, 1))   # t(t-2)(t-3)
     2
     >>> least_positive_integer_root(Poly.of(0, 6, -5, 1), cap=1) is None
     True
+    >>> least_positive_integer_root(Poly.zero())
+    1
     """
     if cap is not None:
         cap = floor(_as_fraction(cap))
+        if cap < 1:
+            return None
     if q.is_zero():
-        raise ValueError("zero polynomial has every root")
+        return 1
     low = next(k for k, c in enumerate(q.coeffs) if c)
     f = Poly(q.coeffs[low:])
     if f.degree < 1:
         return None
-    seq = _sturm_sequence(divmod(f, _gcd(f, f.derivative()))[0])
+    seq = _sturm_sequence(f)
     f_ints = seq[0]
     hi = 1 + max(abs(c) for c in f_ints[:-1]) // abs(f_ints[-1])
     if cap is not None:
         hi = min(hi, cap)
-    if hi < 1:
-        return None
     stack = [(0, hi, _sign_changes(seq, 0), _sign_changes(seq, hi))]
     while stack:
         a, b, va, vb = stack.pop()

@@ -231,10 +231,7 @@ class CentralCharPoly:
 
     @staticmethod
     def from_h_coeffs(coeffs: Iterable[Scalar], rank: int) -> CentralCharPoly:
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return CentralCharPoly(tuple(cs), rank)
+        return CentralCharPoly(Poly.of(*coeffs).coeffs, rank)
 
     @staticmethod
     def from_xi(xi: Poly, rank: int) -> CentralCharPoly:

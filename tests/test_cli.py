@@ -357,15 +357,19 @@ STAGES = ["membership_detail", "nu_vector", "dirac_cohomology", "guaranteed_clas
 # example's L has axes of 3 and 3 values (9 classes), L (x) spin and the
 # cohomology axes of 4 and 4 (16 and 5 classes); dirac adds the 2 + 2
 # coordinates of its 2 guaranteed classes, and tables the 4 + 4 values of
-# its grid's axes and one P value per cell.
+# its grid's axes and one P value per cell. Every request also echoes its
+# input once: the 5 P_h coefficients, lambda and lambda + rho (2 + 2).
+ECHO = 5 + 2 + 2
+
+
 @pytest.mark.parametrize("cmd,want", [
     ("classify", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 1, "Box": 1,
-                  "_ratio": 2 * (3 + 3)}),
+                  "_ratio": ECHO + 2 * (3 + 3)}),
     ("dirac", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 3, "Box": 1,
                "grid_numerators": 1, "guaranteed_classes": 1,
-               "_ratio": 2 * (3 + 3) + 2 * 2 * (4 + 4) + 2 * (2 + 2)}),
+               "_ratio": ECHO + 2 * (3 + 3) + 2 * 2 * (4 + 4) + 2 * (2 + 2)}),
     ("tables", {"membership_detail": 1, "nu_vector": 1, "grid_numerators": 1, "Box": 1,
-                "_ratio": (4 + 4) + 16}),
+                "_ratio": ECHO + (4 + 4) + 16}),
 ])
 def test_each_stage_runs_once_per_request(monkeypatch, capsys, cmd, want):
     counts = _count_calls(monkeypatch, STAGES)

@@ -112,6 +112,16 @@ def test_repeated_roots():
     assert least_positive_integer_root(q) == 3
     assert least_positive_integer_root(q, cap=2) is None
     assert least_positive_integer_root(from_roots([7] * 6)) == 7
+    # Repeated roots on the endpoints of the bisection over (0, hi]: the
+    # chain is divided by gcd(f, f') there, so a root of any multiplicity
+    # at a or b is counted once, in (a, b] only.
+    q = Poly.of(0, 1) * from_roots([2, 2, 2, 4, 4])
+    for cap in range(1, 5):
+        assert least_positive_integer_root(q, cap) == least_below([2, 4], cap)
+    for k in range(1, 8):
+        q = from_roots([2 ** k] * 3 + [F(2 ** k + 1, 2)])
+        assert least_positive_integer_root(q) == 2 ** k
+        assert least_positive_integer_root(q, cap=2 ** k - 1) is None
 
 
 def test_root_at_cap_and_just_above():
@@ -139,9 +149,13 @@ def test_constant_and_monomials_have_no_positive_root():
     assert least_positive_integer_root(Poly.of(0, 0, 0, 2)) is None
 
 
-def test_zero_polynomial_raises():
-    with pytest.raises(ValueError):
-        least_positive_integer_root(Poly.zero())
+def test_zero_polynomial_has_least_root_one():
+    # every t is a root of 0: the least one is 1, when the cap admits it
+    assert least_positive_integer_root(Poly.zero()) == 1
+    for cap in (1, F(3, 2), 2, 10 ** 30):
+        assert least_positive_integer_root(Poly.zero(), cap) == 1
+    for cap in (0, -5, F(1, 2)):
+        assert least_positive_integer_root(Poly.zero(), cap) is None
 
 
 def test_root_just_inside_the_cauchy_bound():
@@ -165,6 +179,24 @@ def test_cost_grows_with_bit_size():
     assert least_positive_integer_root(Poly.of(0, c1, -1), cap=c1 - 1) is None
     big = 10 ** 60 + 7
     assert least_positive_integer_root(from_roots([big, big + 1, F(3, 2)])) == big
+
+
+def test_one_remainder_sequence_per_query(monkeypatch):
+    # A square-free q of degree d (no factor t) needs the d divisions of one
+    # Euclidean pass on (q, q'), and no second pass for a gcd.
+    calls = []
+    divide = Poly.__divmod__
+
+    def counting(a, b):
+        calls.append(b.degree)
+        return divide(a, b)
+
+    monkeypatch.setattr(Poly, "__divmod__", counting)
+    roots = [1, 3, F(5, 2), -2, 7, 11]
+    for d in range(1, len(roots) + 1):
+        calls.clear()
+        assert least_positive_integer_root(from_roots(roots[:d])) == 1
+        assert 0 < len(calls) <= d
 
 
 def test_divmod_identity():
