@@ -235,15 +235,17 @@ class Box:
     def cohomology(self, P: CentralCharPoly) -> Block:
         """The spin block with multiplicity 0 at every class mu that fails
         P(lam + rho) = P(mu + rho - 1/2). The grid's values are compared as
-        numerators over their common denominator; P(lam + rho), evaluated
-        apart, must be one of them (at mu = lam + 1/2 it is)."""
+        numerators over their common denominator with the target t, the
+        first of them (mu = lam + 1/2, the point lam + rho); P(lam + rho),
+        evaluated apart, must be t / den, or InvariantViolation, whatever
+        flags Python runs with."""
         _, multiplicities, values, den = self.grid(P)
-        target = P.value(self.lam) * den
-        if target.denominator != 1:
-            raise InvariantViolation(f"P(lambda + rho) * {den} = {target} is not an integer")
-        t = target.numerator
-        return Block(self.spin.axes,
-                     [m if value == t else 0 for m, value in zip(multiplicities, values)])
+        t = next(values)
+        if (target := P.value(self.lam) * den) != t:
+            raise InvariantViolation(f"P(lambda + rho) * {den} = {target}, "
+                                     f"but the grid's numerator at lambda + rho is {t}")
+        return Block(self.spin.axes, [m if value == t else 0
+                                      for m, value in zip(multiplicities, chain([t], values))])
 
 
 def shift_axes(axes: list[Axis], by: Sequence[Fraction]) -> list[Axis]:

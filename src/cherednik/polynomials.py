@@ -9,8 +9,10 @@ on, together with the discrete calculus used to turn a deformation polynomial
 * The step-difference operator ``nabla_eps f(z) = f(z+eps) - f(z+eps-1)`` and
   its inverse (unique once the constant term is pinned to 0), constructed from
   Bernoulli polynomials in one exact pass.
-* The ladder of transforms attached to a deformation ``xi`` of rank ``n``,
-  each in closed form:
+* The ladder of transforms attached to a deformation ``xi`` of rank ``n``:
+  density in closed form, density_sum by one inverse step, and w by n
+  inverse half-steps, then checked by n forward half-steps (w has no closed
+  form here):
 
       density(z)      = d^n/dz^n [ z^n xi(z) ], coefficient (m+n)!/m! * xi_m
       density_sum     = the polynomial F with F(z) - F(z-1) = density(z), F(0)=0
@@ -197,8 +199,9 @@ class Poly:
 def _scaled_ints(coeffs: Sequence[Scalar], v: int) -> tuple[int, list[int]]:
     """(D, P) for p(z) = sum coeffs[i] z^i of degree d, ints or Fractions:
     D the common denominator of the coefficients and P(w) = D v^d p(w/v),
-    with integer coefficients. The package's one scaling to integers: the
-    Weyl scaling and the Sturm sequence take v = 1, so P is D times the
+    with integer coefficients. The package's one scaling of polynomial
+    coefficients to integers, for the Taylor shifts, the Sturm sequence and
+    the spin grid: the Sturm sequence takes v = 1, so P is D times the
     coefficients, and the spin grid takes v = d, the tops' common
     denominator."""
     den = lcm(*(a.denominator for a in coeffs))

@@ -11,16 +11,15 @@ the corresponding highest-weight module is the zero module. Boundary weights
 show up as formal summands when tensoring with the spin module and are kept
 (with formal dimension 0) so that multiplicity tables close up exactly.
 
-Weyl dimensions are computed in integers. weyl_scaled scales a weight by
-polynomials._scaled_ints, the package's one scaling to integers: with d the
-common denominator of a weight w, y_i = d w_i - d i has the differences of d
-(w + rho), so a dimension is the integer Weyl product of y over that of d
-rho, one exact division (weyl_quotient). weyl_dim_formal scales one weight;
-box_dimension scales the tops of a box's axes (Axis: the values top - o, o =
-0..count - 1, of one coordinate), runs each axis down from its scaled top
-(Axis.row, the one descent, which Axis.scaled also uses), and sums the
-quotients over the classes of the product of the axes whose multiplicity is
-not 0.
+Weyl dimensions are computed in integers, by one routine, box_dimension: the
+sum of the Weyl dimensions of the classes of a box (the product of its axes;
+Axis: the values top - o, o = 0..count - 1, of one coordinate) whose
+multiplicity is not 0. With d the common denominator of the tops,
+y_i = d w_i - d i has the differences of d (w + rho); axis i gives the row of
+y_i as Axis(top - i, count).scaled(d), the same scaling to integers the spin
+grid's numerators use, so each class's dimension is the integer Weyl product
+of y (weyl_product) over that of d rho, an exact division.
+weyl_dim_formal is the box of one class.
 
 The central character polynomial P is stored by its coefficients in the basis
 of complete homogeneous symmetric polynomials: P(point) = sum_k c_k h_k(point),
@@ -35,12 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product
-from math import factorial, prod
+from itertools import combinations, compress, product
+from math import factorial, lcm, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .polynomials import InvariantViolation, Poly, Scalar, _as_fraction, _scaled_ints, xi_to_w
+from .polynomials import InvariantViolation, Poly, Scalar, _as_fraction, xi_to_w
 
 
 @dataclass(frozen=True)
@@ -111,43 +110,13 @@ def weyl_dim(w: Weight) -> int:
 
 def weyl_dim_formal(w: Weight) -> int:
     """The Weyl dimension product without the dominance check; 0 on boundary
-    weights: one weyl_quotient of the scaled integer point weyl_scaled(w)."""
-    y, d = weyl_scaled(w.coords)
-    return weyl_quotient(y, weyl_denominator(w.rank, d))
-
-
-def weyl_scaled(coords: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(y, d) for d the common denominator of coords and y_i = d c_i - d i:
-    integers whose differences are d times those of coords + rho, so the
-    Weyl product of coords + rho is weyl_product(y) / d^(n(n-1)/2)."""
-    d, ints = _scaled_ints(coords, 1)
-    return [a - d * i for i, a in enumerate(ints)], d
+    weights: the box of the one class w (box_dimension)."""
+    return box_dimension([Axis(c, 1) for c in w.coords], [1])
 
 
 def weyl_product(y: Sequence[int]) -> int:
     """prod_{i<j} (y_i - y_j): the integer kernel of every Weyl dimension."""
-    num = 1
-    for i, a in enumerate(y):
-        for b in y[i + 1:]:
-            num *= a - b
-    return num
-
-
-def weyl_denominator(n: int, d: int) -> int:
-    """prod_{i<j} d (j - i) = d^(n(n-1)/2) prod_{k<n} k!, the Weyl product of
-    rho scaled by d."""
-    return d ** (n * (n - 1) // 2) * prod(factorial(k) for k in range(n))
-
-
-def weyl_quotient(y: Sequence[int], den: int) -> int:
-    """weyl_product(y) / den, which must be exact: a remainder raises
-    InvariantViolation, whatever flags Python runs with."""
-    num = weyl_product(y)
-    dim, rest = divmod(num, den)
-    if rest:
-        raise InvariantViolation(f"Weyl dimension product {Fraction(num, den)} "
-                                 "is not an integer")
-    return dim
+    return prod(a - b for a, b in combinations(y, 2))
 
 
 class Axis(NamedTuple):
@@ -166,24 +135,31 @@ class Axis(NamedTuple):
 
     def scaled(self, d: int) -> list[int]:
         """d times each value, for d a multiple of top's denominator."""
-        return list(self.row(self.top.numerator * (d // self.top.denominator), d))
-
-    def row(self, y: int, d: int) -> range:
-        """y, y - d, ..., y - d (count - 1): the axis's descent in steps of d
-        from a scaled top y."""
-        return range(y, y - d * self.count, -d)
+        y = self.top.numerator * (d // self.top.denominator)
+        return list(range(y, y - d * self.count, -d))
 
 
 def box_dimension(axes: Sequence[Axis], multiplicities: Sequence[int]) -> int:
     """sum m * weyl_dim_formal(w) over the classes w of the axes, in product
-    order, and their multiplicities m, in integers: the tops scaled once by
-    weyl_scaled, each axis a row of integers from its scaled top, and each
-    class of nonzero multiplicity (itertools.compress) one weyl_quotient."""
-    tops, d = weyl_scaled([a.top for a in axes])
-    den = weyl_denominator(len(axes), d)
-    rows = [a.row(y, d) for y, a in zip(tops, axes)]
-    return sum(m * weyl_quotient(y, den) for y, m in zip(
-        compress(product(*rows), multiplicities), filter(None, multiplicities)))
+    order, and their multiplicities m, in integers. With d the common
+    denominator of the tops, axis i read as Axis(top - i, count).scaled(d)
+    is the row of y_i = d w_i - d i, whose differences are d times those of
+    w + rho; so each class of nonzero multiplicity (itertools.compress) has
+    dimension weyl_product(y) / (d^(n(n-1)/2) prod_{k<n} k!), the Weyl
+    product of d rho. Each division must be exact: a remainder raises
+    InvariantViolation, whatever flags Python runs with."""
+    n = len(axes)
+    d = lcm(*(a.top.denominator for a in axes))
+    den = d ** (n * (n - 1) // 2) * prod(map(factorial, range(n)))
+    rows = [Axis(a.top - i, a.count).scaled(d) for i, a in enumerate(axes)]
+    total = 0
+    for y, m in zip(compress(product(*rows), multiplicities), filter(None, multiplicities)):
+        dim, rest = divmod(num := weyl_product(y), den)
+        if rest:
+            raise InvariantViolation(f"Weyl dimension product {Fraction(num, den)} "
+                                     "is not an integer")
+        total += m * dim
+    return total
 
 
 def h_row(point: Sequence, K: int) -> list:

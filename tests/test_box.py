@@ -1,6 +1,6 @@
 """The one checked box (modules.Box), the one class list (modules.Block) and
-the one Weyl scaling behind weights.box_dimension and
-weights.weyl_dim_formal."""
+the one Weyl dimension routine (weights.box_dimension), against a Fraction
+Weyl product."""
 from fractions import Fraction
 from math import prod
 
@@ -21,9 +21,8 @@ from cherednik.weights import (
     Weight,
     box_dimension,
     is_dominant,
-    weyl_dim_formal,
 )
-from helpers import classes, total_dimension
+from helpers import classes, fraction_weyl_dim, total_dimension
 
 F = Fraction
 P = CentralCharPoly.from_h_coeffs([0, 18, F(-9, 2), -2, F(1, 2)], 2)
@@ -128,7 +127,7 @@ def test_box_dimension_is_the_sum_of_weyl_dimensions(case):
     axes, mults = case
     classes = list(map(Weight, axis_points(axes)))
     assert box_dimension(axes, mults) == sum(
-        m * weyl_dim_formal(w) for w, m in zip(classes, mults))
+        m * fraction_weyl_dim(w) for w, m in zip(classes, mults))
 
 
 

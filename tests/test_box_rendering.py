@@ -174,3 +174,32 @@ def test_corrupted_weyl_product_raises_under_any_flags(flags, command):
     res = subprocess.run([sys.executable, *flags, "-c", CORRUPT, str(len(flags)), *argv],
                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
     assert res.returncode == 3, res.stderr
+
+
+CORRUPT_GRID = """
+import sys
+from cherednik import cli, modules
+from cherednik.polynomials import InvariantViolation
+assert sys.flags.optimize == int(sys.argv[1])
+orig = modules.grid_numerators
+def corrupt(P, axes):
+    # every numerator off by one: the selection alone would still run
+    values, den = orig(P, axes)
+    return (v + 1 for v in values), den
+modules.grid_numerators = corrupt
+try:
+    cli.main(sys.argv[2:])
+except InvariantViolation:
+    sys.exit(3)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_corrupted_grid_numerators_raise_under_any_flags(flags):
+    # Box.cohomology reads its target off the grid and checks it against
+    # P(lambda + rho) evaluated apart.
+    argv = ["dirac", "--n", "2", "--P-h", "0,18,-9/2,-2,1/2", "--lambda-plus-rho", "3,0",
+            "--json"]
+    res = subprocess.run([sys.executable, *flags, "-c", CORRUPT_GRID, str(len(flags)), *argv],
+                         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+    assert res.returncode == 3, res.stderr

@@ -17,7 +17,7 @@ from cherednik.weights import (
     weyl_dim,
     weyl_dim_formal,
 )
-from helpers import is_shift_weakly_decreasing
+from helpers import fraction_weyl_dim, is_shift_weakly_decreasing
 
 F = Fraction
 
@@ -168,20 +168,6 @@ def test_h_coeff_trimming():
 def test_value_shifts_by_rho():
     lam = Weight.of(F(5, 2), F(1, 2))
     assert EXAMPLE_P.value(lam) == EXAMPLE_P.evaluate([F(3), F(0)]) == 0
-
-
-def fraction_weyl_dim(w: Weight) -> int:
-    """Reference: the Weyl dimension product over Fractions, one factor
-    (w_i - w_j + j - i)/(j - i) at a time; InvariantViolation when it is not
-    an integer."""
-    n = w.rank
-    num = F(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= F(w.coords[i] - w.coords[j] + j - i, j - i)
-    if num.denominator != 1:
-        raise InvariantViolation(f"Weyl dimension product {num} is not an integer")
-    return int(num)
 
 
 @st.composite
