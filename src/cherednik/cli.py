@@ -26,8 +26,8 @@ _axis_strings each value of an axis. The JSON document has sorted keys and
 deterministic entry order; every rational is serialized as "p/q" (or "p"),
 never as a float, whatever its number of digits (CPython's int <-> str digit
 limit is lifted for the request). The JSON text is, by contract, exactly
-json.dumps(doc, sort_keys=True, indent=2); it is written by _json, which
-produces that text with the C string encoder.
+json.dumps(doc, sort_keys=True, indent=2); _chunks produces it in pieces,
+with the C string encoder, and _json joins them.
 
 classify, dirac and tables check one modules.Box per request and read
 everything from it. Its class lists (modules.Block: L(lambda),
@@ -35,13 +35,14 @@ L(lambda) (x) spin and the Dirac cohomology) come from their per-axis data
 (weights.Axis): coordinate i of a class is top_i - o for o = 0..b_i, so
 each coordinate's strings are made once per axis value (_axis_strings) and
 the classes are their itertools.product, already in descending order, with
-the classes of multiplicity 0 dropped. Dimensions come from the integer
-Weyl products of the same axes (Block.dimension) and the tables' P values
+the classes of multiplicity 0 dropped. Dimensions come from the same axes,
+in integers (Block.dimension: one determinant for L and L (x) spin, one
+Weyl product per class for the cohomology), and the tables' P values
 from integer numerators over one common denominator (Box.grid); no Weight
 or Fraction is built per class. The class lists, the tables' points and
 its rank-2 mu+rho and multiplicity grids can run to modules.MAX_GRID
 entries, so each goes into the document as one Listing, the same for both
-formats: the text reads its rows, and _json writes it from fragments made
+formats: the text reads its rows, and _chunks writes it from fragments made
 once per axis value, each the value quoted once with the JSON text before
 it (its key, separator and indentation), so that an entry is one join of
 fragments and no dict or list is built per class. Only the guaranteed
@@ -54,9 +55,13 @@ parse error (including verify's --trials < 1, --max-n < 1, --max-deg < 0,
 and --max-deg 0 for a run that includes the oracle-n1 suite),
 3 box too large: the grid over the box of nu, prod(nu_i + 2) points, exceeds
 modules.MAX_GRID; nu, the grid size and the guaranteed classes (which need
-only nu) are reported instead, error code "box-too-large". main prints the
-answer once; a reader that closes the pipe early ends the output quietly,
-with the command's own exit code.
+only nu) are reported instead, error code "box-too-large". main streams the
+answer: every check of the request runs while the document is built, before
+the first byte; then the JSON pieces (_chunks) or the text lines, made as
+they are written, go to stdout in batches of about 64 KiB, so no copy of a
+whole answer is held. A reader that closes the pipe early ends the output
+quietly, with the command's own exit code. The parser is built once per
+process, by the first call of main.
 """
 from __future__ import annotations
 
@@ -67,7 +72,7 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, product
+from itertools import chain, compress, product
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import Callable, Iterable, Iterator
@@ -157,7 +162,7 @@ class Listing:
     """A list of the document that grows with the grid (a class list, the
     tables' points, a rank-2 grid), made once for both formats from strings
     made once per axis value. Iterating it gives the text its rows, read
-    once; _encode writes it as JSON from ``items(newline)``, the JSON text of
+    once; _chunks writes it as JSON from ``items(newline)``, the JSON text of
     each of its items at their newline, which joins fragments made once per
     axis value (_fragments) and never builds a dict or a list per item."""
 
@@ -175,7 +180,7 @@ MARK = "\x00"
 def _pieces(skeleton, newline: str) -> list[str]:
     """The JSON text of ``skeleton`` at ``newline``, split at each MARK: the
     fixed pieces between an item's values, keys and layout included."""
-    return _encode(skeleton, newline).split(_quote(MARK))
+    return _json(skeleton, newline).split(_quote(MARK))
 
 
 def _fragments(pieces: list[str], strings: list[list[str]]) -> list[list[str]]:
@@ -212,10 +217,11 @@ def _block_json(block: Block, decimal: bool = False) -> dict:
     return {"dimension": block.dimension(), "entries": _classes(block, decimal)}
 
 
-def _block_text(title: str, block: dict) -> list[str]:
+def _block_text(title: str, block: dict) -> Iterator[str]:
     """The lines of a class list of _block_json."""
-    return [f"{title}  (dimension {block['dimension']})",
-            *[f"  {m} x {_weight_text(w, s)}" for m, w, s in block["entries"]]]
+    yield f"{title}  (dimension {block['dimension']})"
+    for m, w, s in block["entries"]:
+        yield f"  {m} x {_weight_text(w, s)}"
 
 
 # The list flags, (flag, dest, help): a request gives exactly one flag of
@@ -289,38 +295,49 @@ def _parse_weight(args, n: int) -> Weight:
 
 # What a command hands back: its exit code, its document, and the function
 # that renders the document as text lines.
-Outcome = tuple[int, dict, Callable[[dict], list[str]]]
+Outcome = tuple[int, dict, Callable[[dict], Iterable[str]]]
 
 
-def _json(doc) -> str:
+def _json(doc, newline: str = "\n") -> str:
     """The exact text of json.dumps(doc, sort_keys=True, indent=2), for a
     document of dicts (with str keys), lists, tuples, str, int, bool and
-    None, where a Listing stands for the list of its items. Strings go
-    through the C string encoder, and a list of strings is one join over
-    it."""
-    return _encode(doc, "\n")
+    None, where a Listing stands for the list of its items, at ``newline``:
+    the pieces of _chunks, joined."""
+    return "".join(_chunks(doc, newline))
+
+
+def _chunks(value, newline: str) -> Iterator[str]:
+    """The JSON text of ``value`` at ``newline`` in pieces, made as they are
+    taken: one per dict key, per Listing item and per item of a list that
+    holds more than strings; any other value is one piece, its _encode."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        members = ((_quote(key) + ": ", _chunks(value[key], inner)) for key in sorted(value))
+    elif isinstance(value, Listing):
+        brackets, members = "[]", ((item, ()) for item in value.items(inner))
+    elif isinstance(value, (list, tuple)) and not all(isinstance(v, str) for v in value):
+        brackets, members = "[]", (("", _chunks(item, inner)) for item in value)
+    else:
+        yield _encode(value, newline)
+        return
+    # A member is its first piece (a key, or a Listing item) and the rest.
+    separator = brackets[0] + inner
+    for head, rest in members:
+        yield separator + head
+        yield from rest
+        separator = "," + inner
+    yield newline + brackets[1] if separator[0] == "," else brackets
 
 
 def _encode(value, newline: str) -> str:
+    """The JSON text of a str, an int, a bool, None or a list of strings,
+    the strings through the C string encoder, a list of them as one join."""
     if isinstance(value, str):
         return _quote(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
+    if isinstance(value, (list, tuple)):
         inner = newline + "  "
-        return "{" + inner + ("," + inner).join(
-            _quote(key) + ": " + _encode(value[key], inner) for key in sorted(value)
-        ) + newline + "}"
-    if isinstance(value, (list, tuple, Listing)):
-        inner = newline + "  "
-        if isinstance(value, Listing):
-            body = ("," + inner).join(value.items(inner))
-        else:
-            try:
-                body = ("," + inner).join(map(_quote, value))
-            except TypeError:  # not a list of strings
-                body = ("," + inner).join([_encode(item, inner) for item in value])
-        return "[" + inner + body + newline + "]" if body else "[]"
+        return "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]" if value else "[]"
     if value is None:
         return "null"
     if value is True:
@@ -425,16 +442,17 @@ BLOCKS = (("L", "L(lambda)"), ("tensor_spin", "L(lambda) (x) spin"),
           ("cohomology", "Dirac cohomology"))
 
 
-def _classes_text(doc: dict) -> list[str]:
+def _classes_text(doc: dict) -> Iterator[str]:
     """classify's and dirac's lines: membership and nu, the class lists the
     document holds, and the guaranteed classes when it holds them."""
     degenerate = doc["membership"]["degenerate_deformation"]
-    lines = [f"member: yes   nu = {doc['nu']}"
-             + ("   (degenerate deformation)" if degenerate else "")]
+    yield (f"member: yes   nu = {doc['nu']}"
+           + ("   (degenerate deformation)" if degenerate else ""))
     for key, title in BLOCKS:
         if key in doc:
-            lines += _block_text(title, doc[key])
-    return lines + _guaranteed_text(doc) if "guaranteed" in doc else lines
+            yield from _block_text(title, doc[key])
+    if "guaranteed" in doc:
+        yield from _guaranteed_text(doc)
 
 
 def cmd_classify(args) -> Outcome:
@@ -516,9 +534,10 @@ def _int_grid(rows: list[list[int]]) -> Listing:
     return Listing(rows, items)
 
 
-def _points_text(doc: dict) -> list[str]:
-    return [f"nu = {doc['nu']}", *[f"mu+rho ({', '.join(point)})  P = {value}  multiplicity {m}"
-                                   for value, m, point in doc["points"]]]
+def _points_text(doc: dict) -> Iterator[str]:
+    yield f"nu = {doc['nu']}"
+    for value, m, point in doc["points"]:
+        yield f"mu+rho ({', '.join(point)})  P = {value}  multiplicity {m}"
 
 
 def _grids_text(doc: dict) -> list[str]:
@@ -610,43 +629,66 @@ def _glue_negative_lists(argv: list[str]) -> list[str]:
     return out
 
 
-def _answer(args) -> tuple[int, str]:
-    """The one place the format is chosen: run the command, then write its
-    document through _json for --json, else as its text lines. --decimal
-    reaches the text only, so a --json answer is the same with or without it."""
+def _answer(args) -> tuple[int, Iterable[str]]:
+    """The one place the format is chosen: run the command, which builds its
+    document and so runs every check, then give the pieces of its output,
+    made as they are taken: the document's _chunks for --json, else its
+    text lines, each with its newline. --decimal reaches the text only, so
+    a --json answer is the same with or without it."""
     args.decimal = getattr(args, "decimal", False) and not args.json
     try:
         code, doc, text = args.func(args)
     except Answered as early:
         code, doc, text = early.outcome
-    return code, _json(doc) if args.json else "\n".join(text(doc))
+    if args.json:
+        return code, chain(_chunks(doc, "\n"), ["\n"])
+    return code, (line + "\n" for line in text(doc))
+
+
+def _write(pieces: Iterable[str]) -> None:
+    """Write the pieces to stdout, joined in batches of about 64 KiB."""
+    held, size = [], 0
+    for piece in pieces:
+        held.append(piece)
+        size += len(piece)
+        if size >= 1 << 16:
+            sys.stdout.write("".join(held))
+            held, size = [], 0
+    sys.stdout.write("".join(held))
+    sys.stdout.flush()
+
+
+# The parser, built by the first call of main and kept for the process.
+_parser: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_glue_negative_lists(sys.argv[1:] if argv is None else argv))
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(_glue_negative_lists(sys.argv[1:] if argv is None else argv))
     # Exact answers can have more digits than CPython's int <-> str limit
-    # (4300 by default, absent before 3.10.7) allows; it is lifted for the
-    # request only.
+    # (4300 by default, absent before 3.10.7) allows; it is lifted while the
+    # request is answered and written.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        code, out = _answer(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            code, pieces = _answer(args)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            _write(pieces)
+        except BrokenPipeError:
+            # The reader closed the pipe (as `| head` does). Point stdout at
+            # devnull so the interpreter's final flush does not raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-    try:
-        print(out)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe (as `| head` does). Point stdout at
-        # devnull so the interpreter's final flush does not raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return code
 
 
 if __name__ == "__main__":

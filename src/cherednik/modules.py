@@ -32,7 +32,9 @@ For a deformation with central character polynomial P and a dominant weight
   order, which is descending lexicographic order. Block(axes,
   multiplicities) is the one class list: one multiplicity per class of the
   product, 0 for a class the list leaves out. Its dimension is
-  weights.box_dimension.
+  weights.product_dimension, in closed form, when its multiplicities are a
+  product of per-axis factors (L's and L (x) spin's), and otherwise
+  weights.box_dimension, one Weyl product per class (the cohomology's).
   A Box gives three Blocks: L, the classes of L (x) spin (spin), and the
   cohomology (Box.cohomology(P), the spin block with the classes P does not
   select at 0), plus the spin grid's points and P numerators (Box.grid).
@@ -60,11 +62,12 @@ For a deformation with central character polynomial P and a dominant weight
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
 from math import lcm, prod
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .polynomials import InvariantViolation, Poly, _scaled_ints, horner, least_positive_integer_root
 from .weights import (
@@ -75,6 +78,7 @@ from .weights import (
     half_vector,
     is_dominant,
     line_coeffs,
+    product_dimension,
     rho,
 )
 
@@ -160,17 +164,24 @@ def nu_vector(P: CentralCharPoly, lam: Weight,
     return tuple(nu)
 
 
-class Block(NamedTuple):
+@dataclass(frozen=True)
+class Block:
     """A class list: the classes are the product of the axes, in product
     order (already descending), with one multiplicity each; a class the list
-    leaves out has multiplicity 0."""
+    leaves out has multiplicity 0. ``factors``, when given, are per-axis
+    factors whose product is each class's multiplicity; they take no part in
+    ==, so Blocks of the same classes are equal however they were made."""
 
     axes: list[Axis]
     multiplicities: list[int]
+    factors: list[list[int]] | None = field(default=None, compare=False, repr=False)
 
     def dimension(self) -> int:
-        """sum m * weyl_dim_formal(w) over the classes (box_dimension)."""
-        return box_dimension(self.axes, self.multiplicities)
+        """sum m * weyl_dim_formal(w) over the classes: in closed form from
+        the factors (product_dimension), else per class (box_dimension)."""
+        if self.factors is None:
+            return box_dimension(self.axes, self.multiplicities)
+        return product_dimension(self.axes, self.factors)
 
 
 def _require_nu(lam: Weight, nu: Sequence[int]) -> None:
@@ -212,14 +223,15 @@ class Box:
     @cached_property
     def L(self) -> Block:
         return Block([Axis(c, v + 1) for c, v in zip(self.lam.coords, self.nu)],
-                     [1] * prod(v + 1 for v in self.nu))
+                     [1] * prod(v + 1 for v in self.nu), [[1] * (v + 1) for v in self.nu])
 
     @cached_property
     def spin(self) -> Block:
         """The multiplicity of a class is prod_i (1 if o_i in {0, nu_i + 1}
         else 2)."""
+        factors = [[1] + [2] * v + [1] for v in self.nu]
         return Block([Axis(c + HALF, v + 2) for c, v in zip(self.lam.coords, self.nu)],
-                     list(map(prod, product(*([1] + [2] * v + [1] for v in self.nu)))))
+                     list(map(prod, product(*factors))), factors)
 
     def grid(self, P: CentralCharPoly
              ) -> tuple[list[Axis], list[int], Iterator[int], int]:

@@ -11,15 +11,19 @@ the corresponding highest-weight module is the zero module. Boundary weights
 show up as formal summands when tensoring with the spin module and are kept
 (with formal dimension 0) so that multiplicity tables close up exactly.
 
-Weyl dimensions are computed in integers, by one routine, box_dimension: the
-sum of the Weyl dimensions of the classes of a box (the product of its axes;
-Axis: the values top - o, o = 0..count - 1, of one coordinate) whose
-multiplicity is not 0. With d the common denominator of the tops,
-y_i = d w_i - d i has the differences of d (w + rho); axis i gives the row of
-y_i as Axis(top - i, count).scaled(d), the same scaling to integers the spin
-grid's numerators use, so each class's dimension is the integer Weyl product
-of y (weyl_product) over that of d rho, an exact division.
-weyl_dim_formal is the box of one class.
+Weyl dimensions are computed in integers. A class list is a box (the
+product of its axes; Axis: the values top - o, o = 0..count - 1, of one
+coordinate) with a multiplicity per class. With d the common denominator of
+the tops, y_i = d w_i - d i has the differences of d (w + rho); axis i gives
+the row of y_i as Axis(top - i, count).scaled(d), the same scaling to
+integers the spin grid's numerators use, so each class's dimension is the
+integer Weyl product of y (weyl_product) over that of d rho. Two routines sum
+them, each dividing exactly: box_dimension, one Weyl product per class of
+nonzero multiplicity, for any multiplicities (the Dirac cohomology's), and
+product_dimension, for multiplicities that are a product of per-axis factors
+(L's and L (x) spin's), in closed form: the Weyl product is the Vandermonde
+determinant, linear in each row, so the sum is one integer determinant of
+per-row power sums (integer_det). weyl_dim_formal is the box of one class.
 
 The central character polynomial P is stored by its coefficients in the basis
 of complete homogeneous symmetric polynomials: P(point) = sum_k c_k h_k(point),
@@ -139,27 +143,69 @@ class Axis(NamedTuple):
         return list(range(y, y - d * self.count, -d))
 
 
-def box_dimension(axes: Sequence[Axis], multiplicities: Sequence[int]) -> int:
-    """sum m * weyl_dim_formal(w) over the classes w of the axes, in product
-    order, and their multiplicities m, in integers. With d the common
-    denominator of the tops, axis i read as Axis(top - i, count).scaled(d)
-    is the row of y_i = d w_i - d i, whose differences are d times those of
-    w + rho; so each class of nonzero multiplicity (itertools.compress) has
-    dimension weyl_product(y) / (d^(n(n-1)/2) prod_{k<n} k!), the Weyl
-    product of d rho. Each division must be exact: a remainder raises
-    InvariantViolation, whatever flags Python runs with."""
+def _scaled_rows(axes: Sequence[Axis]) -> tuple[list[list[int]], int]:
+    """(rows, den): with d the common denominator of the tops, row i is axis
+    i read as Axis(top - i, count).scaled(d), the values of y_i = d w_i - d i,
+    whose differences are d times those of w + rho; den =
+    d^(n(n-1)/2) prod_{k<n} k! is the Weyl product of d rho."""
     n = len(axes)
     d = lcm(*(a.top.denominator for a in axes))
-    den = d ** (n * (n - 1) // 2) * prod(map(factorial, range(n)))
-    rows = [Axis(a.top - i, a.count).scaled(d) for i, a in enumerate(axes)]
-    total = 0
-    for y, m in zip(compress(product(*rows), multiplicities), filter(None, multiplicities)):
-        dim, rest = divmod(num := weyl_product(y), den)
-        if rest:
-            raise InvariantViolation(f"Weyl dimension product {Fraction(num, den)} "
-                                     "is not an integer")
-        total += m * dim
-    return total
+    return ([Axis(a.top - i, a.count).scaled(d) for i, a in enumerate(axes)],
+            d ** (n * (n - 1) // 2) * prod(map(factorial, range(n))))
+
+
+def _exact(num: int, den: int) -> int:
+    """num / den, which must be an integer: a remainder raises
+    InvariantViolation, whatever flags Python runs with."""
+    dim, rest = divmod(num, den)
+    if rest:
+        raise InvariantViolation(f"Weyl dimension product {Fraction(num, den)} "
+                                 "is not an integer")
+    return dim
+
+
+def box_dimension(axes: Sequence[Axis], multiplicities: Sequence[int]) -> int:
+    """sum m * weyl_dim_formal(w) over the classes w of the axes, in product
+    order, and their multiplicities m, in integers: each class of nonzero
+    multiplicity (itertools.compress) has dimension weyl_product(y) / den
+    over the rows of _scaled_rows, each division exact (_exact)."""
+    rows, den = _scaled_rows(axes)
+    return sum(m * _exact(weyl_product(y), den) for y, m in
+               zip(compress(product(*rows), multiplicities), filter(None, multiplicities)))
+
+
+def product_dimension(axes: Sequence[Axis], factors: Sequence[Sequence[int]]) -> int:
+    """box_dimension of the multiplicities prod_i factors[i][o_i] at the
+    class (top_i - o_i), in closed form. weyl_product(y) is the Vandermonde
+    determinant det[y_i^(n-1-j)], which is linear in each row, so its sum
+    over the product of the rows of _scaled_rows, weighted by the product of
+    per-row factors, is the determinant of the power sums
+    sum_{y in row i} m_i(y) y^(n-1-j): one integer determinant, divided
+    once, exactly (_exact), by den."""
+    rows, den = _scaled_rows(axes)
+    n = len(rows)
+    sums = [[sum(m * y ** (n - 1 - j) for y, m in zip(row, f, strict=True)) for j in range(n)]
+            for row, f in zip(rows, factors, strict=True)]
+    return _exact(integer_det(sums), den)
+
+
+def integer_det(matrix: Sequence[Sequence[int]]) -> int:
+    """The determinant of a nonempty square integer matrix, by Bareiss's
+    fraction-free elimination: each step's division by the previous pivot
+    is exact, so every entry stays an integer."""
+    a = [list(row) for row in matrix]
+    sign, prev = 1, 1
+    for k in range(len(a) - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def h_row(point: Sequence, K: int) -> list:

@@ -1,7 +1,8 @@
 """The one checked box (modules.Box), the one class list (modules.Block) and
-the one Weyl dimension routine (weights.box_dimension), against a Fraction
-Weyl product."""
+the two Weyl dimension routines (weights.box_dimension per class, and
+weights.product_dimension in closed form), against a Fraction Weyl product."""
 from fractions import Fraction
+from itertools import permutations, product
 from math import prod
 
 import pytest
@@ -20,7 +21,9 @@ from cherednik.weights import (
     CentralCharPoly,
     Weight,
     box_dimension,
+    integer_det,
     is_dominant,
+    product_dimension,
 )
 from helpers import classes, fraction_weyl_dim, total_dimension
 
@@ -142,6 +145,52 @@ def test_block_dimension_is_the_sum_over_its_classes(case, data):
     block = Block(axes, mults)
     assert len(classes(block)) == sum(keep)
     assert block.dimension() == total_dimension(classes(block))
+
+
+@st.composite
+def dominant_boxes(draw):
+    """Boxes of rank 1-5 below a dominant lam in 1/d + Z, d = 1, 2 or 3, with
+    nu within the dominance gaps; a gap of nu_i puts the box against a
+    chamber wall, and L (x) spin then holds boundary classes."""
+    n = draw(st.integers(1, 5))
+    nu = [draw(st.integers(0, (6, 4, 3, 2, 1)[n - 1])) for _ in range(n)]
+    gaps = [v + draw(st.sampled_from((0, 0, 1, 3))) for v in nu[:-1]]
+    last = F(draw(st.integers(-9, 9)), draw(st.sampled_from((1, 2, 3))))
+    return Box(Weight(tuple(last + sum(gaps[i:]) for i in range(n))), tuple(nu))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dominant_boxes())
+def test_closed_form_dimensions_are_the_per_class_sums(box):
+    dim_L = box.L.dimension()
+    assert dim_L == total_dimension(classes(box.L))
+    assert box.spin.dimension() == total_dimension(classes(box.spin)) == 2 ** box.lam.rank * dim_L
+
+
+@settings(max_examples=200, deadline=None)
+@given(axes_and_multiplicities(), st.data())
+def test_product_dimension_is_box_dimension_of_the_products(case, data):
+    # Any axes, classes whose shift is not weakly decreasing included, and
+    # any per-axis factors, zeros included.
+    axes, _ = case
+    factors = [data.draw(st.lists(st.integers(0, 5), min_size=a.count, max_size=a.count))
+               for a in axes]
+    assert product_dimension(axes, factors) == box_dimension(
+        axes, list(map(prod, product(*factors))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_integer_det_is_the_leibniz_sum(matrix):
+    # Small entries: zero pivots, zero rows and singular matrices are common.
+    n = len(matrix)
+
+    def sign(p):
+        return (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+
+    assert integer_det(matrix) == sum(sign(p) * prod(matrix[i][p[i]] for i in range(n))
+                                      for p in permutations(range(n)))
 
 
 def test_cohomology_block_keeps_the_spin_classes_with_zeros():

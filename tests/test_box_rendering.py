@@ -81,9 +81,8 @@ def test_blocks_equal_the_sorted_weight_rendering(box):
     assert cli._json(cli._block_json(new_L)) == dumps(reference_json(L))
     assert cli._json(cli._block_json(new_LS)) == dumps(reference_json(LS))
     for decimal in (False, True):
-        lines = (cli._block_text("L(lambda)", cli._block_json(new_L, decimal))
-                 + cli._block_text("L(lambda) (x) spin",
-                                   cli._block_json(new_LS, decimal)))
+        lines = [*cli._block_text("L(lambda)", cli._block_json(new_L, decimal)),
+                 *cli._block_text("L(lambda) (x) spin", cli._block_json(new_LS, decimal))]
         assert lines == (reference_text("L(lambda)", L, decimal)
                          + reference_text("L(lambda) (x) spin", LS, decimal))
 
@@ -119,7 +118,7 @@ def test_cohomology_block_equals_the_sorted_weight_rendering(box, coeffs):
     coh = classes(block)
     assert cli._json(cli._block_json(block)) == dumps(reference_json(coh))
     for decimal in (False, True):
-        lines = cli._block_text("Dirac cohomology", cli._block_json(block, decimal))
+        lines = list(cli._block_text("Dirac cohomology", cli._block_json(block, decimal)))
         assert lines == reference_text("Dirac cohomology", coh, decimal)
 
 
@@ -153,12 +152,16 @@ import sys
 from cherednik import cli, weights
 from cherednik.polynomials import InvariantViolation
 assert sys.flags.optimize == int(sys.argv[1])
-orig, calls = weights.weyl_product, []
-def corrupt(y):
-    # two classes off by one: a check of the sum alone (over 2) would pass
-    calls.append(y)
-    return orig(y) + (1 if len(calls) <= 2 else 0)
-weights.weyl_product = corrupt
+orig, calls = weights.integer_det, []
+def corrupt(matrix):
+    # the first power sum of L's first row off by one: L's determinant
+    # moves by its cofactor, 3, which the Weyl product of 2 rho, 2, does not
+    # divide
+    calls.append(matrix)
+    if len(calls) == 1:
+        matrix[0][0] += 1
+    return orig(matrix)
+weights.integer_det = corrupt
 try:
     cli.main(sys.argv[2:])
 except InvariantViolation:
@@ -168,12 +171,13 @@ except InvariantViolation:
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 @pytest.mark.parametrize("command", ["classify", "dirac"])
-def test_corrupted_weyl_product_raises_under_any_flags(flags, command):
+def test_corrupted_power_sum_raises_under_any_flags(flags, command):
     argv = [command, "--n", "2", "--P-h", "0,18,-9/2,-2,1/2", "--lambda-plus-rho", "3,0",
             "--json"]
     res = subprocess.run([sys.executable, *flags, "-c", CORRUPT, str(len(flags)), *argv],
                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
     assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
 
 
 CORRUPT_GRID = """
@@ -203,3 +207,5 @@ def test_corrupted_grid_numerators_raise_under_any_flags(flags):
     res = subprocess.run([sys.executable, *flags, "-c", CORRUPT_GRID, str(len(flags)), *argv],
                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
     assert res.returncode == 3, res.stderr
+    # every check runs while the document is built, before the first byte
+    assert res.stdout == ""

@@ -6,9 +6,11 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
@@ -345,11 +347,12 @@ def _count_calls(monkeypatch, names):
 
 
 STAGES = ["membership_detail", "nu_vector", "dirac_cohomology", "guaranteed_classes",
-          "box_dimension", "grid_numerators", "Box"]
+          "product_dimension", "box_dimension", "grid_numerators", "Box"]
 
 
 # The CLI checks one Box per request and reads everything from it: the L,
-# L (x) spin and cohomology blocks, and one dimension walk per block; the P
+# L (x) spin and cohomology blocks, and one dimension per block, in closed
+# form for L and L (x) spin and one walk for the cohomology; the P
 # values are walked once, as numerators, and the cohomology is selected on
 # that Box (Box.cohomology, not dirac_cohomology's own Box). A rational is
 # spelled (_ratio) once per axis value of a class list, in both its views
@@ -363,9 +366,10 @@ ECHO = 5 + 2 + 2
 
 
 @pytest.mark.parametrize("cmd,want", [
-    ("classify", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 1, "Box": 1,
+    ("classify", {"membership_detail": 1, "nu_vector": 1, "product_dimension": 1, "Box": 1,
                   "_ratio": ECHO + 2 * (3 + 3)}),
-    ("dirac", {"membership_detail": 1, "nu_vector": 1, "box_dimension": 3, "Box": 1,
+    ("dirac", {"membership_detail": 1, "nu_vector": 1, "product_dimension": 2,
+               "box_dimension": 1, "Box": 1,
                "grid_numerators": 1, "guaranteed_classes": 1,
                "_ratio": ECHO + 2 * (3 + 3) + 2 * 2 * (4 + 4) + 2 * (2 + 2)}),
     ("tables", {"membership_detail": 1, "nu_vector": 1, "grid_numerators": 1, "Box": 1,
@@ -381,6 +385,7 @@ def test_each_stage_runs_once_per_request(monkeypatch, capsys, cmd, want):
 
 @pytest.mark.parametrize("mode", [["--json"], []])
 def test_dimensions_computed_once_and_text_only_when_printed(monkeypatch, capsys, mode):
+    counts = _count_calls(monkeypatch, ["product_dimension"])
     calls = []
     orig = weights.weyl_product
     monkeypatch.setattr(weights, "weyl_product", lambda y: calls.append(y) or orig(y))
@@ -389,9 +394,10 @@ def test_dimensions_computed_once_and_text_only_when_printed(monkeypatch, capsys
     monkeypatch.setattr(cli, "_weight_text", lambda *a: rendered.append(a) or orig_text(*a))
     rc, out = run_main(capsys, "dirac", *EXAMPLE_ARGS, *mode)
     assert rc == 0
-    # one Weyl product per entry of L (9), L (x) spin (16) and the
-    # cohomology (5); the text lines are built only in text mode
-    assert len(calls) == 9 + 16 + 5
+    # one closed form each for L and L (x) spin, and one Weyl product per
+    # class of the cohomology (5); the text lines are built only in text mode
+    assert counts["product_dimension"] == 2
+    assert len(calls) == 5
     assert bool(rendered) == (not mode)
 
 
@@ -646,3 +652,63 @@ def test_long_literal_parses_and_the_limit_is_restored(capsys):
     out, err = capsys.readouterr()
     assert (rc, err) == (1, "")
     assert json.loads(out)["input"]["lambda"] == [tok]
+
+
+@needs_int_limit
+@pytest.mark.parametrize("mode,size,digest", [
+    (["--json"], 147501, "b0b636ffd5dee16668599f5d96483f540c0a0ba5f179e3461d45774116663dc5"),
+    ([], 135588, "62fddc2a5460a9c1983652fc4d7484d572eacb8c0e5cdb1bf1cf0dbb51982074"),
+])
+def test_answer_past_the_digit_limit_is_written_inside_the_lifted_limit(capsys, mode, size,
+                                                                         digest):
+    # lambda = (10^5000, 0) under a constant P: nu = (0, 0), and L's dimension,
+    # 10^5000 + 1, is turned into digits only as the answer is written.
+    with int_str_limit(4300):
+        rc, out = run_main(capsys, "dirac", "--n", "2", "--P-h", "5",
+                           "--lambda", f"1{'0' * 5000},0", *mode)
+        assert sys.get_int_max_str_digits() == 4300
+    assert rc == 0
+    assert (len(out), sha256(out.encode()).hexdigest()) == (size, digest)
+
+
+def test_peak_memory_does_not_grow_with_the_classes(monkeypatch):
+    # nu = (20, 20, 20) and (40, 40, 40): 8 times the classes and the bytes
+    # written, while the answer goes out in batches. What grows is L's list
+    # of multiplicities, 8 bytes a class.
+    small = ["classify", "--n", "3", "--P-h=-4,-1757,-2,1", "--lambda=39,19,-1", "--json"]
+    large = ["classify", "--n", "3", "--P-h=-4,-7477,-2,1", "--lambda=79,39,-1", "--json"]
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert cli.main(small) == 0  # the parser and the caches, before measuring
+        peaks = []
+        for argv in (small, large):
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] < 3 * peaks[0], peaks
+
+
+def test_one_process_answers_a_sequence_as_fresh_processes_do(monkeypatch, capsys):
+    # main keeps its parser between calls: each answer must still be the one
+    # a fresh interpreter gives, whatever came before it in the process.
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        ["classify", "--n", "2", "--lambda", "1,0"],           # no deformation flag
+        ["verify", "--suite", "nope"],                          # rejected by argparse
+        ["dirac", "--help"],
+        ["classify", *EXAMPLE_ARGS, "--json"],
+        ["dirac", *EXAMPLE_ARGS],
+        ["verify", "--suite", "poly", "--trials", "5"],
+    ]
+    for argv in sequence:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        child = subprocess.run([sys.executable, "-m", "cherednik", *argv], capture_output=True,
+                               text=True, env=dict(CHILD_ENV, COLUMNS="80"))
+        assert (code, out) == (child.returncode, child.stdout), argv
