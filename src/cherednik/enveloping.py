@@ -40,6 +40,18 @@ A leg acts nonzero on at most two basis vectors, one y and one x, fixed by
 its last generator, so leg_tensor scatters each deal into the tuples it
 reaches and builds the invariant at every tuple at once; a tuple it never
 reaches has invariant zero.
+
+The certificates run in integers, on KappaMap's integer view (its pairs
+times the lcm of their coefficients' denominators), and divide a residual
+they report back by that lcm. Each reads every independent tuple once and
+reports the first failing ordered tuple, with its residual, as a scan over
+all of them would: kappa is skew and vanishes on same-species pairs, and
+the generators keep each species. Jacobi reads the increasing triples,
+since its residual is totally antisymmetric and vanishes on a repeated
+letter; adjoint linearity reads the pairs (x_i, y_j), since both sides
+vanish on a same-species pair and the residual of (y_j, x_i) is the negated
+one of (x_i, y_j); the wedge cube reads the stored keys of the (x_i, y_j)
+tensors. The wedge square compares each unordered pair of pairs once.
 """
 from __future__ import annotations
 
@@ -47,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import factorial, perm
+from math import factorial, lcm, perm
 from types import MappingProxyType
 from typing import Mapping
 
@@ -220,11 +232,19 @@ class KappaMap:
     """Skew map on V-basis pairs valued in U(gl_n); zero on same-species
     pairs, stored on the (y_j, x_i) side. The entries are read once: both
     orientations of each are built at construction, and the stored mapping
-    is read-only."""
+    is read-only.
+
+    The integer view: scale is the lcm of the denominators of the pairs'
+    coefficients, and scaled_pair(a, b) is scale * pair(a, b) with int
+    coefficients, built at construction too; pair(a, b) stays exact. The
+    certificates run on the view and divide a residual they report back by
+    scale (unscaled)."""
 
     n: int
     entries: Mapping[tuple[VBasis, VBasis], UEAElement] = field(default_factory=dict)
     _pairs: dict = field(init=False, repr=False, compare=False)
+    _scaled: dict = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.entries = MappingProxyType(dict(self.entries))
@@ -232,9 +252,21 @@ class KappaMap:
         for (a, b), e in self.entries.items():
             if a[0] == "y" and b[0] == "x":
                 self._pairs[a, b], self._pairs[b, a] = e, -e
+        self.scale = lcm(*(c.denominator for e in self._pairs.values() for c in e.terms.values()))
+        self._scaled = {key: UEAElement({m: c.numerator * (self.scale // c.denominator)
+                                         for m, c in e.terms.items()})
+                        for key, e in self._pairs.items()}
 
     def pair(self, a: VBasis, b: VBasis) -> UEAElement:
         return self._pairs.get((a, b)) or UEAElement()
+
+    def scaled_pair(self, a: VBasis, b: VBasis) -> UEAElement:
+        """scale * pair(a, b), with int coefficients."""
+        return self._scaled.get((a, b)) or UEAElement()
+
+    def unscaled(self, terms: dict) -> dict:
+        """A residual of scaled pairs, divided back by scale."""
+        return {k: Fraction(c, self.scale) for k, c in terms.items()}
 
 
 def kappa_from_r_matrices(xi: Poly, rmats, n: int) -> KappaMap:
@@ -326,41 +358,62 @@ def leg_tensor(h: UEAElement, k: int) -> dict[tuple[VBasis, ...], LinComb]:
 
 
 def _pair_tensors(kappa: KappaMap, n: int, k: int) -> dict[tuple[VBasis, VBasis], dict]:
-    """leg_tensor(kappa(x, y), k) for every ordered basis pair (x, y); kappa is
-    skew, so the tensor of (y, x) is the negated tensor of (x, y)."""
+    """leg_tensor(kappa.scaled_pair(x, y), k) for every ordered basis pair
+    (x, y); kappa is skew, so the tensor of (y, x) is the negated tensor of
+    (x, y)."""
     out: dict = {}
     for x, y in product(v_basis(n), repeat=2):
         out[x, y] = ({vs: -t for vs, t in out[y, x].items()} if (y, x) in out
-                     else leg_tensor(kappa.pair(x, y), k))
+                     else leg_tensor(kappa.scaled_pair(x, y), k))
     return out
 
 
 def jacobi_check(kappa: KappaMap, n: int) -> CheckReport:
-    """Cyclic identity [kappa(u,v), w] + [kappa(v,w), u] + [kappa(w,u), v] = 0
-    on all ordered basis triples, each bracket once; reports the first failing."""
+    """Cyclic identity [kappa(u,v), w] + [kappa(v,w), u] + [kappa(w,u), v] = 0,
+    reporting the first failing ordered basis triple in product order. Since
+    kappa is skew and vanishes on a repeated pair, the residual is totally
+    antisymmetric and vanishes on a repeated letter; so the failing triples
+    are the permutations of failing triples of distinct letters, the first
+    of them in product order is increasing, and the scan reads only the
+    increasing triples, combinations(basis, 3), each with its own residual."""
     basis, zero = v_basis(n), LinComb()
     tensors = _pair_tensors(kappa, n, 1)
-    bracket = {(a, b, c): tensors[a, b].get((c,), zero) for a, b in tensors for c in basis}
-    for u, v, w in product(basis, repeat=3):
-        residual = bracket[u, v, w] + bracket[v, w, u] + bracket[w, u, v]
+    for u, v, w in combinations(basis, 3):
+        residual = (tensors[u, v].get((w,), zero) + tensors[v, w].get((u,), zero)
+                    + tensors[w, u].get((v,), zero))
         if not residual.is_zero():
-            return CheckReport(False, witness=(u, v, w), residual=residual.terms)
+            return CheckReport(False, witness=(u, v, w), residual=kappa.unscaled(residual.terms))
     return CheckReport(True)
+
+
+def _cube_witness(kappa: KappaMap, n: int) -> tuple | None:
+    """The first (z, u, v, x, y) in product order with (z,u,v | kappa(x,y))
+    nonzero, or None. It reads only the pairs (x_i, y_j) and, of each
+    tensor, its keys: kappa vanishes on same-species pairs, the tensor of
+    (y_j, x_i) is the negated one of (x_i, y_j), which comes first, and a
+    tuple that is not a key is zero. So the witness is the least nonzero key
+    of the first pair that has one; tuples of V-basis vectors compare as the
+    basis orders them, x before y, each by index."""
+    basis = v_basis(n)
+    for xy in product(basis[:n], basis[n:]):
+        cube = leg_tensor(kappa.scaled_pair(*xy), 3)
+        if nonzero := [zuv for zuv, t in cube.items() if not t.is_zero()]:
+            return (*min(nonzero), *xy)
+    return None
 
 
 def higher_jacobi_checks(kappa: KappaMap, n: int) -> CheckReport:
     """Wedge-square symmetry (z,u | kappa(x,y)) = (x,y | kappa(z,u)), each
     unordered pair of pairs compared once, and wedge-cube vanishing
-    (z,u,v | kappa(x,y)) = 0; reports the first failing tuple in product order."""
-    basis, zero = v_basis(n), LinComb()
+    (z,u,v | kappa(x,y)) = 0 (_cube_witness); reports the first failing
+    tuple in product order."""
+    zero = LinComb()
     square = _pair_tensors(kappa, n, 2)
     for zu, xy in combinations(square, 2):
         if square[xy].get(zu, zero) != square[zu].get(xy, zero):
             return CheckReport(False, witness=("square", *zu, *xy))
-    for xy, cube in _pair_tensors(kappa, n, 3).items():
-        for zuv in product(basis, repeat=3):
-            if not cube.get(zuv, zero).is_zero():
-                return CheckReport(False, witness=("cube", *zuv, *xy))
+    if cube := _cube_witness(kappa, n):
+        return CheckReport(False, witness=("cube", *cube))
     return CheckReport(True)
 
 
@@ -375,18 +428,23 @@ def _generator_bracket(gen: Gen, mono: Monomial) -> tuple[tuple[Monomial, int], 
 
 def h_linearity_check(kappa: KappaMap, n: int) -> CheckReport:
     """Adjoint linearity on generators: [E, kappa(v, w)] = kappa(E.v, w) +
-    kappa(v, E.w) for every generator E and V-basis pair."""
+    kappa(v, E.w) for every generator E and V-basis pair, reporting the first
+    failing (E, v, w) in product order. The scan reads only the pairs
+    (x_i, y_j): E keeps each species, so on a same-species pair both sides
+    are 0, and the residual of (y_j, x_i) is the negated one of (x_i, y_j),
+    which comes first."""
     basis = v_basis(n)
     for gen in product(range(1, n + 1), repeat=2):
-        for v, w in product(basis, repeat=2):
-            lhs = UEAElement.collect((m, c * t) for mono, c in kappa.pair(v, w).terms.items()
+        for v, w in product(basis[:n], basis[n:]):
+            lhs = UEAElement.collect((m, c * t)
+                                     for mono, c in kappa.scaled_pair(v, w).terms.items()
                                      for m, t in _generator_bracket(gen, mono))
             rhs = UEAElement.zero()
             if hit := _act_gen(gen, v):
-                rhs = rhs + kappa.pair(hit[0], w) * hit[1]
+                rhs = rhs + kappa.scaled_pair(hit[0], w) * hit[1]
             if hit := _act_gen(gen, w):
-                rhs = rhs + kappa.pair(v, hit[0]) * hit[1]
+                rhs = rhs + kappa.scaled_pair(v, hit[0]) * hit[1]
             if lhs != rhs:
                 return CheckReport(False, witness=(gen, v, w),
-                                   residual=(lhs - rhs).terms)
+                                   residual=kappa.unscaled((lhs - rhs).terms))
     return CheckReport(True)

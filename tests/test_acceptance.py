@@ -153,10 +153,12 @@ def test_criterion_3_oracle_equivalence():
 
         P = CentralCharPoly.from_xi(xi, 1)
         p_lam = P.value(Weight.of(lam))
-        labels = weight_labels(module)
+        # D is in integers over module.scale, so D^2 over its square; the
+        # labels are over 2q for lam = a/q.
+        labels = [F(mu, 2 * module.lam.denominator) for mu in weight_labels(module)]
         for i, mu_i in enumerate(labels):         # eigenblock law
             for j, mu_j in enumerate(labels):
-                entry = d2[i].get(j, 0)             # sparse rows: absent is zero
+                entry = F(d2[i].get(j, 0), module.scale ** 2)   # sparse rows: absent is zero
                 if i == j:
                     assert entry == 2 * p_lam - 2 * P.value(Weight.of(mu_i - F(1, 2)))
                 else:

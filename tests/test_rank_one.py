@@ -45,20 +45,48 @@ def diagonal(values):
 
 def dense(a, cols):
     """Sparse rows as a list of cols-long lists, for full-size scans."""
-    return [[row.get(j, F(0)) for j in range(cols)] for row in a]
+    zero = F(0)
+    return [[row.get(j, zero) for j in range(cols)] for row in a]
 
 
 def sparse(a):
     return [{j: v for j, v in enumerate(row) if v} for row in a]
 
 
+def rational_fields(m):
+    """The module's weights, x and y as Fractions: t over lam's denominator,
+    x over 1 and y over m.scale."""
+    q = m.lam.denominator
+    return ([F(w, q) for w in m.t], m.x,
+            [{j: F(c, m.scale) for j, c in row.items()} for row in m.y])
+
+
+def rational_labels(m):
+    """weight_labels, read over their scale 2q."""
+    return [F(mu, 2 * m.lam.denominator) for mu in weight_labels(m)]
+
+
 def test_build_module_sl2_like():
     m = build_module(Poly.of(0, 1), 1)
-    assert m.nu == 2
-    assert m.d == [F(0), F(2), F(2), F(0)]
-    assert m.t == [F(1), F(0), F(-1)]
-    assert m.x == [{}, {0: F(1)}, {1: F(1)}]
-    assert m.y == [{1: F(2)}, {2: F(2)}, {}]
+    assert m.nu == 2 and m.scale == 1
+    assert m.d == [0, 2, 2, 0]
+    assert m.t == [1, 0, -1]
+    assert m.x == [{}, {0: 1}, {1: 1}]
+    assert m.y == [{1: 2}, {2: 2}, {}]
+    assert all(type(c) is int for c in [*m.d, *m.t, *m.y[0].values(), *m.y[1].values()])
+
+
+def test_build_module_keeps_each_object_over_one_scale():
+    # xi = -z/3, lam = 1/2: p(z) = -2z/3, so p(w/2) = -2w/6 over the scale 6,
+    # the weights 1/2 and -1/2 are t/2, and d_1 = p(1/2) = -1/3 is -2/6.
+    m = build_module(Poly.of(0, F(-1, 3)), F(1, 2))
+    assert (m.nu, m.scale, m.t, m.d) == (1, 6, [1, -1], [0, -2, 0])
+    assert m.y == [{1: -2}, {}]
+    # the weights lam - k +- 1/2 over 2q = 4
+    assert weight_labels(m) == [4, 0, 0, -4]
+    # y_C = [[0, 2], [0, 0]] and x_C = [[0, 0], [1, 0]]; x enters as the scale
+    assert dirac_matrix(m) == [{}, {2: -2}, {1: 6 * 2}, {}]
+    assert all(type(c) is int for row in dirac_matrix(m) for c in row.values())
 
 
 def test_build_module_trivial():
@@ -98,13 +126,14 @@ def test_module_relations_hold_as_matrices():
         xi, lam = random_rank_one_instance(rng, max_deg=3, max_nu=6)
         m = build_module(xi, lam)
         p = xi_to_density(xi, 1)
-        t = diagonal(m.t)
-        tx = mat_sub(mat_mul(t, m.x), mat_mul(m.x, t))
-        assert tx == [{j: -c for j, c in row.items()} for row in m.x]
-        ty = mat_sub(mat_mul(t, m.y), mat_mul(m.y, t))
-        assert ty == m.y
-        yx = mat_sub(mat_mul(m.y, m.x), mat_mul(m.x, m.y))
-        assert yx == diagonal([p(w) for w in m.t])
+        weights_, x, y = rational_fields(m)
+        t = diagonal(weights_)
+        tx = mat_sub(mat_mul(t, x), mat_mul(x, t))
+        assert tx == [{j: -c for j, c in row.items()} for row in x]
+        ty = mat_sub(mat_mul(t, y), mat_mul(y, t))
+        assert ty == y
+        yx = mat_sub(mat_mul(y, x), mat_mul(x, y))
+        assert yx == diagonal([p(w) for w in weights_])
 
 
 def test_dirac_matrix_trivial_module_is_zero():
@@ -127,8 +156,10 @@ def test_d_squared_eigenblocks():
     for _ in range(8):
         xi, lam = random_rank_one_instance(rng, max_deg=3, max_nu=6)
         m = build_module(xi, lam)
-        d2 = dense(mat_mul(dirac_matrix(m), dirac_matrix(m)), 2 * (m.nu + 1))
-        labels = weight_labels(m)
+        # D is over m.scale, so D^2 is over its square.
+        d2 = [[F(c, m.scale ** 2) for c in row]
+              for row in dense(mat_mul(dirac_matrix(m), dirac_matrix(m)), 2 * (m.nu + 1))]
+        labels = rational_labels(m)
         P = CentralCharPoly.from_xi(xi, 1)
         p_lam = P.value(Weight.of(m.lam))
         for i, mu_i in enumerate(labels):
@@ -192,7 +223,8 @@ def test_oracle_laws_survive_optimized_python(flags):
             "        return d\n"
             "    return dirac_matrix, honest[1]\n"
             "def drop_weight(module):\n"
-            "    return [w for w in honest[1](module) if w != module.lam - Fraction(1, 2)]\n"
+            "    low = 2 * module.t[0] - module.lam.denominator  # 2q (lam - 1/2)\n"
+            "    return [w for w in honest[1](module) if w != low]\n"
             "for patched, message in [(corrupt(0, 0), 'D^2'),\n"
             "                         (corrupt(0, 1), 'D mixes distinct weights'),\n"
             "                         ((honest[0], drop_weight), 'not one axis'),\n"
@@ -243,9 +275,10 @@ def test_oracle_rejects_a_dirac_matrix_with_a_larger_rank_than_its_square(monkey
     # nilpotent D of rank 1 passes the block laws and the final dimension
     # count; only rank D = rank D^2 (ker D = ker D^2) can reject it. Its
     # entry joins lam + 1/2 and lam - 1/2, so both basis vectors are given
-    # the weight 1/2, where D^2 = 0 is the expected scalar (P(0) = P(-1)).
-    monkeypatch.setattr(rank_one, "dirac_matrix", lambda module: [{1: F(1)}, {}])
-    monkeypatch.setattr(rank_one, "weight_labels", lambda module: [F(1, 2), F(1, 2)])
+    # the weight 1/2 (the label 1 over the labels' scale 2q = 2), where
+    # D^2 = 0 is the expected scalar (P(0) = P(-1)).
+    monkeypatch.setattr(rank_one, "dirac_matrix", lambda module: [{1: 1}, {}])
+    monkeypatch.setattr(rank_one, "weight_labels", lambda module: [1, 1])
     with pytest.raises(InvariantViolation, match="ker D must equal ker D\\^2"):
         oracle_cohomology(Poly.of(0, 1), 0)
 
@@ -279,11 +312,14 @@ def test_oracle_rejects_a_module_whose_P_is_perturbed(monkeypatch, xi, lam):
 
 
 def _kron(a, s):
-    """The Kronecker product of two square matrices of dense rows."""
+    """The Kronecker product of two square matrices of dense rows; a zero
+    entry of a leaves its zero block as it is."""
     rows = len(a) * len(s)
     out = [[F(0)] * rows for _ in range(rows)]
     for i in range(len(a)):
         for j in range(len(a)):
+            if not a[i][j]:
+                continue
             for si in range(len(s)):
                 for sj in range(len(s)):
                     out[i * len(s) + si][j * len(s) + sj] = a[i][j] * s[si][sj]
@@ -296,10 +332,11 @@ def full_size_oracle(xi, lam):
     and D^2 scanned entry by entry against the weight grading."""
     module = build_module(xi, lam)
     size = 2 * (module.nu + 1)
-    x, y = dense(module.x, module.nu + 1), dense(module.y, module.nu + 1)
+    _, x, y = rational_fields(module)
+    x, y = dense(x, module.nu + 1), dense(y, module.nu + 1)
     y_c = dense(rank_one._spin_matrix(CliffordElement.vector(("y", 1))), 2)
     x_c = dense(rank_one._spin_matrix(CliffordElement.vector(("x", 1))), 2)
-    d = sparse([[a + b for a, b in zip(ra, rb)]
+    d = sparse([[a + b if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(_kron(x, y_c), _kron(y, x_c))])
     d2 = mat_mul(d, d)
     rank_d, rank_d2 = mat_rank(d), mat_rank(d2)
@@ -309,7 +346,7 @@ def full_size_oracle(xi, lam):
     P = CentralCharPoly.from_xi(xi, 1)
     p_lam = P.value(Weight.of(module.lam))
     groups = {}
-    for idx, mu in enumerate(weight_labels(module)):
+    for idx, mu in enumerate(rational_labels(module)):
         groups.setdefault(mu, []).append(idx)
     out: dict[Weight, int] = {}
     for mu, idxs in groups.items():
@@ -337,6 +374,19 @@ def _assert_three_routes_agree(xi, lam):
 def test_oracle_agrees_with_the_full_size_oracle(seed):
     _assert_three_routes_agree(*random_rank_one_instance(random.Random(seed),
                                                          max_deg=3, max_nu=40))
+
+
+def test_oracle_agrees_with_the_full_size_oracle_on_300_instances():
+    # lam in Z, Z/2 and Z/3, nu up to 80: the integer oracle, the closed
+    # form and the Fraction full-size oracle return the same classes.
+    rng = random.Random(83)
+    denominators, largest = set(), 0
+    for _ in range(300):
+        xi, lam = random_rank_one_instance(rng, max_deg=3, max_nu=80)
+        _assert_three_routes_agree(xi, lam)
+        denominators.add(lam.denominator)
+        largest = max(largest, build_module(xi, lam).nu)
+    assert denominators == {1, 2, 3} and largest >= 75
 
 
 def test_oracle_agrees_with_the_full_size_oracle_at_nu_80():
@@ -377,6 +427,14 @@ def test_dirac_matrix_stores_only_the_nonzero_entries():
         assert all(c for row in d for c in row.values())
 
 
+def test_weight_labels_reject_a_spin_weight_outside_half_integers(monkeypatch):
+    # the labels are ints over 2q only while gamma(E_11) acts by halves
+    base = rank_one.gamma_e
+    monkeypatch.setattr(rank_one, "gamma_e", lambda *a: base(*a) * F(1, 3))
+    with pytest.raises(InvariantViolation, match="gamma\\(E_11\\) has a weight outside Z/2"):
+        oracle_cohomology(Poly.of(0, 1), 1)
+
+
 @pytest.mark.parametrize("lam", [0.5, "3/2"])
 def test_build_module_rejects_inexact_weights(lam):
     with pytest.raises(TypeError, match="expected an exact rational"):
@@ -385,35 +443,48 @@ def test_build_module_rejects_inexact_weights(lam):
         oracle_cohomology(Poly.of(0, 1), lam)
 
 
+def test_mat_rank_is_exact_on_large_ints():
+    # float division would see 10^20 + 1 and 10^20 as equal (rank 1), and
+    # (10^17 + 1) / 3 as inexact (rank 2)
+    assert mat_rank([{0: 10**20 + 1, 1: 1}, {0: 10**20, 1: 1}]) == 2
+    assert mat_rank([{0: 3, 1: 10**17 + 1},
+                     {0: 3 * (10**17 + 3), 1: (10**17 + 1) * (10**17 + 3)}]) == 1
+
+
 rationals = st.sampled_from([F(0)] * 4 + [F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 7)])
 
 
+large_ints = st.integers(-10**30, 10**30) | st.sampled_from([0, 0, 1, -1])
+small_ints = st.integers(-3, 3)
+
+
 @st.composite
-def dense_matrices(draw, rows=None, cols=None):
-    """Rational matrices up to 8 x 8, with zero rows and rows that are
-    combinations of earlier ones mixed in."""
+def dense_matrices(draw, rows=None, cols=None, entries=rationals, factors=rationals):
+    """Matrices up to 8 x 8 with the given entries, with zero rows and rows
+    that are combinations of earlier ones (with the given factors) mixed in."""
     rows = draw(st.integers(0, 8)) if rows is None else rows
     cols = draw(st.integers(1, 8)) if cols is None else cols
     out = []
     for _ in range(rows):
         kind = draw(st.sampled_from(["random", "zero", "dependent"]))
         if kind == "zero":
-            out.append([F(0)] * cols)
+            out.append([0 * draw(entries)] * cols)
         elif kind == "dependent" and out:
-            a, b = draw(rationals), draw(rationals)
+            a, b = draw(factors), draw(factors)
             r1, r2 = draw(st.sampled_from(out)), draw(st.sampled_from(out))
             out.append([a * u + b * v for u, v in zip(r1, r2)])
         else:
-            out.append([draw(rationals) for _ in range(cols)])
+            out.append([draw(entries) for _ in range(cols)])
     return out
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_mat_mul_and_mat_rank_agree_with_sympy(data):
+@given(st.data(), st.sampled_from([(rationals, rationals), (large_ints, small_ints)]))
+def test_mat_mul_and_mat_rank_agree_with_sympy(data, kinds):
+    # rational matrices, and int matrices with entries up to 10^30
     inner = data.draw(st.integers(1, 8))
-    a = data.draw(dense_matrices(cols=inner))
-    b = data.draw(dense_matrices(rows=inner))
+    a = data.draw(dense_matrices(cols=inner, entries=kinds[0], factors=kinds[1]))
+    b = data.draw(dense_matrices(rows=inner, entries=kinds[0], factors=kinds[1]))
     assert mat_rank(sparse(a)) == (sympy.Matrix(a).rank() if a else 0)
     assert mat_rank(sparse(b)) == sympy.Matrix(b).rank()
     product = mat_mul(sparse(a), sparse(b))

@@ -18,7 +18,8 @@ and 5 with lambda in 1/3 + Z or 1/4 + Z (each in --json, text and
 (in text mode through classify, dirac and tables, the box over budget also
 with --decimal at a half-integer lambda), transform in --json, text and
 --decimal mode (one request whose ladder has terminating decimals), verify
---json at four seeds and verify's text lines (all suites at seed 1, and
+--json at four seeds, the jacobi suite at rank 3 and the oracle-n1 suite
+at 40 trials, and verify's text lines (all suites at seed 1, and
 the poly suite at five trials), the rational tokens that Fraction reads
 differently across interpreters (underscores, inner spaces, exponents), a
 5001-digit literal, a tables request whose P values have about 6000
@@ -87,6 +88,10 @@ for argv in (["classify", "--n", "4", "--P-h", "0,5,6", "--lambda", "13/3,10/3,7
 for seed in (1, 2, 3, 7):
     EXTRA.append(["verify", "--suite", "all", "--max-n", "2", "--max-deg", "3",
                   "--seed", str(seed), "--json"])
+# The certificates at rank 3 and the rank-one oracle at 40 trials.
+EXTRA.append(["verify", "--suite", "jacobi", "--max-n", "3", "--max-deg", "3", "--json"])
+EXTRA.append(["verify", "--suite", "oracle-n1", "--trials", "40", "--max-deg", "3", "--seed", "2",
+              "--json"])
 # verify's text lines.
 EXTRA.append(["verify", "--suite", "all", "--max-n", "2", "--max-deg", "3", "--seed", "1"])
 EXTRA.append(["verify", "--suite", "poly", "--trials", "5"])
