@@ -3,6 +3,7 @@ triples, adjoint linearity the pairs (x_i, y_j), the wedge cube the stored
 keys of the (x_i, y_j) tensors, all over kappa's integer view. Each must
 report what the ordered scan over every tuple reports, kept here as the
 reference: the same (ok, witness, residual)."""
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
@@ -174,7 +175,6 @@ def test_kappa_integer_view():
 
 def _random_kappas(seed, count, n=2):
     """Arbitrary deformation maps at rank n, drawn from a seeded source."""
-    import random
     rng = random.Random(seed)
     out = []
     for _ in range(count):
